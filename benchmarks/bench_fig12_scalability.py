@@ -34,7 +34,6 @@ from repro.core.backends import (
     ShardedBackend,
     plan_scaling_sweep,
     shutdown_actor_pools,
-    shutdown_worker_pools,
 )
 from repro.core.operators import Transformer
 from repro.core.optimizer import Optimizer, passes_for_level
@@ -157,16 +156,18 @@ MEASURED_TRAIN = 1000 if FAST else 3000
 MEASURED_VOCAB = 400 if FAST else 1200
 
 
-def _numpy_light_plan():
+def _numpy_light_plan(seed: int = 0):
     """Text featurization plan where pure-Python work dominates.
 
     Tokenization/n-grams/term counting hold the GIL and parallelize
-    across processes, which is exactly the workload the process backend
-    exists for; the solver is kept light so the featurization axis is
-    what the measurement sees.
+    across processes, which is exactly the workload multi-process
+    execution exists for; the solver is kept light so the featurization
+    axis is what the measurement sees.  ``seed`` controls the document
+    content, so differently-seeded plans share *no* content-addressed
+    shard state in the workers.
     """
     wl = amazon_reviews(num_train=MEASURED_TRAIN, num_test=60,
-                        vocab_size=MEASURED_VOCAB, seed=0)
+                        vocab_size=MEASURED_VOCAB, seed=seed)
     ctx = Context()
     data = wl.train_data(ctx)
     labels = wl.train_label_vectors(ctx)
@@ -186,7 +187,12 @@ def test_fig12_process_backend_measured(benchmark):
 
     The simulated sweep above prices what a cluster *would* do; this
     series measures what this machine actually does when shards run in
-    worker processes.  Byte-identical predictions are asserted; the
+    worker processes — the actor runtime, driven through its historical
+    ``ProcessPoolBackend`` name so the gated metric keeps its series.
+    The pool is pre-warmed on differently-seeded documents: spawn and
+    imports stay out of the measurement, and the timed fit still
+    featurizes every shard (no cached state to reuse — the refit case is
+    the next test's).  Byte-identical predictions are asserted; the
     speedup is asserted (and recorded for the regression gate) only on
     multi-core runners — a 1-CPU machine cannot speed anything up.
     """
@@ -204,12 +210,14 @@ def test_fig12_process_backend_measured(benchmark):
         timings["serial"] = time.perf_counter() - start
 
         backend = ProcessPoolBackend(workers=MEASURED_WORKERS,
-                                     task_timeout=600.0)
+                                     task_timeout=600.0, reuse_pool=False)
+        _, prewarm_plan = _numpy_light_plan(seed=1)
+        prewarm_plan.execute(backend=backend)
         _, process_plan = _numpy_light_plan()
-        process_plan.execute(backend=backend)
         start = time.perf_counter()
         process_fitted = process_plan.execute(backend=backend)
         timings["process"] = time.perf_counter() - start
+        backend.close()
         return timings, serial_fitted, process_fitted
 
     timings, serial_fitted, process_fitted = once(benchmark, run)
@@ -237,6 +245,7 @@ def test_fig12_process_backend_measured(benchmark):
         "process backend diverged from serial predictions"
     assert rep.process_workers == MEASURED_WORKERS
     assert not rep.process_fallback, rep.process_fallback
+    assert rep.shard_state_misses > 0, "timed fit featurized nothing"
 
     metrics = {"serial_seconds": timings["serial"],
                "process_seconds": timings["process"],
@@ -251,7 +260,6 @@ def test_fig12_process_backend_measured(benchmark):
             f"LocalBackend: {timings['process']:.3f}s vs "
             f"{timings['serial']:.3f}s")
     record_result("process_backend", metrics)
-    shutdown_worker_pools()
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +285,7 @@ def _iterative_plan(seed: int):
     """Text featurization into an in-worker iterative k-means head.
 
     Featurization dominates and the solver makes ``ACTOR_PASSES`` passes
-    over it: a stateless runtime re-featurizes every pass, persistent
+    over it: the serial reference re-featurizes every pass, persistent
     actors featurize once into the shard cache and then only move
     per-pass statistics.  ``seed`` controls the document content, so
     differently-seeded plans share *no* content-addressed shard state.

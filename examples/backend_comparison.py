@@ -8,18 +8,21 @@ same PhysicalPlan under each shipped ExecutionBackend:
 - sharded    — trains in-process, then prices per-shard stage times on a
                simulated 8-node cluster and sweeps the cluster size
                (the Figure-12 axis) without retraining;
-- process    — actually executes shards in worker processes: spawn-safe
-               shard programs, sufficient-statistic merges for the
-               frequency selector, gather-and-fit for the solvers.
+- actors     — actually executes shards in persistent worker processes
+               (``backend="process"`` is an alias): spawn-safe shard
+               programs, sufficient-statistic merges for the frequency
+               selector, gather-and-fit for the solvers
+               (``examples/actor_runtime.py`` tours the worker-side
+               caching and in-worker iterative solving).
 
 All four produce byte-identical predictions — that is the backend
 contract (asserted below; this example exits non-zero if it breaks).
 
 Threads vs processes on this workload: tokenization/n-grams/term counting
 are pure Python, so the thread pool only overlaps the two solver
-branches (the GIL serializes featurization) while the process pool
-parallelizes featurization itself and skips re-featurizing for the
-iterative solver by materializing worker output.
+branches (the GIL serializes featurization) while the actor pool
+parallelizes featurization itself and featurizes once for both solver
+branches by keeping worker output.
 
 Run:  python examples/backend_comparison.py
 """
@@ -27,12 +30,12 @@ Run:  python examples/backend_comparison.py
 from repro import Context, Optimizer, Pipeline, ShardingPass
 from repro.cluster.resources import r3_4xlarge
 from repro.core.backends import (
+    ActorBackend,
     LocalBackend,
     PipelinedBackend,
-    ProcessPoolBackend,
     ShardedBackend,
     plan_scaling_sweep,
-    shutdown_worker_pools,
+    shutdown_actor_pools,
 )
 from repro.core.optimizer import passes_for_level
 from repro.nodes.learning.linear import LinearSolver
@@ -80,7 +83,7 @@ def main():
         PipelinedBackend(max_workers=4),
         ShardedBackend(resources=r3_4xlarge(WORKERS),
                        overhead_per_stage=0.02),
-        ProcessPoolBackend(workers=2, task_timeout=600.0),
+        ActorBackend(workers=2, task_timeout=600.0),
     ]
 
     reference = None
@@ -104,21 +107,21 @@ def main():
         if isinstance(backend, ShardedBackend):
             sharded_fitted = fitted
             sharded_plan = plan
-        if isinstance(backend, ProcessPoolBackend):
-            process_report = report
+        if isinstance(backend, ActorBackend):
+            actor_report = report
 
     print("\nThreads vs processes on this numpy-light text workload:")
     print(f"  pipelined (threads) {train_seconds['pipelined']:>7.2f}s — the "
           "GIL serializes tokenization; only solver branches overlap")
-    print(f"  process   (2 procs) {train_seconds['process']:>7.2f}s — "
+    print(f"  actors    (2 procs) {train_seconds['actors']:>7.2f}s — "
           "featurization itself runs in parallel shards "
-          f"(stat-merged: {process_report.process_stat_merged}, "
-          f"gathered: {process_report.process_gathered})")
-    assert not process_report.process_fallback, \
-        process_report.process_fallback
+          f"(stat-merged: {actor_report.process_stat_merged}, "
+          f"gathered: {actor_report.process_gathered})")
+    assert not actor_report.process_fallback, \
+        actor_report.process_fallback
 
-    print("\nThe process fit, summarized (TrainingReport.summary()):")
-    for line in process_report.summary().splitlines():
+    print("\nThe actor fit, summarized (TrainingReport.summary()):")
+    for line in actor_report.summary().splitlines():
         print(f"  {line}")
 
     report = sharded_fitted.training_report
@@ -142,7 +145,7 @@ def main():
     assert sharding_lines, "ShardingPass decision missing from explain()"
     for line in sharding_lines:
         print(f"  {line.strip()}")
-    shutdown_worker_pools()
+    shutdown_actor_pools()
 
 
 if __name__ == "__main__":

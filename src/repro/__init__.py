@@ -47,12 +47,13 @@ The classic one-call path still works: ``model = pipe.fit()`` (optionally
 Execution is pluggable: the same plan trains serially
 (``LocalBackend``), with independent branches overlapped on threads
 (``PipelinedBackend``), priced per-shard on a simulated cluster
-(``ShardedBackend``), or actually sharded across worker processes
-(``ProcessPoolBackend``)::
+(``ShardedBackend``), or actually sharded across persistent worker
+processes (``ActorBackend``; ``"process"`` / ``ProcessPoolBackend`` are
+aliases of it)::
 
     model = plan.execute(backend="pipelined")
     fitted = pipe.fit(backend=ShardedBackend(workers=8))
-    fitted = pipe.fit(backend=ProcessPoolBackend(workers=4))
+    fitted = pipe.fit(backend=ActorBackend(workers=4))
 
 Trained pipelines serve online traffic through :mod:`repro.serving`:
 ``ModelServer`` compiles each registered model into a flat
@@ -68,6 +69,7 @@ intermediates the optimizer's cost model deems worth their bytes::
 
 from repro.cluster import ResourceDescriptor
 from repro.core import (
+    ActorBackend,
     CSEPass,
     Estimator,
     ExecutionBackend,
@@ -98,6 +100,7 @@ from repro.serving import InferencePlan, ModelServer, compile_inference_plan
 __version__ = "1.2.0"
 
 __all__ = [
+    "ActorBackend",
     "Context",
     "CostModel",
     "CostProfile",

@@ -55,6 +55,7 @@ from repro.core.passes import (
 from repro.core.optimizer import Optimizer, default_passes, passes_for_level
 from repro.core.backends import (
     BACKENDS,
+    ActorBackend,
     ExecutionBackend,
     LocalBackend,
     PipelinedBackend,
@@ -65,6 +66,7 @@ from repro.core.backends import (
 )
 
 __all__ = [
+    "ActorBackend",
     "BACKENDS",
     "CSEPass",
     "ExecutionBackend",

@@ -12,14 +12,18 @@ ship:
 - :class:`ShardedBackend` — partitions the training flow across N
   simulated workers and prices per-shard stage times through the cluster
   simulator, opening the strong-scaling axis to *real* plans.
-- :class:`ProcessPoolBackend` — actually executes shards in separate
-  worker processes (spawn-safe, GIL-free), merging per-shard sufficient
-  statistics where estimators support it and gathering featurized shards
-  otherwise.
-- :class:`ActorBackend` — the persistent-worker runtime
-  (:mod:`repro.runtime`): long-lived actors cache content-addressed
-  shard state across estimators and fits, run iterative solvers
-  in-worker, and recover from worker deaths with bounded respawn.
+- :class:`ActorBackend` — actually executes shards in separate worker
+  processes (spawn-safe, GIL-free) on the persistent-worker runtime
+  (:mod:`repro.runtime`): merges per-shard sufficient statistics where
+  estimators support it and gathers featurized shards otherwise;
+  long-lived actors cache content-addressed shard state across
+  estimators and fits, run iterative solvers in-worker, and recover
+  from worker deaths with bounded respawn.
+
+:class:`ProcessPoolBackend` (``"process"``) and
+:func:`shutdown_worker_pools` are the historical names of the
+multi-process backend, kept as aliases of :class:`ActorBackend` and
+:func:`shutdown_actor_pools`.
 
 Selection threads through the public API: ``plan.execute(backend=...)``,
 ``Pipeline.fit(backend=...)`` and ``FittedPipeline.apply`` /
@@ -30,7 +34,7 @@ Selection threads through the public API: ``plan.execute(backend=...)``,
 ``ShardingPass(workers="auto")`` recommended.
 """
 
-from repro.core.backends.actors import ActorBackend
+from repro.core.backends.actors import ActorBackend, ProcessPoolBackend
 from repro.core.backends.base import (
     ExecutionBackend,
     TrainingSession,
@@ -38,12 +42,11 @@ from repro.core.backends.base import (
 )
 from repro.core.backends.local import LocalBackend
 from repro.core.backends.pipelined import PipelinedBackend
-from repro.core.backends.process import (
-    ProcessPoolBackend,
-    shutdown_worker_pools,
-)
 from repro.core.backends.sharded import ShardedBackend, plan_scaling_sweep
 from repro.runtime.pool import shutdown_actor_pools
+
+#: historical name: the actor pool is the only worker pool there is
+shutdown_worker_pools = shutdown_actor_pools
 
 #: registry of backend names accepted wherever ``backend=`` is
 BACKENDS = {
@@ -73,10 +76,13 @@ def resolve_backend(backend=None) -> ExecutionBackend:
         try:
             return BACKENDS[backend]()
         except KeyError:
-            raise ValueError(f"unknown backend {backend!r}; expected one "
-                             f"of {sorted(BACKENDS)}") from None
-    raise TypeError("backend must be None, a backend name, or an "
-                    f"ExecutionBackend instance; got {type(backend).__name__}")
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
+            ) from None
+    raise TypeError(
+        "backend must be None, a backend name, or an "
+        f"ExecutionBackend instance; got {type(backend).__name__}"
+    )
 
 
 __all__ = [

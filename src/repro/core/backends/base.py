@@ -58,8 +58,9 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def execute(self, plan: "PhysicalPlan",
-                ctx: Optional[Context] = None) -> "FittedPipeline":
+    def execute(
+        self, plan: "PhysicalPlan", ctx: Optional[Context] = None
+    ) -> "FittedPipeline":
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -78,8 +79,7 @@ class ExecutionBackend:
                 parents = [eval_node(p) for p in node.parents]
                 value = g.zip_gather(parents)
             else:
-                raise ValueError(f"unexpected node kind {node.kind} in "
-                                 "fitted pipeline")
+                raise ValueError(f"unexpected node kind {node.kind} in fitted pipeline")
             memo[node.id] = value
             return value
 
@@ -120,8 +120,7 @@ def recursive_apply_item(fitted: "FittedPipeline", item: Any) -> Any:
         elif node.kind == g.SOURCE:
             raise ValueError("fitted pipeline contains an unbound source")
         else:
-            raise ValueError(f"unexpected node kind {node.kind} in "
-                             "fitted pipeline")
+            raise ValueError(f"unexpected node kind {node.kind} in fitted pipeline")
         memo[node.id] = value
         return value
 
@@ -147,8 +146,9 @@ class TrainingSession:
     concurrent fits of the *same* node.
     """
 
-    def __init__(self, plan: "PhysicalPlan", ctx: Optional[Context],
-                 backend_name: str = "local"):
+    def __init__(
+        self, plan: "PhysicalPlan", ctx: Optional[Context], backend_name: str = "local"
+    ):
         state = plan.state
         self.plan = plan
         self.sink = state.sink
@@ -161,7 +161,8 @@ class TrainingSession:
                 "cache set is stale: the DAG was rewritten after "
                 "MaterializationPass, so the chosen cache set no longer "
                 "matches any node; order rewrite passes before "
-                f"MaterializationPass (unmatched ids: {sorted(stale)[:5]})")
+                f"MaterializationPass (unmatched ids: {sorted(stale)[:5]})"
+            )
 
         report = TrainingReport(level=plan.level)
         report.backend = backend_name
@@ -179,8 +180,7 @@ class TrainingSession:
         if ctx is None:
             ctx = Context(cache_budget_bytes=state.mem_budget_bytes)
         if self.use_lru:
-            ctx.set_policy(AdmissionControlledLRUPolicy(),
-                           state.mem_budget_bytes)
+            ctx.set_policy(AdmissionControlledLRUPolicy(), state.mem_budget_bytes)
         else:
             ctx.set_policy(PinnedPolicy(set()), state.mem_budget_bytes)
         self.ctx = ctx
@@ -233,7 +233,8 @@ class TrainingSession:
                 raise ValueError(
                     "training execution reached the pipeline input "
                     "placeholder; estimator training data must be "
-                    "bound via and_then(est, data)")
+                    "bound via and_then(est, data)"
+                )
             ds = node.op
             if ds.ctx is not ctx:
                 # Re-root foreign datasets into the execution context so
@@ -245,8 +246,10 @@ class TrainingSession:
                 obs_trace.instrument(
                     node.label,
                     timer.wrap(node.id, node.op.apply_partition),
-                    node_id=node.id),
-                name=node.label)
+                    node_id=node.id,
+                ),
+                name=node.label,
+            )
         elif node.kind == g.APPLY:
             est_node, data_node = node.parents
             model = self.fit_estimator(est_node)
@@ -255,8 +258,10 @@ class TrainingSession:
                 obs_trace.instrument(
                     node.label,
                     timer.wrap(node.id, model.apply_partition),
-                    node_id=node.id),
-                name=node.label)
+                    node_id=node.id,
+                ),
+                name=node.label,
+            )
         elif node.kind == g.GATHER:
             ds = g.zip_gather([self._dataset_of(p) for p in node.parents])
         else:
@@ -277,14 +282,18 @@ class TrainingSession:
             if node.id in self.fitted:
                 return self.fitted[node.id]
             data = self._dataset_of(node.parents[0])
-            labels = (self._dataset_of(node.parents[1])
-                      if len(node.parents) == 2 else None)
+            labels = (
+                self._dataset_of(node.parents[1]) if len(node.parents) == 2 else None
+            )
         # Heavy work outside the lock: op.fit pulls its training flow
         # through the lazy datasets (possibly concurrently with other
         # estimators on other threads).
-        with obs_trace.span(f"fit:{node.label}", cat="fit",
-                            key=self.training_key.get(node.id),
-                            args={"node_id": node.id}):
+        with obs_trace.span(
+            f"fit:{node.label}",
+            cat="fit",
+            key=self.training_key.get(node.id),
+            args={"node_id": node.id},
+        ):
             model = self._fit_streaming(node, data, labels)
             if model is None:
                 with self.timer.time_block(node.id):
@@ -302,16 +311,15 @@ class TrainingSession:
         """Record a freshly fitted model in the FitStore (if attached).
 
         Called under the session lock by every path that fits an
-        estimator this run (``fit_estimator`` and the process backend's
-        stat-merge path); also the single place ``refit_ops`` is
-        recorded.
+        estimator this run (``fit_estimator`` and the actor backend's
+        stat-merge and in-worker paths); also the single place
+        ``refit_ops`` is recorded.
         """
         self.report.refit_ops.append(node.label)
         if self.fit_store is not None and node.id in self.training_key:
             self.fit_store.put_fit(self.training_key[node.id], model)
 
-    def _fit_streaming(self, node: g.OpNode, data: Dataset,
-                       labels: Optional[Dataset]):
+    def _fit_streaming(self, node: g.OpNode, data: Dataset, labels: Optional[Dataset]):
         """Fit a shardable estimator through stored per-partition stats.
 
         Returns the fitted model, or ``None`` to fall through to the
@@ -327,8 +335,11 @@ class TrainingSession:
         :class:`~repro.core.operators.ShardableEstimator` contract.
         """
         store, op = self.fit_store, node.op
-        if (store is None or not hasattr(op, "partition_stats")
-                or not hasattr(op, "fit_from_stats")):
+        if (
+            store is None
+            or not hasattr(op, "partition_stats")
+            or not hasattr(op, "fit_from_stats")
+        ):
             return None
         if labels is not None and labels.num_partitions != data.num_partitions:
             return None
@@ -337,9 +348,10 @@ class TrainingSession:
         try:
             for i in range(data.num_partitions):
                 flow_keys = prog.partition_flow_keys(
-                    roots, i, model_of=lambda n: self.fitted.get(n.id))
-                pkeys.append(prog.op_key(
-                    "pstats", op, tuple(flow_keys[r.id] for r in roots)))
+                    roots, i, model_of=lambda n: self.fitted.get(n.id)
+                )
+                root_keys = tuple(flow_keys[r.id] for r in roots)
+                pkeys.append(prog.op_key("pstats", op, root_keys))
         except Exception:
             # Unkeyable flow (unbound input, partition-count mismatch
             # between raw sources and the featurized view, unfitted
@@ -354,8 +366,9 @@ class TrainingSession:
                     if labels is None:
                         stat = op.partition_stats(data.partition(i))
                     else:
-                        stat = op.partition_stats(data.partition(i),
-                                                  labels.partition(i))
+                        stat = op.partition_stats(
+                            data.partition(i), labels.partition(i)
+                        )
                     store.put_stats(pkey, stat)
                     computed += 1
                 else:
@@ -392,33 +405,40 @@ class TrainingSession:
 
         fitted = self.fitted
 
-        def inference_node(node: g.OpNode,
-                           memo: Dict[int, g.OpNode]) -> g.OpNode:
+        def inference_node(node: g.OpNode, memo: Dict[int, g.OpNode]) -> g.OpNode:
             if node.id in memo:
                 return memo[node.id]
             if node.kind == g.APPLY:
                 data_parent = inference_node(node.parents[1], memo)
-                out = g.OpNode(g.TRANSFORMER, fitted[node.parents[0].id],
-                               (data_parent,), label=node.label)
+                out = g.OpNode(
+                    g.TRANSFORMER,
+                    fitted[node.parents[0].id],
+                    (data_parent,),
+                    label=node.label,
+                )
             elif node.kind == g.TRANSFORMER:
-                out = g.OpNode(g.TRANSFORMER, node.op,
-                               (inference_node(node.parents[0], memo),),
-                               label=node.label)
+                out = g.OpNode(
+                    g.TRANSFORMER,
+                    node.op,
+                    (inference_node(node.parents[0], memo),),
+                    label=node.label,
+                )
             elif node.kind == g.GATHER:
-                out = g.OpNode(g.GATHER, None,
-                               tuple(inference_node(p, memo)
-                                     for p in node.parents), label="gather")
+                parents = tuple(inference_node(p, memo) for p in node.parents)
+                out = g.OpNode(g.GATHER, None, parents, label="gather")
             elif node.is_pipeline_input:
                 out = node
             else:
-                raise ValueError(
-                    f"node {node} cannot appear on the inference path")
+                raise ValueError(f"node {node} cannot appear on the inference path")
             memo[node.id] = out
             return out
 
         memo: Dict[int, g.OpNode] = {}
         inference_sink = inference_node(self.sink, memo)
         new_input = memo.get(state.input_node.id, state.input_node)
-        return FittedPipeline(new_input, inference_sink,
-                              training_report=report,
-                              program_passes=state.program_passes)
+        return FittedPipeline(
+            new_input,
+            inference_sink,
+            training_report=report,
+            program_passes=state.program_passes,
+        )

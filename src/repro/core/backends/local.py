@@ -26,8 +26,9 @@ class LocalBackend(ExecutionBackend):
 
     name = "local"
 
-    def execute(self, plan: "PhysicalPlan",
-                ctx: Optional[Context] = None) -> "FittedPipeline":
+    def execute(
+        self, plan: "PhysicalPlan", ctx: Optional[Context] = None
+    ) -> "FittedPipeline":
         session = TrainingSession(plan, ctx, backend_name=self.name)
         session.run_serial()
         return session.finish()

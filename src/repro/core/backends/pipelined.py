@@ -47,15 +47,19 @@ class PipelinedBackend(ExecutionBackend):
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
 
-    def execute(self, plan: "PhysicalPlan",
-                ctx: Optional[Context] = None) -> "FittedPipeline":
+    def execute(
+        self, plan: "PhysicalPlan", ctx: Optional[Context] = None
+    ) -> "FittedPipeline":
         session = TrainingSession(plan, ctx, backend_name=self.name)
         estimators = session.estimator_nodes()  # topological order
 
         deps: Dict[int, List[int]] = {}
         for node in estimators:
-            deps[node.id] = [p.id for p in g.ancestors([node])
-                             if p.kind == g.ESTIMATOR and p.id != node.id]
+            deps[node.id] = [
+                p.id
+                for p in g.ancestors([node])
+                if p.kind == g.ESTIMATOR and p.id != node.id
+            ]
 
         futures: Dict[int, Future] = {}
 
@@ -87,8 +91,9 @@ class PipelinedBackend(ExecutionBackend):
             # Copy on every pull: consumers may mutate partitions in place.
             return list(parts[i])
 
-        return Dataset(out.ctx, out.num_partitions, compute, (out,),
-                       name=f"pipelined({out.name})")
+        return Dataset(
+            out.ctx, out.num_partitions, compute, (out,), name=f"pipelined({out.name})"
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(max_workers={self.max_workers})"

@@ -55,9 +55,13 @@ COORDINATED = ShardingPass.COORDINATED
 _CATEGORIES = {g.ESTIMATOR: "Model Solve", g.SOURCE: "Loading"}
 
 
-def _stage_for_node(node: g.OpNode, seconds: float, role: str,
-                    coord_bytes: float,
-                    resources: ResourceDescriptor) -> SimulatedStage:
+def _stage_for_node(
+    node: g.OpNode,
+    seconds: float,
+    role: str,
+    coord_bytes: float,
+    resources: ResourceDescriptor,
+) -> SimulatedStage:
     """Price one executed node as a simulated stage.
 
     The measured serial ``seconds`` calibrate the stage's flops against the
@@ -88,9 +92,12 @@ class ShardedBackend(ExecutionBackend):
 
     name = "sharded"
 
-    def __init__(self, workers: Optional[int] = None,
-                 resources: Optional[ResourceDescriptor] = None,
-                 overhead_per_stage: float = 0.0):
+    def __init__(
+        self,
+        workers: Optional[int] = None,
+        resources: Optional[ResourceDescriptor] = None,
+        overhead_per_stage: float = 0.0,
+    ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -104,19 +111,20 @@ class ShardedBackend(ExecutionBackend):
             return plan.state.shard_workers
         return plan.state.resources.num_nodes
 
-    def execute(self, plan: "PhysicalPlan",
-                ctx: Optional[Context] = None) -> "FittedPipeline":
+    def execute(
+        self, plan: "PhysicalPlan", ctx: Optional[Context] = None
+    ) -> "FittedPipeline":
         workers = self._resolve_workers(plan)
         session = TrainingSession(
-            plan, ctx, backend_name=f"{self.name}[workers={workers}]")
+            plan, ctx, backend_name=f"{self.name}[workers={workers}]"
+        )
         session.run_serial()
         fitted = session.finish()
 
         report = fitted.training_report
         resources = self.resources or plan.state.resources
         stages = self._build_stages(plan, report, resources)
-        sim = ClusterSimulator(resources.with_nodes(workers),
-                               self.overhead_per_stage)
+        sim = ClusterSimulator(resources.with_nodes(workers), self.overhead_per_stage)
         report.simulated_workers = workers
         report.simulated_resources = resources
         report.simulated_overhead_per_stage = self.overhead_per_stage
@@ -126,8 +134,12 @@ class ShardedBackend(ExecutionBackend):
         report.simulated_breakdown = sim.breakdown(stages)
         return fitted
 
-    def _build_stages(self, plan: "PhysicalPlan", report: "TrainingReport",
-                      resources: ResourceDescriptor) -> List[SimulatedStage]:
+    def _build_stages(
+        self,
+        plan: "PhysicalPlan",
+        report: "TrainingReport",
+        resources: ResourceDescriptor,
+    ) -> List[SimulatedStage]:
         """One simulated stage per executed node of the plan.
 
         Timed nodes (transformers, applies, estimators) price their
@@ -145,15 +157,13 @@ class ShardedBackend(ExecutionBackend):
             seconds = report.node_seconds.get(nid, 0.0)
             role = roles.get(nid) or ShardingPass.role_for(node)
             coord_bytes = 0.0
-            if role == COORDINATED and profile is not None \
-                    and nid in profile.nodes:
+            if role == COORDINATED and profile is not None and nid in profile.nodes:
                 # Coordination moves the node's output through the tree:
                 # a fitted model for solvers, merged partials elsewhere.
                 coord_bytes = profile.size(nid)
             if nid not in report.node_seconds and coord_bytes == 0.0:
                 continue  # nothing measurable and nothing to coordinate
-            stages.append(_stage_for_node(node, seconds, role, coord_bytes,
-                                          resources))
+            stages.append(_stage_for_node(node, seconds, role, coord_bytes, resources))
         return stages
 
     def apply_batch(self, fitted: "FittedPipeline", data: Dataset) -> Dataset:
@@ -174,13 +184,15 @@ class ShardedBackend(ExecutionBackend):
         return super().apply_batch(fitted, data)
 
     def __repr__(self) -> str:
-        return (f"{type(self).__name__}(workers={self.workers}, "
-                f"overhead_per_stage={self.overhead_per_stage})")
+        return (
+            f"{type(self).__name__}(workers={self.workers}, "
+            f"overhead_per_stage={self.overhead_per_stage})"
+        )
 
 
-def plan_scaling_sweep(fitted_or_report, node_counts: List[int],
-                       overhead_per_stage: Optional[float] = None
-                       ) -> Dict[int, Dict[str, float]]:
+def plan_scaling_sweep(
+    fitted_or_report, node_counts: List[int], overhead_per_stage: Optional[float] = None
+) -> Dict[int, Dict[str, float]]:
     """Re-price a sharded-trained plan at several cluster sizes.
 
     Takes the :class:`~repro.core.pipeline.FittedPipeline` (or its
@@ -193,8 +205,13 @@ def plan_scaling_sweep(fitted_or_report, node_counts: List[int],
     if not stages:
         raise ValueError(
             "no simulated stages on this report: train the plan with "
-            "plan.execute(backend=ShardedBackend(...)) first")
-    overhead = (report.simulated_overhead_per_stage
-                if overhead_per_stage is None else overhead_per_stage)
-    return scaling_sweep(stages, report.simulated_resources, node_counts,
-                         overhead_per_stage=overhead)
+            "plan.execute(backend=ShardedBackend(...)) first"
+        )
+    overhead = (
+        report.simulated_overhead_per_stage
+        if overhead_per_stage is None
+        else overhead_per_stage
+    )
+    return scaling_sweep(
+        stages, report.simulated_resources, node_counts, overhead_per_stage=overhead
+    )

@@ -141,16 +141,17 @@ class TrainingReport:
     simulated_stages: List[Any] = field(default_factory=list)
     simulated_resources: Optional[ResourceDescriptor] = None
     simulated_overhead_per_stage: float = 0.0
-    #: filled by ProcessPoolBackend: worker-process count and, per
-    #: estimator label, which merge strategy trained it.  With process
-    #: execution ``node_seconds`` aggregates per-node compute *across*
-    #: workers (CPU seconds, not wall clock).
+    #: filled by ActorBackend (``"actors"`` and its ``"process"``
+    #: alias): worker-process count and, per estimator label, which
+    #: merge strategy trained it.  With multi-process execution
+    #: ``node_seconds`` aggregates per-node compute *across* workers
+    #: (CPU seconds, not wall clock).
     process_workers: Optional[int] = None
     process_stat_merged: List[str] = field(default_factory=list)
     process_gathered: List[str] = field(default_factory=list)
     process_fallback: List[str] = field(default_factory=list)
-    #: filled by ActorBackend (:mod:`repro.runtime`): estimator labels
-    #: fitted by in-worker iterative passes, pool fault-tolerance and
+    #: also filled by ActorBackend: estimator labels fitted by in-worker
+    #: iterative passes (:mod:`repro.runtime`), pool fault-tolerance and
     #: shard-state cache accounting for this run (workers that died and
     #: were respawned; content-addressed shard states served from worker
     #: caches vs computed; partition bytes pickled over pipes vs mapped

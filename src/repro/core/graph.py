@@ -107,7 +107,7 @@ def reachable(sinks: Iterable[OpNode],
 
     The single topological walk behind every DAG consumer that used to
     keep a private copy: program lowering (:mod:`repro.core.program`,
-    feeding both the serving compiler and the process backend's shard
+    feeding both the serving compiler and the actor backend's shard
     programs) iterates the unfiltered order, and the training session's
     estimator schedule / source rooting use the kind filter.
     """
@@ -214,7 +214,7 @@ def zip_rows(parts: List[list]) -> List[list]:
     """Element-wise gather of aligned in-memory partitions into list rows.
 
     The materialized-partition counterpart of :func:`zip_gather`, shared
-    by the serving compiler's micro-batch path and the process backend's
+    by the serving compiler's micro-batch path and the actor runtime's
     shard workers.
     """
     if len({len(p) for p in parts}) > 1:

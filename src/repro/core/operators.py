@@ -141,7 +141,7 @@ class ShardableEstimator:
     Estimators whose training reduces partition-wise sufficient
     statistics (frequency counters, moment sums, Gram matrices, local QR
     factors) implement two methods, and
-    :class:`~repro.core.backends.process.ProcessPoolBackend` then computes
+    :class:`~repro.core.backends.actors.ActorBackend` then computes
     the statistics inside worker processes and merges them in the parent
     instead of gathering the featurized rows:
 
@@ -201,7 +201,7 @@ class IterativeShardableEstimator:
       dies between passes (default: nothing).
 
     Byte-identity contract: ``fit`` must itself route through
-    :meth:`fit_via_passes`, so every backend — serial, process, actor —
+    :meth:`fit_via_passes`, so every backend — serial or actor —
     replays the identical per-partition statistics and the identical
     left-to-right merge, making the fitted state bit-for-bit equal by
     construction.
@@ -289,7 +289,7 @@ class FunctionTransformer(Transformer):
 
     def __getstate__(self):
         # Lambdas are common here; pack the function so the transformer
-        # survives pickling (process backend, model persistence).
+        # survives pickling (worker processes, model persistence).
         from repro.core.serde import pack_callable
 
         state = self.__dict__.copy()

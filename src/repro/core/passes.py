@@ -194,7 +194,7 @@ class LoweringPass(Pass):
     after CSE/fusion decisions are already baked in.  This pass only
     records the list on the :class:`~repro.core.plan.PlanState` (the
     handoff point); the rewrites run wherever the plan is lowered: the
-    serving compiler (via the fitted pipeline) and the process backend's
+    serving compiler (via the fitted pipeline) and the actor backend's
     shard programs.  Defaults to dead-op elimination, the reference
     program rewrite.
 
@@ -317,9 +317,10 @@ class ShardingPass(Pass):
     DATA_PARALLEL = "data-parallel"
     COORDINATED = "coordinated"
     AUTO = "auto"
-    #: in auto mode, recommend ProcessPoolBackend when the simulated
-    #: network (coordination) share of total time is below this fraction
-    #: — cheap coordination means multi-process shards pay off; above it
+    #: in auto mode, recommend the multi-process actor runtime when the
+    #: simulated network (coordination) share of total time — amortized
+    #: over the passes of an iterative solver — is below this fraction:
+    #: cheap coordination means worker-process shards pay off; above it
     #: thread-pool overlap (no IPC) is the better real execution
     PROCESS_NETWORK_FRACTION = 0.15
 
@@ -392,14 +393,13 @@ class ShardingPass(Pass):
                            iterative_passes: int = 1) -> str:
         """Map the auto decision onto a *real* execution backend.
 
-        One worker: serial.  Iterative workload: persistent actors pay
-        the shard movement once, not once per pass, so the network share
-        is judged *amortized* over the passes
-        (:func:`~repro.cluster.simulator.amortized_profile`) — a plan too
-        coordination-heavy for stateless process shards can still be a
-        clear actor win.  Otherwise: cheap coordination means worker
-        processes (featurization dominates, shards independent);
-        expensive coordination stays in-process with thread overlap.
+        One worker: serial.  Otherwise the network share decides: cheap
+        coordination means worker processes (featurization dominates,
+        shards independent); expensive coordination stays in-process
+        with thread overlap.  Persistent actors pay the shard movement
+        once per fit, not once per pass, so for an iterative workload
+        the share is judged *amortized* over the passes
+        (:func:`~repro.cluster.simulator.amortized_profile`).
         """
         from repro.cluster.simulator import amortized_profile
         from repro.cost.profile import CostProfile
@@ -407,13 +407,11 @@ class ShardingPass(Pass):
         if workers <= 1:
             return "local"
         if iterative_passes > 1:
-            amortized = amortized_profile(
+            network_fraction = amortized_profile(
                 CostProfile(network=network_fraction),
                 iterative_passes).network
-            if amortized <= self.PROCESS_NETWORK_FRACTION:
-                return "actors"
         if network_fraction <= self.PROCESS_NETWORK_FRACTION:
-            return "process"
+            return "actors"
         return "pipelined"
 
     @staticmethod

@@ -70,13 +70,13 @@ class PlanState:
     #: node id -> "data-parallel" | "coordinated" (see ShardingPass)
     shard_roles: Dict[int, str] = field(default_factory=dict)
     #: execution backend recommended by ShardingPass(workers="auto"):
-    #: "process" when the simulated coordination cost is low enough for
+    #: "actors" when the simulated coordination cost is low enough for
     #: multi-process shards to pay off, "pipelined" when coordination
     #: dominates, "local" at one worker (None: no recommendation)
     shard_backend: Optional[str] = None
     #: OpProgram-level rewrites registered by LoweringPass; applied by
     #: every consumer that lowers this plan's DAG to the flat IR (the
-    #: serving compiler via FittedPipeline, the process backend's shard
+    #: serving compiler via FittedPipeline, the actor backend's shard
     #: programs) — see repro.core.program.ProgramPass
     program_passes: List[Any] = field(default_factory=list)
     #: FitStore (repro.incremental) attached for this execution: the

@@ -8,8 +8,8 @@ inputs from earlier slots — and every consumer re-targets that one IR:
 
 - :mod:`repro.serving.compiler` wraps it in an ``InferencePlan`` (the
   online per-item / micro-batched execution view);
-- :class:`~repro.core.backends.process.ProcessPoolBackend` pickles it as
-  the shard program worker processes run over partition chunks.
+- :class:`~repro.core.backends.actors.ActorBackend` pickles it as the
+  shard program worker processes run over partition chunks.
 
 Each op additionally carries a **content-addressed key**: a structural
 fingerprint of the operator (type plus fitted state), folded together
@@ -27,7 +27,7 @@ Lowered programs can be rewritten before execution by
 optimizer hands them over via
 :class:`~repro.core.passes.LoweringPass`, which records the pass list on
 the :class:`~repro.core.plan.PlanState`; both the serving compiler and
-the process backend apply them after lowering.
+the actor backend apply them after lowering.
 """
 
 from __future__ import annotations
@@ -507,7 +507,7 @@ class OpProgram:
     """A flat, topologically-ordered program lowered from an operator DAG.
 
     Immutable by convention: passes return rewritten copies.  Plain data
-    all the way down, so programs pickle (the process backend ships them
+    all the way down, so programs pickle (the actor backend ships them
     to spawn workers verbatim).
     """
 
@@ -795,7 +795,7 @@ class ProgramPass:
 
     The program-level analogue of :class:`~repro.core.passes.Pass`:
     registered on a plan via :class:`~repro.core.passes.LoweringPass`,
-    applied after lowering by the serving compiler and the process
+    applied after lowering by the serving compiler and the actor
     backend.  Implementations must preserve semantics for the program's
     roots — byte-identical outputs for every root slot.
     """

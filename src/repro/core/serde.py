@@ -3,7 +3,7 @@
 Operators occasionally capture small user functions — the paper's own text
 pipeline is built with ``TermFrequency(x => 1)`` — and lambdas defeat the
 standard pickle machinery.  Shipping work to spawn-based worker processes
-(:class:`~repro.core.backends.process.ProcessPoolBackend`) and persisting
+(:class:`~repro.core.backends.actors.ActorBackend`) and persisting
 fitted pipelines both need those operators to round-trip, so this module
 packs a callable as:
 

@@ -27,7 +27,7 @@ def tree_combine(partials: List[Any], comb: Callable[[Any, Any], Any]) -> Any:
 
     The single definition of the tree shape used by
     :meth:`Dataset.tree_aggregate` *and* by estimators that merge
-    per-partition sufficient statistics computed elsewhere (the process
+    per-partition sufficient statistics computed elsewhere (the actor
     backend's stat-merge path) — both must reduce in exactly the same
     order for results to stay byte-identical.
     """

@@ -3,8 +3,8 @@
 Three pieces, layered bottom-up:
 
 - :mod:`repro.obs.trace` — a :class:`Tracer` recording spans keyed by op
-  content key across every execution path (parent process, process-pool
-  shards, actor workers, serving), with Chrome ``trace_event`` export
+  content key across every execution path (parent process, actor
+  workers, serving), with Chrome ``trace_event`` export
   and per-op aggregation.  Disabled by default; the no-op fast path
   costs one global read per instrumentation site.
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,

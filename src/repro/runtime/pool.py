@@ -1,9 +1,11 @@
 """ActorPool: long-lived stateful workers with bounded fault recovery.
 
-Where :class:`~concurrent.futures.ProcessPoolExecutor` gives stateless
-task slots, the actor pool gives *named* workers that keep shard state
-between tasks — the parent addresses worker ``i`` deliberately because
-worker ``i`` holds chunk ``i``'s featurized partitions.  That changes
+The only process-pool manager in the tree (training backends and the
+serving replica tier both run on it).  Where a stateless executor pool
+gives anonymous task slots, the actor pool gives *named* workers that
+keep shard state between tasks — the parent addresses worker ``i``
+deliberately because worker ``i`` holds chunk ``i``'s featurized
+partitions.  That changes
 the failure story: a dead stateless worker is replaced invisibly, but a
 dead actor takes its cache and any staged iterative state with it.  The
 pool therefore:
@@ -413,8 +415,8 @@ class ActorPool:
 #
 # Cross-fit shard-state reuse only happens if the *same* workers serve
 # both fits, so pools are shared per configuration across backend
-# instances — exactly like the process backend's executor pools, plus
-# the cache-persistence motivation.
+# instances (process spawn + numpy import per worker is also too
+# expensive to pay per fit).
 
 _POOL_LOCK = threading.Lock()
 _POOLS: Dict[Tuple, ActorPool] = {}

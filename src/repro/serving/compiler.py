@@ -9,7 +9,7 @@ shape hides the batch-vectorization opportunity.
 
 :func:`compile_inference_plan` lowers the fitted DAG once through
 :func:`repro.core.program.lower_inference_program` — the same
-:class:`~repro.core.program.OpProgram` IR the process backend ships to
+:class:`~repro.core.program.OpProgram` IR the actor backend ships to
 its shard workers — applies any lowering passes the optimizer registered
 (:class:`~repro.core.passes.LoweringPass`), and wraps the result in an
 :class:`InferencePlan`.  The lowering preserves every optimizer decision

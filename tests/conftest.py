@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core.backends import shutdown_actor_pools, shutdown_worker_pools
+from repro.core.backends import shutdown_actor_pools
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _shutdown_process_pools():
-    """Release shared worker-process and actor pools at session end."""
+    """Release the shared actor pools at session end."""
     yield
-    shutdown_worker_pools()
     shutdown_actor_pools()

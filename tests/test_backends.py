@@ -9,6 +9,7 @@ reach ``explain()`` and the sharded backend's simulated pricing anchors to
 measured serial time at ``workers=1``.
 """
 
+import inspect
 import threading
 import time
 
@@ -27,6 +28,8 @@ from repro.core.backends import (
     ShardedBackend,
     plan_scaling_sweep,
     resolve_backend,
+    shutdown_actor_pools,
+    shutdown_worker_pools,
 )
 from repro.core.executor import ExclusiveTimer
 from repro.core.operators import Transformer
@@ -49,7 +52,7 @@ from workload_scenarios import SCENARIOS
 
 WORKLOAD = amazon_reviews(200, 20, vocab_size=300, seed=0)
 
-#: bounds every process-backend wave so a wedged worker fails the test
+#: bounds every multi-process wave so a wedged worker fails the test
 #: run instead of hanging it (the tests' deadlock guard)
 PROCESS_TIMEOUT = 300.0
 
@@ -403,21 +406,40 @@ class UnpicklableTransformer(Transformer):
         return {str(item): 1.0}
 
 
-class TestProcessPoolBackend:
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            ProcessPoolBackend(workers=0)
+@pytest.fixture(params=["process", "actors"])
+def backend_name(request):
+    """Both registry names of the one multi-process runtime."""
+    return request.param
 
-    def test_workers_1_degenerates_to_serial(self):
+
+class TestActorBackend:
+    """One multi-process runtime under two registry names: every check
+    runs for ``"process"`` (the historical alias) and ``"actors"``."""
+
+    def test_process_is_a_code_free_alias(self):
+        """The alias only renames: no override, no extra option."""
+        assert issubclass(ProcessPoolBackend, ActorBackend)
+        assert [k for k in vars(ProcessPoolBackend)
+                if not k.startswith("__")] == ["name"]
+        assert shutdown_worker_pools is shutdown_actor_pools
+        options = inspect.signature(ProcessPoolBackend).parameters
+        assert len(options) == 8
+
+    def test_invalid_workers(self, backend_name):
+        with pytest.raises(ValueError, match="workers"):
+            BACKENDS[backend_name](workers=0)
+
+    def test_workers_1_degenerates_to_serial(self, backend_name):
         """One worker runs the serial reference path — no pool, identical
         predictions, and the report still names the backend."""
         fitted = optimize(text_pipeline).execute(
-            backend=ProcessPoolBackend(workers=1))
+            backend=BACKENDS[backend_name](workers=1))
         report = fitted.training_report
-        assert report.backend == "process[workers=1]"
+        assert report.backend == f"{backend_name}[workers=1]"
         assert report.process_workers == 1
         assert not report.process_stat_merged
         assert not report.process_gathered
+        assert not report.actor_iterative
         reference = optimize(text_pipeline).execute()
         got = comparable(fitted.apply_dataset(
             WORKLOAD.test_data(Context())).collect())
@@ -425,22 +447,25 @@ class TestProcessPoolBackend:
             WORKLOAD.test_data(Context())).collect())
         assert got == want
 
-    def test_workers_default_to_sharding_pass(self):
+    def test_workers_default_to_sharding_pass(self, backend_name):
         plan = optimize(text_pipeline, [ShardingPass(workers=2)])
-        backend = ProcessPoolBackend(task_timeout=PROCESS_TIMEOUT)
+        backend = BACKENDS[backend_name](task_timeout=PROCESS_TIMEOUT)
         fitted = plan.execute(backend=backend)
         assert fitted.training_report.process_workers == 2
-        assert fitted.training_report.backend == "process[workers=2]"
+        assert fitted.training_report.backend == \
+            f"{backend_name}[workers=2]"
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_registry_workload_parity(self, name):
-        """Every registry workload trains byte-identically in processes."""
+    def test_registry_workload_parity(self, name, backend_name):
+        """Every registry workload — including the iterative-solver
+        heads — trains byte-identically in worker processes, and batch
+        inference through the same pool matches too."""
         pipe, items = SCENARIOS[name](Context())
         reference = pipe.fit(level="none")
         expected = comparable([reference.apply(x) for x in items])
 
-        backend = ProcessPoolBackend(workers=2,
-                                     task_timeout=PROCESS_TIMEOUT)
+        backend = BACKENDS[backend_name](workers=2,
+                                         task_timeout=PROCESS_TIMEOUT)
         pipe2, _ = SCENARIOS[name](Context())
         fitted = pipe2.fit(level="none", backend=backend)
         report = fitted.training_report
@@ -451,20 +476,42 @@ class TestProcessPoolBackend:
             Context().parallelize(items, 4), backend=backend)
         assert comparable(batch.collect()) == expected
 
-    def test_stat_merge_and_gather_paths_both_used(self):
+    def test_apply_batch_runs_in_the_pool(self, backend_name):
+        """``apply_dataset(backend=...)`` is a wave over the actor pool
+        (it used to fall through to the serial parent path on
+        ``"actors"``), unkeyed: inference rows never enter the workers'
+        shard-state caches."""
+        with BACKENDS[backend_name](workers=2, task_timeout=PROCESS_TIMEOUT,
+                                    reuse_pool=False) as backend:
+            fitted = optimize(text_pipeline).execute(backend=backend)
+            pool = backend._private_pool
+            before = dict(pool.counters)
+            holds = [set(actor.holds) for actor in pool.actors]
+            out = fitted.apply_dataset(WORKLOAD.test_data(Context()),
+                                       backend=backend)
+            rows = comparable(out.collect())
+            assert out.name.startswith(f"{backend_name}(")
+            assert pool.counters["shipped_bytes"] > before["shipped_bytes"]
+            assert pool.counters["hits"] == before["hits"]
+            assert pool.counters["misses"] == before["misses"]
+            assert [set(actor.holds) for actor in pool.actors] == holds
+        serial = fitted.apply_dataset(WORKLOAD.test_data(Context()))
+        assert rows == comparable(serial.collect())
+
+    def test_stat_merge_and_gather_paths_both_used(self, backend_name):
         """The text pipeline exercises both merge strategies: frequency
         selection merges counters, the iterative solver gathers rows."""
-        backend = ProcessPoolBackend(workers=2,
-                                     task_timeout=PROCESS_TIMEOUT)
+        backend = BACKENDS[backend_name](workers=2,
+                                         task_timeout=PROCESS_TIMEOUT)
         fitted = optimize(text_pipeline).execute(backend=backend)
         report = fitted.training_report
         assert "CommonSparseFeatures" in report.process_stat_merged
         assert "LinearSolver" in report.process_gathered
         assert not report.process_fallback
 
-    def test_merge_stats_disabled_still_identical(self):
-        backend = ProcessPoolBackend(workers=2, merge_stats=False,
-                                     task_timeout=PROCESS_TIMEOUT)
+    def test_merge_stats_disabled_still_identical(self, backend_name):
+        backend = BACKENDS[backend_name](workers=2, merge_stats=False,
+                                         task_timeout=PROCESS_TIMEOUT)
         fitted = optimize(text_pipeline).execute(backend=backend)
         report = fitted.training_report
         assert not report.process_stat_merged
@@ -476,127 +523,26 @@ class TestProcessPoolBackend:
             WORKLOAD.test_data(Context())).collect())
         assert got == want
 
-    def test_unpicklable_flow_falls_back_to_serial(self):
-        """An operator that cannot cross the process boundary degrades to
-        in-parent execution instead of failing the fit."""
-        ctx = Context()
-        data = ctx.parallelize([f"doc {i}" for i in range(16)], 4)
-        pipe = (Pipeline.identity()
-                .and_then(UnpicklableTransformer())
-                .and_then(CommonSparseFeatures(4), data))
-        plan = Optimizer(passes_for_level("none")).optimize(pipe)
-        backend = ProcessPoolBackend(workers=2,
-                                     task_timeout=PROCESS_TIMEOUT)
-        fitted = plan.execute(backend=backend)
-        report = fitted.training_report
-        assert report.process_fallback
-        assert "CommonSparseFeatures" in report.process_fallback[0]
-        assert fitted.apply("doc 3") is not None
-
-    def test_wave_timeout_raises_instead_of_hanging(self):
-        """The deadlock/timeout guard: a wedged worker turns into a
-        bounded RuntimeError, not a hung fit."""
-        ctx = Context()
-        data = ctx.parallelize(list(range(8)), 4)
-        pipe = (Pipeline.identity()
-                .and_then(SleepyTransformer(seconds=5.0))
-                .and_then(CommonSparseFeatures(2), data))
-        plan = Optimizer(passes_for_level("none")).optimize(pipe)
-        backend = ProcessPoolBackend(workers=2, task_timeout=0.5,
-                                     reuse_pool=False)
-        result = {}
-
-        def run():
-            try:
-                plan.execute(backend=backend)
-            except Exception as exc:  # noqa: BLE001 - recorded for assert
-                result["error"] = exc
-
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=120)
-        backend.close()
-        assert not worker.is_alive(), "timed-out wave hung the fit"
-        assert isinstance(result.get("error"), RuntimeError)
-        assert "timed out" in str(result["error"])
-
-    def test_report_times_cover_worker_nodes(self):
-        backend = ProcessPoolBackend(workers=2,
-                                     task_timeout=PROCESS_TIMEOUT)
-        fitted = optimize(text_pipeline).execute(backend=backend)
-        report = fitted.training_report
-        # Featurization executed in workers still lands in node_seconds;
-        # estimator fits are timed in the parent.
-        assert len(report.node_seconds) >= 4
-        assert len(report.estimator_seconds) == 2
-        assert all(t >= 0.0 for t in report.node_seconds.values())
-
-
-class TestActorBackend:
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            ActorBackend(workers=0)
-
-    def test_workers_1_degenerates_to_serial(self):
-        fitted = optimize(text_pipeline).execute(
-            backend=ActorBackend(workers=1))
-        report = fitted.training_report
-        assert report.backend == "actors[workers=1]"
-        assert report.process_workers == 1
-        assert not report.process_stat_merged
-        assert not report.actor_iterative
-        reference = optimize(text_pipeline).execute()
-        got = comparable(fitted.apply_dataset(
-            WORKLOAD.test_data(Context())).collect())
-        want = comparable(reference.apply_dataset(
-            WORKLOAD.test_data(Context())).collect())
-        assert got == want
-
-    def test_workers_default_to_sharding_pass(self):
-        plan = optimize(text_pipeline, [ShardingPass(workers=2)])
-        backend = ActorBackend(task_timeout=PROCESS_TIMEOUT)
-        fitted = plan.execute(backend=backend)
-        assert fitted.training_report.process_workers == 2
-        assert fitted.training_report.backend == "actors[workers=2]"
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_registry_workload_parity(self, name):
-        """Every registry workload — including the iterative-solver
-        heads — trains byte-identically on the actor runtime."""
-        pipe, items = SCENARIOS[name](Context())
-        reference = pipe.fit(level="none")
-        expected = comparable([reference.apply(x) for x in items])
-
-        backend = ActorBackend(workers=2, task_timeout=PROCESS_TIMEOUT)
-        pipe2, _ = SCENARIOS[name](Context())
-        fitted = pipe2.fit(level="none", backend=backend)
-        report = fitted.training_report
-        assert report.process_workers == 2
-        assert not report.process_fallback, report.process_fallback
-        assert comparable([fitted.apply(x) for x in items]) == expected
-        batch = fitted.apply_dataset(
-            Context().parallelize(items, 4), backend=backend)
-        assert comparable(batch.collect()) == expected
-
     @pytest.mark.parametrize("name", ["timit_kmeans", "timit_gmm",
                                       "timit_logistic"])
-    def test_iterative_solvers_run_in_worker(self, name):
+    def test_iterative_solvers_run_in_worker(self, name, backend_name):
         """Pass-based estimators never gather: the featurized shard
         stays staged in the workers and only statistics cross."""
         pipe, _items = SCENARIOS[name](Context())
-        backend = ActorBackend(workers=2, task_timeout=PROCESS_TIMEOUT)
+        backend = BACKENDS[backend_name](workers=2,
+                                         task_timeout=PROCESS_TIMEOUT)
         fitted = pipe.fit(level="none", backend=backend)
         report = fitted.training_report
         assert report.actor_iterative, "solver did not run in-worker"
         assert not report.process_gathered
         assert not report.process_fallback
 
-    def test_second_fit_hits_shard_state_cache(self):
+    def test_second_fit_hits_shard_state_cache(self, backend_name):
         """Cross-fit reuse: the same pool serving a second fit over the
         same data serves featurized shards from worker caches instead of
         recomputing (content-addressed op keys, not node identity)."""
-        with ActorBackend(workers=2, task_timeout=PROCESS_TIMEOUT,
-                          reuse_pool=False) as backend:
+        with BACKENDS[backend_name](workers=2, task_timeout=PROCESS_TIMEOUT,
+                                    reuse_pool=False) as backend:
             first = optimize(text_pipeline).execute(backend=backend)
             second = optimize(text_pipeline).execute(backend=backend)
         cold, warm = (first.training_report, second.training_report)
@@ -608,29 +554,34 @@ class TestActorBackend:
         assert (comparable(second.apply_dataset(test_data).collect())
                 == comparable(first.apply_dataset(test_data).collect()))
 
-    def test_unpicklable_flow_falls_back_to_serial(self):
+    def test_unpicklable_flow_falls_back_to_serial(self, backend_name):
+        """An operator that cannot cross the process boundary degrades to
+        in-parent execution instead of failing the fit."""
         ctx = Context()
         data = ctx.parallelize([f"doc {i}" for i in range(16)], 4)
         pipe = (Pipeline.identity()
                 .and_then(UnpicklableTransformer())
                 .and_then(CommonSparseFeatures(4), data))
         plan = Optimizer(passes_for_level("none")).optimize(pipe)
-        backend = ActorBackend(workers=2, task_timeout=PROCESS_TIMEOUT)
+        backend = BACKENDS[backend_name](workers=2,
+                                         task_timeout=PROCESS_TIMEOUT)
         fitted = plan.execute(backend=backend)
         report = fitted.training_report
         assert report.process_fallback
         assert "CommonSparseFeatures" in report.process_fallback[0]
         assert fitted.apply("doc 3") is not None
 
-    def test_wave_timeout_raises_instead_of_hanging(self):
+    def test_wave_timeout_raises_instead_of_hanging(self, backend_name):
+        """The deadlock/timeout guard: a wedged worker turns into a
+        bounded RuntimeError, not a hung fit."""
         ctx = Context()
         data = ctx.parallelize(list(range(8)), 4)
         pipe = (Pipeline.identity()
                 .and_then(SleepyTransformer(seconds=8.0))
                 .and_then(CommonSparseFeatures(2), data))
         plan = Optimizer(passes_for_level("none")).optimize(pipe)
-        backend = ActorBackend(workers=2, task_timeout=0.5,
-                               max_restarts=0, reuse_pool=False)
+        backend = BACKENDS[backend_name](workers=2, task_timeout=0.5,
+                                         max_restarts=0, reuse_pool=False)
         result = {}
 
         def run():
@@ -647,12 +598,25 @@ class TestActorBackend:
         assert isinstance(result.get("error"), RuntimeError)
         assert "max_restarts" in str(result["error"])
 
+    def test_report_times_cover_worker_nodes(self, backend_name):
+        # A private pool: on a shared one an earlier test's featurized
+        # shards are served from the worker caches and nothing is timed.
+        with BACKENDS[backend_name](workers=2, task_timeout=PROCESS_TIMEOUT,
+                                    reuse_pool=False) as backend:
+            fitted = optimize(text_pipeline).execute(backend=backend)
+        report = fitted.training_report
+        # Featurization executed in workers still lands in node_seconds;
+        # estimator fits are timed in the parent.
+        assert len(report.node_seconds) >= 4
+        assert len(report.estimator_seconds) == 2
+        assert all(t >= 0.0 for t in report.node_seconds.values())
+
 
 class TestAutoBackendRecommendation:
     def test_hint_mapping(self):
         sharding = ShardingPass(workers="auto")
         assert sharding._recommend_backend(1, 0.0) == "local"
-        assert sharding._recommend_backend(4, 0.01) == "process"
+        assert sharding._recommend_backend(4, 0.01) == "actors"
         assert sharding._recommend_backend(4, 0.5) == "pipelined"
 
     def test_hint_mapping_amortizes_iterative_passes(self):
@@ -667,8 +631,8 @@ class TestAutoBackendRecommendation:
         assert sharding._recommend_backend(4, 0.5, 2) == "pipelined"
         # One worker stays serial no matter how iterative the solver is.
         assert sharding._recommend_backend(1, 0.01, 50) == "local"
-        # Non-iterative plans keep the stateless recommendation.
-        assert sharding._recommend_backend(4, 0.01, 1) == "process"
+        # Non-iterative plans are judged on the unamortized share.
+        assert sharding._recommend_backend(4, 0.01, 1) == "actors"
 
     def test_auto_recommends_actors_for_iterative_workload(self):
         """A k-means-headed plan profiles as iterative (weight > 1), so
@@ -696,7 +660,7 @@ class TestAutoBackendRecommendation:
         assert report.backend.startswith("actors")
         assert "KMeansEstimator" in report.actor_iterative
 
-    def test_auto_recommends_process_when_network_is_cheap(self):
+    def test_auto_recommends_actors_when_network_is_cheap(self):
         """Featurization-dominated text plan, tiny coordination bytes:
         the auto-chooser recommends multi-process execution."""
         passes = passes_for_level("full", sample_sizes=(20, 40))
@@ -704,8 +668,8 @@ class TestAutoBackendRecommendation:
         plan = Optimizer(passes).optimize(text_pipeline(Context()),
                                           resources=r3_4xlarge(4))
         assert plan.state.shard_workers >= 2
-        assert plan.state.shard_backend == "process"
-        assert "recommended backend: process" in plan.explain()
+        assert plan.state.shard_backend == "actors"
+        assert "recommended backend: actors" in plan.explain()
 
     def test_execute_auto_honours_recommendation(self):
         passes = passes_for_level("full", sample_sizes=(20, 40))

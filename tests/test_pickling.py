@@ -1,6 +1,6 @@
 """Pickle round-trip contracts: the prerequisite for process workers.
 
-ProcessPoolBackend ships operators, fitted models and plan fragments
+ActorBackend ships operators, fitted models and plan fragments
 across a spawn boundary, so everything the training/inference DAGs carry
 must survive ``pickle.dumps``/``loads`` with byte-identical behaviour:
 
@@ -14,7 +14,7 @@ must survive ``pickle.dumps``/``loads`` with byte-identical behaviour:
   process-local by design);
 - small user functions (the paper's ``x => 1`` weighting lambda) pack
   through :mod:`repro.core.serde`;
-- a lowered :class:`~repro.core.program.OpProgram` — the process
+- a lowered :class:`~repro.core.program.OpProgram` — the actor
   backend's wire format — round-trips with content keys, slots and
   byte-identical replay intact.
 """

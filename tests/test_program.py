@@ -6,10 +6,10 @@ The contracts the unified lowering must hold:
   independently built (and independently *trained*) pipelines get equal
   keys; any parameter change flips the key of that op and of everything
   downstream; keys ignore DAG node ids and object identity.
-- **one lowering** — the serving compiler and the process backend both
+- **one lowering** — the serving compiler and the actor backend both
   consume ``core/program.py``; the compiled inference plan is a view over
   the program, and a lowered program round-trips through pickle (it is
-  the process backend's wire format).
+  the actor backend's wire format).
 - **lowering passes** — ``LoweringPass`` hands ``ProgramPass`` rewrites
   over via ``PlanState``; dead-op elimination drops unreachable slots
   without changing root outputs.

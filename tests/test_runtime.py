@@ -4,15 +4,28 @@ End-to-end actor coverage lives in tests/test_backends.py
 (TestActorBackend) and tests/test_failure_modes.py
 (TestActorFaultTolerance).  These tests pin the in-process pieces — the
 shard-state cache, the shared liveness walk, the zero-copy transport,
-and chunk planning — without spawning worker processes.
+and chunk planning — without spawning worker processes, plus the two
+"one pool" guarantees: nothing under ``src/repro`` imports a second
+process-pool manager, and the one there is leaks neither processes nor
+shared-memory segments across a worker kill and a shutdown.
 """
+
+import ast
+import multiprocessing
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import program as prog
+from repro.core.backends import ActorBackend
 from repro.core.backends.actors import _plan_chunks
+from repro.core.pipeline import Pipeline
 from repro.core.program import UnshippableFlow
+from repro.dataset import Context
+from repro.nodes.numeric import Normalizer, StandardScaler
 from repro.runtime import transport
 from repro.runtime.worker import ShardStateCache, live_slots
 
@@ -169,3 +182,71 @@ class TestPlanChunks:
         sources = {1: _FakeDataset(4), 2: _FakeDataset(5)}
         with pytest.raises(UnshippableFlow):
             _plan_chunks(sources, 2)
+
+
+def _foreign_pool_uses(tree: ast.AST):
+    """Line numbers naming ``ProcessPoolExecutor`` or ``multiprocessing.Pool``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {alias.name for alias in node.names}
+            if module.startswith("concurrent") and "ProcessPoolExecutor" in names:
+                yield node.lineno
+            if module.startswith("multiprocessing") and "Pool" in names:
+                yield node.lineno
+        elif isinstance(node, ast.Attribute):
+            if node.attr in ("ProcessPoolExecutor", "Pool"):
+                yield node.lineno
+
+
+class TestOnePool:
+    def test_no_second_process_pool_manager_under_src(self):
+        """``runtime.pool.ActorPool`` is the only process-pool manager:
+        no module may bring in ``concurrent.futures.ProcessPoolExecutor``
+        or ``multiprocessing.Pool`` beside it."""
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for lineno in _foreign_pool_uses(tree):
+                offenders.append(f"{path.relative_to(root)}:{lineno}")
+        assert offenders == []
+
+    def test_kill_then_shutdown_leaks_no_process_and_no_shm(self):
+        """Fit over shared memory, SIGKILL a worker, refit through the
+        respawn, shut down: every process the pool started is gone and
+        ``/dev/shm`` is back to what it held before."""
+        if not os.access("/dev/shm", os.R_OK | os.W_OK | os.X_OK):
+            pytest.skip("/dev/shm unusable on this host")
+        shm_before = set(os.listdir("/dev/shm"))
+        children_before = {p.pid for p in multiprocessing.active_children()}
+
+        def fit(backend, seed):
+            rng = np.random.default_rng(seed)
+            ctx = Context()
+            data = ctx.parallelize([rng.normal(size=64) for _ in range(64)], 4)
+            pipe = Pipeline.identity().and_then(Normalizer())
+            pipe = pipe.and_then(StandardScaler(), data)
+            return pipe.fit(level="none", backend=backend).training_report
+
+        backend = ActorBackend(
+            workers=2, task_timeout=120.0, reuse_pool=False, shm_threshold=1024
+        )
+        try:
+            cold = fit(backend, seed=0)
+            if cold.bytes_mapped == 0:
+                pytest.skip("shared memory segment creation unavailable")
+            victim = backend._private_pool.actors[0].proc
+            victim.kill()
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            # Different data: the dead worker's message ships a fresh
+            # segment that is in flight when the death is discovered.
+            recovered = fit(backend, seed=1)
+            assert recovered.worker_restarts >= 1
+            assert recovered.bytes_mapped > 0
+        finally:
+            backend.close()
+        survivors = {p.pid for p in multiprocessing.active_children()}
+        assert survivors - children_before == set()
+        assert set(os.listdir("/dev/shm")) - shm_before == set()
