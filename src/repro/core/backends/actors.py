@@ -55,6 +55,7 @@ import pickle
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core import graph as g
+from repro.core import interp
 from repro.core import program as prog
 from repro.core.backends.base import ExecutionBackend, TrainingSession
 from repro.core.operators import IterativeShardableEstimator
@@ -64,7 +65,7 @@ from repro.dataset.dataset import Dataset, _StoredPartitions
 from repro.obs import trace as obs_trace
 from repro.runtime import transport
 from repro.runtime.pool import ActorPool, _Msg, shared_actor_pool
-from repro.runtime.worker import DEFAULT_STATE_BUDGET, live_slots
+from repro.runtime.worker import DEFAULT_STATE_BUDGET, shard_key
 
 if TYPE_CHECKING:
     from repro.core.pipeline import FittedPipeline
@@ -467,7 +468,7 @@ class ActorBackend(ExecutionBackend):
         are evaluated against the actor's mirror at send time and ship
         only the source partitions the worker will actually read: the
         same backward liveness walk the worker runs
-        (:func:`~repro.runtime.worker.live_slots`), with the parent-side
+        (:func:`repro.core.interp.liveness`), with the parent-side
         mirror standing in for the cache — a source whose downstream
         transform is already held ships nothing at all.
         """
@@ -480,27 +481,30 @@ class ActorBackend(ExecutionBackend):
         source_ops = [op for op in ops if op.kind == prog.SOURCE]
 
         def make_builder(start: int, stop: int):
+            chunk = (start, stop)
+
             def builder(actor) -> _Msg:
-                needed, compute = live_slots(
-                    ops, targets, lambda k: (k, start, stop) in actor.holds
-                )
+                def mirror(op: prog.Op, _row: int):
+                    return shard_key(op, chunk) in actor.holds, None
+
+                todo, _ = interp.liveness(ops, targets, 1, mirror)
                 ship = {}
                 for op in source_ops:
-                    if op.slot in compute:
+                    if todo[op.slot]:
                         ship[op.node_id] = [
                             sources[op.node_id].partition(i) for i in range(start, stop)
                         ]
                 packed = transport.pack(ship, shm_threshold=self.shm_threshold)
                 produced = [
-                    (op.key, start, stop)
+                    key
                     for op in ops
-                    if op.slot in needed and op.key and op.kind != prog.GATHER
+                    if todo[op.slot] is not None and (key := shard_key(op, chunk))
                 ]
                 # The trailing trace flag is appended only while tracing
                 # is active (builders re-evaluate at send time, so a
                 # retry after a respawn stays consistent); untraced runs
                 # keep the original wire format.
-                payload = ("run", task_id, blob, (start, stop), packed.payload, mode)
+                payload = ("run", task_id, blob, chunk, packed.payload, mode)
                 if obs_trace.enabled():
                     payload += (True,)
                 return _Msg(

@@ -213,9 +213,9 @@ def zip_gather(parents: List[Any]) -> Any:
 def zip_rows(parts: List[list]) -> List[list]:
     """Element-wise gather of aligned in-memory partitions into list rows.
 
-    The materialized-partition counterpart of :func:`zip_gather`, shared
-    by the serving compiler's micro-batch path and the actor runtime's
-    shard workers.
+    The materialized-partition counterpart of :func:`zip_gather`: how
+    the program evaluator (:mod:`repro.core.interp`) realizes a GATHER
+    op for serving micro-batches and actor shard workers alike.
     """
     if len({len(p) for p in parts}) > 1:
         raise ValueError(

@@ -327,15 +327,11 @@ def event(
         tracer.event(name, cat=cat, key=key, args=args)
 
 
-def absorb(
-    records: Optional[Iterable[Dict[str, Any]]],
-    *,
-    worker: Optional[str] = None,
-) -> None:
+def absorb(records: Optional[Iterable[Dict[str, Any]]]) -> None:
     """Absorb worker-drained records into the active tracer, if any."""
     tracer = _active
     if tracer is not None:
-        tracer.absorb(records, worker=worker)
+        tracer.absorb(records)
 
 
 def instrument(

@@ -34,9 +34,9 @@ from __future__ import annotations
 import pickle
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import graph as g
+from repro.core import interp
 from repro.core import program as prog
 from repro.obs import trace as obs_trace
 from repro.runtime import transport
@@ -109,91 +109,18 @@ class ShardStateCache:
         return out
 
 
-def live_slots(
-    ops: Sequence[prog.Op],
-    targets: Sequence[int],
-    is_cached: Callable[[str], bool],
-) -> Tuple[Set[int], Set[int]]:
-    """Backward liveness over a shard program given a cache oracle.
+def shard_key(op: prog.Op, chunk: Tuple[int, int]) -> Optional[Tuple]:
+    """Shard-cache key of ``op`` over ``chunk``; ``None`` if never cached.
 
-    Returns ``(needed, compute)``: the slots whose values the targets
-    (transitively) read, and the subset that must actually be computed —
-    a cached op's value is loaded, so its parents drop out of the walk.
-    Gathers are never cached (their zip is cheaper than the copy).  Both
-    the parent (deciding what to ship) and the worker (deciding what to
-    run) use this same walk, so they agree whenever the parent's mirror
-    of the cache is accurate.
+    Unkeyed ops have no content identity and gathers are never cached
+    (their zip is cheaper than the copy).  Both the parent (deciding what
+    to ship, against its mirror) and the worker (deciding what to run,
+    against the cache) probe :func:`repro.core.interp.liveness` with this
+    key, so they agree whenever the parent's mirror is accurate.
     """
-    needed: Set[int] = set(targets)
-    compute: Set[int] = set()
-    for op in reversed(ops):
-        if op.slot not in needed:
-            continue
-        if op.kind != prog.GATHER and op.key and is_cached(op.key):
-            continue
-        compute.add(op.slot)
-        needed.update(op.parents)
-    return needed, compute
-
-
-def _execute_program(
-    ops: Sequence[prog.Op],
-    chunk: Tuple[int, int],
-    sources: Dict[int, List[list]],
-    targets: Sequence[int],
-    cache: ShardStateCache,
-    times: Dict[int, float],
-    tracer: "obs_trace.Tracer | None" = None,
-) -> Dict[int, List[list]]:
-    """Run a shard program over one chunk, through the shard cache.
-
-    ``sources`` maps source node ids to their shipped partitions (only
-    the ones the parent believed were not already cached).  Returns the
-    slot environment: slot -> list of computed partitions.  With a
-    ``tracer``, each computed transform records one content-keyed span.
-    """
-    start, stop = chunk
-    needed, compute = live_slots(ops, targets, lambda k: (k, start, stop) in cache)
-    env: Dict[int, List[list]] = {}
-    for op in ops:
-        if op.slot not in needed:
-            continue
-        cacheable = bool(op.key) and op.kind != prog.GATHER
-        if op.slot not in compute:
-            env[op.slot] = cache.get((op.key, start, stop))
-            if tracer is not None:
-                tracer.event(
-                    "shard_cache_hit",
-                    cat="cache",
-                    key=op.key or None,
-                    args={"node_id": op.node_id},
-                )
-            continue
-        if op.kind == prog.SOURCE:
-            if op.node_id not in sources:
-                raise MissingShardState(
-                    f"source {op.label!r} chunk {chunk} neither shipped nor cached"
-                )
-            parts = sources[op.node_id]
-        elif op.kind == prog.TRANSFORM:
-            t0 = time.perf_counter()
-            parts = [op.op.apply_partition(p) for p in env[op.parents[0]]]
-            elapsed = time.perf_counter() - t0
-            times[op.node_id] = times.get(op.node_id, 0.0) + elapsed
-            if tracer is not None:
-                tracer.record(
-                    op.label,
-                    seconds=elapsed,
-                    key=op.key or None,
-                    args={"node_id": op.node_id, "chunk": [start, stop]},
-                )
-        else:  # gather: element-wise zip into list rows
-            groups = [[env[s][i] for s in op.parents] for i in range(stop - start)]
-            parts = [g.zip_rows(rows) for rows in groups]
-        env[op.slot] = parts
-        if cacheable:
-            cache.put((op.key, start, stop), parts)
-    return env
+    if op.key and op.kind != prog.GATHER:
+        return (op.key, *chunk)
+    return None
 
 
 def _run_task(
@@ -206,7 +133,15 @@ def _run_task(
     task_id: int,
     tracer: "obs_trace.Tracer | None" = None,
 ) -> Tuple[Dict[str, Any], Dict[int, float]]:
-    """Execute one "run" message; returns ``(result, times)``."""
+    """Execute one "run" message; returns ``(result, times)``.
+
+    The shard program runs through :func:`repro.core.interp.evaluate` with
+    the chunk as its single row (``CHUNK`` grain); this function supplies
+    the shard-cache policy and the ``times``/span hook.  ``sources`` maps
+    source node ids to their shipped partitions (only the ones the parent
+    believed were not already cached); with a ``tracer``, each computed
+    transform records one content-keyed span.
+    """
     ops, out_slots, est_spec = pickle.loads(blob)
     start, stop = chunk
     count = stop - start
@@ -214,7 +149,46 @@ def _run_task(
     if est_spec is not None:
         targets.extend(est_spec[2])
     times: Dict[int, float] = {}
-    env = _execute_program(ops, chunk, sources, targets, cache, times, tracer)
+
+    def leaf(op: prog.Op) -> List[List[list]]:
+        if op.node_id not in sources:
+            raise MissingShardState(
+                f"source {op.label!r} chunk {chunk} neither shipped nor cached"
+            )
+        return [sources[op.node_id]]
+
+    def probe(op: prog.Op, _row: int) -> Tuple[bool, Any]:
+        key = shard_key(op, chunk)
+        if key is None or key not in cache:
+            return False, None
+        if tracer is not None:
+            tracer.event(
+                "shard_cache_hit",
+                cat="cache",
+                key=op.key,
+                args={"node_id": op.node_id},
+            )
+        return True, cache.get(key)
+
+    def store(op: prog.Op, _rows: Sequence[int], values: List[List[list]]) -> None:
+        key = shard_key(op, chunk)
+        if key is not None:
+            cache.put(key, values[0])
+
+    def on_op(op: prog.Op, seconds: float, _values: List[List[list]]) -> None:
+        if op.kind != prog.TRANSFORM:
+            return
+        times[op.node_id] = times.get(op.node_id, 0.0) + seconds
+        if tracer is not None:
+            tracer.record(
+                op.label,
+                seconds=seconds,
+                key=op.key or None,
+                args={"node_id": op.node_id, "chunk": [start, stop]},
+            )
+
+    columns = interp.evaluate(ops, targets, 1, leaf, interp.CHUNK, probe, store, on_op)
+    env = {slot: columns[slot][0] for slot in targets}
     result: Dict[str, Any] = {}
     if out_slots:
         result["rows"] = {name: env[slot] for name, slot in out_slots}
@@ -258,7 +232,18 @@ def actor_main(conn, state_budget_bytes: int = DEFAULT_STATE_BUDGET) -> None:
     :mod:`repro.runtime.transport`).
     """
     segments: List[Any] = []
-    cache = ShardStateCache(state_budget_bytes)
+    _serve(conn, ShardStateCache(state_budget_bytes), segments)
+    # Every row that can view a segment (cache, staging, the last
+    # message) lived in _serve's frame and died with it, so the mappings
+    # close cleanly here; left to SharedMemory.__del__ at exit they print
+    # "BufferError: cannot close exported pointers exist".
+    for segment in segments:
+        segment.close()
+    conn.close()
+
+
+def _serve(conn, cache: ShardStateCache, segments: List[Any]) -> None:
+    """The actor's request/reply loop; returns on shutdown or pipe close."""
     staging: Dict[int, Tuple[Any, int, List[tuple]]] = {}
     while True:
         try:
@@ -322,4 +307,3 @@ def actor_main(conn, state_budget_bytes: int = DEFAULT_STATE_BUDGET) -> None:
             except Exception:
                 safe_exc = RuntimeError(f"{type(exc).__name__}: {exc}")
                 conn.send(("err", task_id, safe_exc))
-    conn.close()

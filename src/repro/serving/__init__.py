@@ -55,11 +55,7 @@ from repro.serving.cache import (
     choose_serving_cache_set,
     fingerprint,
 )
-from repro.serving.compiler import (
-    InferenceOp,
-    InferencePlan,
-    compile_inference_plan,
-)
+from repro.serving.compiler import InferencePlan, compile_inference_plan
 from repro.serving.metrics import LatencyRecorder, ModelStats, ServerStats
 from repro.serving.replicas import ReplicaSet
 from repro.serving.server import ModelServer, ServedModel
@@ -69,7 +65,6 @@ __all__ = [
     "LOW",
     "NORMAL",
     "AsyncModelServer",
-    "InferenceOp",
     "InferencePlan",
     "LatencyRecorder",
     "MicroBatcher",

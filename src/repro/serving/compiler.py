@@ -37,11 +37,14 @@ Two execution modes:
   differ from the per-item path in the last float ulp — the historical
   ``apply_dataset`` caveat.
 
-Both modes consult an attached :class:`~repro.serving.cache.ServingCache`
-when one is configured.  Cache entries are addressed by ``(op key, input
-fingerprint)`` — the op key being the content-addressed structural
-fingerprint each :class:`~repro.core.program.Op` carries — so two model
-versions sharing a featurization prefix share entries.  ``run_item``
+Both modes are calls into the one program evaluator,
+:func:`repro.core.interp.evaluate` (grains ``ITEM`` and ``BATCH``); this
+module adds the serving-cache policy only.  Both consult an attached
+:class:`~repro.serving.cache.ServingCache` when one is configured.  Cache
+entries are addressed by ``(op key, input fingerprint)`` — the op key
+being the content-addressed structural fingerprint each
+:class:`~repro.core.program.Op` carries — so two model versions sharing
+a featurization prefix share entries.  ``run_item``
 short-circuits at the deepest cached node on the path to the sink,
 ``run_batch`` inserts the outputs of cache-marked ops for every item of
 the flush.
@@ -49,14 +52,11 @@ the flush.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import graph as g
+from repro.core import interp
 from repro.core.program import (
-    GATHER,
     INPUT,
-    TRANSFORM,
     Op,
     OpProgram,
     VectorizePass,
@@ -64,10 +64,7 @@ from repro.core.program import (
     run_program_passes,
 )
 from repro.dataset.sizing import estimate_size
-
-#: compiled ops are plain program ops; the historical name is kept for
-#: the serving-facing API surface
-InferenceOp = Op
+from repro.serving.cache import fingerprint
 
 
 class InferencePlan:
@@ -151,8 +148,39 @@ class InferencePlan:
         return cache.lookup(self.ops[self.sink_slot].key, fp)
 
     # ------------------------------------------------------------------
-    # Execution: single item
+    # Execution (one evaluator: repro.core.interp)
     # ------------------------------------------------------------------
+    def _evaluate(self, rows: Sequence[Any], fps: Optional[Sequence[bytes]],
+                  sink_probed: bool, grain: interp.Grain) -> List[Any]:
+        """Run the program over ``rows`` at ``grain``; returns the sink column.
+
+        With fingerprints and a cache selection the serving cache is the
+        evaluator's policy: entries are keyed ``(op.key, fingerprint)``,
+        only the slots :meth:`attach_cache` selected are candidates, and
+        ``sink_probed`` re-probes the sink without hit/miss accounting.
+        Without them every op runs over every row: the program was
+        lowered from its sink, so there is no liveness to walk.
+        """
+        probe = store = targets = None
+        if fps is not None and self._cached_slots:
+            targets = (self.sink_slot,)
+            cache, cached, sink = self.cache, self._cached_slot_set, self.sink_slot
+
+            def probe(op: Op, row: int) -> Tuple[bool, Any]:
+                if op.slot not in cached:
+                    return False, None
+                return cache.lookup(op.key, fps[row],
+                                    count=not (sink_probed and op.slot == sink))
+
+            def store(op: Op, computed: Sequence[int], values: list) -> None:
+                if op.slot in cached:
+                    for row, value in zip(computed, values):
+                        cache.put(op.key, fps[row], value)
+
+        values = interp.evaluate(self.ops, targets, len(rows),
+                                 lambda op: rows, grain, probe, store)
+        return values[self.sink_slot]
+
     def run_item(self, item: Any, fp: Optional[bytes] = None,
                  sink_probed: bool = False) -> Any:
         """Apply the program to one item (per-item ``op.apply`` numerics).
@@ -161,58 +189,11 @@ class InferencePlan:
         for this request (the server's pre-queue fast path), so the
         backward pass re-probes it without hit/miss accounting.
         """
-        cache = self.cache
-        ops = self.ops
-        slots: List[Any] = [None] * len(ops)
-        if cache is None:
-            for op in ops:
-                kind = op.kind
-                if kind == TRANSFORM:
-                    slots[op.slot] = op.op.apply(slots[op.parents[0]])
-                elif kind == GATHER:
-                    slots[op.slot] = [slots[p] for p in op.parents]
-                else:
-                    slots[op.slot] = item
-            return slots[self.sink_slot]
-
-        from repro.serving.cache import fingerprint
-
-        if fp is None:
+        if fp is None and self._cached_slots:
             fp = fingerprint(item)
-        cached = self._cached_slot_set
-        n = len(ops)
-        needed = [False] * n
-        have = [False] * n
-        needed[self.sink_slot] = True
-        # Backward pass: a cache hit satisfies its consumers, so nothing
-        # upstream of the deepest hit is computed.
-        for i in range(n - 1, -1, -1):
-            if not needed[i]:
-                continue
-            op = ops[i]
-            if i in cached:
-                hit, value = cache.lookup(
-                    op.key, fp,
-                    count=not (sink_probed and i == self.sink_slot))
-                if hit:
-                    slots[i] = value
-                    have[i] = True
-                    continue
-            for p in op.parents:
-                needed[p] = True
-        for i in range(n):
-            if not needed[i] or have[i]:
-                continue
-            op = ops[i]
-            value = _compute_item_op(op, slots, item)
-            slots[i] = value
-            if i in cached:
-                cache.put(op.key, fp, value)
-        return slots[self.sink_slot]
+        fps = None if fp is None else (fp,)
+        return self._evaluate((item,), fps, sink_probed, interp.ITEM)[0]
 
-    # ------------------------------------------------------------------
-    # Execution: micro-batch
-    # ------------------------------------------------------------------
     def run_batch(self, items: Sequence[Any],
                   fps: Optional[Sequence[bytes]] = None,
                   sink_probed: bool = False) -> List[Any]:
@@ -226,75 +207,9 @@ class InferencePlan:
         runs once over exactly the sub-batch of items that still need
         it) and the outputs of cache-marked ops are inserted.
         """
-        if self.cache is None or fps is None or not self._cached_slots:
-            slots: List[Any] = [None] * len(self.ops)
-            for op in self.ops:
-                kind = op.kind
-                if kind == TRANSFORM:
-                    # Copy the parent row list: apply_partition may
-                    # consume or mutate it, and a CSE-shared slot can
-                    # have more readers.
-                    value = op.op.apply_partition(
-                        list(slots[op.parents[0]]))
-                elif kind == GATHER:
-                    value = g.zip_rows([slots[p] for p in op.parents])
-                else:
-                    value = list(items)
-                slots[op.slot] = value
-            return slots[self.sink_slot]
-        return self._run_batch_cached(items, fps, sink_probed)
-
-    def _run_batch_cached(self, items: Sequence[Any],
-                          fps: Sequence[bytes],
-                          sink_probed: bool = False) -> List[Any]:
-        cache = self.cache
-        ops = self.ops
-        n_ops, n = len(ops), len(items)
-        cached = self._cached_slot_set
-        values = [[None] * n for _ in range(n_ops)]
-        needed = [[False] * n for _ in range(n_ops)]
-        have = [[False] * n for _ in range(n_ops)]
-        # Per-item backward pass, exactly run_item's: a cache hit
-        # satisfies this item's consumers, so nothing upstream of the
-        # deepest hit is computed for it.
-        for i in range(n):
-            fp = fps[i]
-            needed[self.sink_slot][i] = True
-            for s in range(n_ops - 1, -1, -1):
-                if not needed[s][i]:
-                    continue
-                op = ops[s]
-                if s in cached:
-                    hit, value = cache.lookup(
-                        op.key, fp,
-                        count=not (sink_probed and s == self.sink_slot))
-                    if hit:
-                        values[s][i] = value
-                        have[s][i] = True
-                        continue
-                for p in op.parents:
-                    needed[p][i] = True
-        for s in range(n_ops):
-            op = ops[s]
-            idx = [i for i in range(n)
-                   if needed[s][i] and not have[s][i]]
-            if not idx:
-                continue
-            if op.kind == TRANSFORM:
-                parent = values[op.parents[0]]
-                sub = op.op.apply_partition([parent[i] for i in idx])
-            elif op.kind == GATHER:
-                sub = [[values[p][i] for p in op.parents] for i in idx]
-            else:
-                sub = [items[i] for i in idx]
-            row = values[s]
-            for i, value in zip(idx, sub):
-                row[i] = value
-            if s in cached:
-                for i, value in zip(idx, sub):
-                    cache.put(op.key, fps[i], value)
-        sink = values[self.sink_slot]
-        return list(sink)
+        if len(items) == 0:
+            return []
+        return list(self._evaluate(items, fps, sink_probed, interp.BATCH))
 
     # ------------------------------------------------------------------
     # Micro-profiling (drives the serving-cache selection)
@@ -302,36 +217,25 @@ class InferencePlan:
     def profile_ops(self, sample_items: Sequence[Any]) -> None:
         """Measure per-request seconds and output bytes for every op.
 
-        Runs the warmup items one by one through the per-item path,
-        timing each op and sizing its output — the serving analogue of
-        the optimizer's sample profiling, feeding the cost-model cache
-        selection in :mod:`repro.serving.cache`.
+        Runs the warmup items through the per-item path, timing each op
+        and sizing its output — the serving analogue of the optimizer's
+        sample profiling, feeding the cost-model cache selection in
+        :mod:`repro.serving.cache`.
         """
         if not sample_items:
             raise ValueError("profile_ops needs at least one sample item")
+        n = len(sample_items)
         seconds = {op.slot: 0.0 for op in self.ops}
         sizes = {op.slot: 0.0 for op in self.ops}
-        for item in sample_items:
-            slots: List[Any] = [None] * len(self.ops)
-            for op in self.ops:
-                start = time.perf_counter()
-                value = _compute_item_op(op, slots, item)
-                seconds[op.slot] += time.perf_counter() - start
-                sizes[op.slot] += float(estimate_size(value))
-                slots[op.slot] = value
-        n = len(sample_items)
-        self.op_seconds = {slot: s / n for slot, s in seconds.items()}
-        self.op_bytes = {slot: b / n for slot, b in sizes.items()}
 
+        def on_op(op: Op, elapsed: float, values: list) -> None:
+            seconds[op.slot] = elapsed / n
+            sizes[op.slot] = sum(estimate_size(v) for v in values) / n
 
-def _compute_item_op(op: Op, slots: List[Any], item: Any) -> Any:
-    """Evaluate one op for one item (the per-item dispatch rule)."""
-    kind = op.kind
-    if kind == TRANSFORM:
-        return op.op.apply(slots[op.parents[0]])
-    if kind == GATHER:
-        return [slots[p] for p in op.parents]
-    return item
+        interp.evaluate(self.ops, None, n,
+                        lambda op: sample_items, interp.ITEM, on_op=on_op)
+        self.op_seconds = seconds
+        self.op_bytes = sizes
 
 
 def compile_inference_plan(

@@ -158,9 +158,6 @@ class ModelServer:
       (``max_batch``/``max_delay_ms`` stay hard bounds).
     - ``shed_watermarks`` — priority-tier load shedding map
       ``{priority: queue fraction}``; see :mod:`repro.serving.batcher`.
-    - ``batch_concurrency`` — dispatch threads per version's batcher;
-      defaults to ``replicas`` (overlapping batches across the fleet)
-      or 1 in-process.
     - ``vectorize`` — compile registered plans through
       :class:`~repro.core.program.VectorizePass` (the default): runs of
       kernel-capable ops execute each micro-batch as columnar numpy
@@ -175,8 +172,6 @@ class ModelServer:
                  replicas: int = 0,
                  slo_target_p99_ms: Optional[float] = None,
                  shed_watermarks: Optional[Mapping[int, float]] = None,
-                 batch_concurrency: Optional[int] = None,
-                 replica_start_method: str = "spawn",
                  vectorize: bool = True):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -199,8 +194,6 @@ class ModelServer:
         self.slo_target_p99_ms = slo_target_p99_ms
         self.shed_watermarks = (dict(shed_watermarks)
                                 if shed_watermarks else None)
-        self.batch_concurrency = batch_concurrency
-        self.replica_start_method = replica_start_method
         self.vectorize = vectorize
         self._replica_set = None  # lazy: spawned at first register()
         self._lock = threading.RLock()
@@ -305,16 +298,14 @@ class ModelServer:
                     self.slo_target_p99_ms,
                     max_batch=self.max_batch,
                     max_delay_ms=self.max_delay_ms)
-            concurrency = self.batch_concurrency
-            if concurrency is None:
-                concurrency = self.replicas if self.replicas else 1
             batcher = MicroBatcher(
                 run, max_batch=self.max_batch,
                 max_delay_ms=self.max_delay_ms, max_queue=self.max_queue,
                 name=f"{name}@{version}",
                 controller=controller,
                 shed_watermarks=self.shed_watermarks,
-                concurrency=concurrency)
+                # one in-flight batch per replica saturates the fleet
+                concurrency=max(self.replicas, 1))
 
         model = ServedModel(name, version, fitted, plan, batcher, None,
                             controller=(batcher.controller
@@ -381,9 +372,7 @@ class ModelServer:
             if self._replica_set is None:
                 from repro.serving.replicas import ReplicaSet
 
-                self._replica_set = ReplicaSet(
-                    self.replicas,
-                    start_method=self.replica_start_method)
+                self._replica_set = ReplicaSet(self.replicas)
             return self._replica_set
 
     def deploy(self, name: str, version: str) -> ServedModel:

@@ -15,11 +15,14 @@ The contracts the unified lowering must hold:
   without changing root outputs.
 """
 
+import ast
+import pathlib
 import pickle
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import graph as g
 from repro.core.optimizer import Optimizer, passes_for_level
 from repro.core.passes import LoweringPass
@@ -637,3 +640,48 @@ class TestVectorizePass:
         assert comparable(got) == comparable(
             [fitted.apply(x) for x in wl.test_items]
         )
+
+
+def _op_execution_calls(tree: ast.AST):
+    """Line numbers of ``.apply_partition(``, ``.op.apply(`` and ``zip_rows(`` calls."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            if func.id == "zip_rows":
+                yield node.lineno
+        elif isinstance(func, ast.Attribute):
+            if func.attr in ("apply_partition", "zip_rows"):
+                yield node.lineno
+            elif func.attr == "apply" and getattr(func.value, "attr", "") == "op":
+                yield node.lineno
+
+
+class TestOneEvaluator:
+    def test_only_interp_runs_operators_and_zips_gathers(self):
+        """The program's consumers — serving compiler, replica workers,
+        actor workers, the actor backend's parent side — never run an
+        op's operator or zip a gather themselves: that happens in
+        ``core/interp.py`` only.
+
+        Out of scope on purpose: ``core/program.py`` lowering and passes,
+        ``KernelStage``/``FusedTransformer`` internals (they *are*
+        operators), and the DAG-level walks (``core/profiler.py``,
+        ``TrainingSession``, ``recursive_apply_item``), which execute
+        lazy datasets or serve as the reference, not a lowered program.
+        Kind tests such as ``op.kind != GATHER`` are not execution.
+        """
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for rel in (
+            "serving/compiler.py",
+            "serving/replicas.py",
+            "runtime/worker.py",
+            "core/backends/actors.py",
+        ):
+            tree = ast.parse((root / rel).read_text(), filename=rel)
+            offenders.extend(f"{rel}:{line}" for line in _op_execution_calls(tree))
+        assert offenders == []
+        interp_tree = ast.parse((root / "core/interp.py").read_text())
+        assert list(_op_execution_calls(interp_tree))  # the guard sees them

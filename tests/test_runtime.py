@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import interp
 from repro.core import program as prog
 from repro.core.backends import ActorBackend
 from repro.core.backends.actors import _plan_chunks
@@ -27,7 +28,7 @@ from repro.core.program import UnshippableFlow
 from repro.dataset import Context
 from repro.nodes.numeric import Normalizer, StandardScaler
 from repro.runtime import transport
-from repro.runtime.worker import ShardStateCache, live_slots
+from repro.runtime.worker import ShardStateCache, shard_key
 
 
 def _op(slot, kind, parents=(), key=""):
@@ -79,6 +80,18 @@ class TestShardStateCache:
         cache = ShardStateCache(budget_bytes=8)
         cache.put(("big", 0, 1), [[np.zeros(64)]])
         assert ("big", 0, 1) in cache  # never evicts the sole entry
+
+
+def live_slots(ops, targets, is_cached):
+    """``interp.liveness`` under the shard-cache policy, as slot sets."""
+
+    def probe(op, _row):
+        return shard_key(op, (0, 1)) is not None and is_cached(op.key), None
+
+    todo, _ = interp.liveness(ops, targets, 1, probe)
+    needed = {slot for slot, rows in enumerate(todo) if rows is not None}
+    compute = {slot for slot, rows in enumerate(todo) if rows}
+    return needed, compute
 
 
 class TestLiveSlots:
@@ -199,6 +212,17 @@ def _foreign_pool_uses(tree: ast.AST):
                 yield node.lineno
 
 
+def _shm_fit(backend, seed):
+    """One small fit whose source partitions ship over shared memory
+    (with ``shm_threshold=1024``); returns its training report."""
+    rng = np.random.default_rng(seed)
+    ctx = Context()
+    data = ctx.parallelize([rng.normal(size=64) for _ in range(64)], 4)
+    pipe = Pipeline.identity().and_then(Normalizer())
+    pipe = pipe.and_then(StandardScaler(), data)
+    return pipe.fit(level="none", backend=backend).training_report
+
+
 class TestOnePool:
     def test_no_second_process_pool_manager_under_src(self):
         """``runtime.pool.ActorPool`` is the only process-pool manager:
@@ -220,20 +244,11 @@ class TestOnePool:
             pytest.skip("/dev/shm unusable on this host")
         shm_before = set(os.listdir("/dev/shm"))
         children_before = {p.pid for p in multiprocessing.active_children()}
-
-        def fit(backend, seed):
-            rng = np.random.default_rng(seed)
-            ctx = Context()
-            data = ctx.parallelize([rng.normal(size=64) for _ in range(64)], 4)
-            pipe = Pipeline.identity().and_then(Normalizer())
-            pipe = pipe.and_then(StandardScaler(), data)
-            return pipe.fit(level="none", backend=backend).training_report
-
         backend = ActorBackend(
             workers=2, task_timeout=120.0, reuse_pool=False, shm_threshold=1024
         )
         try:
-            cold = fit(backend, seed=0)
+            cold = _shm_fit(backend, seed=0)
             if cold.bytes_mapped == 0:
                 pytest.skip("shared memory segment creation unavailable")
             victim = backend._private_pool.actors[0].proc
@@ -242,7 +257,7 @@ class TestOnePool:
             assert not victim.is_alive()
             # Different data: the dead worker's message ships a fresh
             # segment that is in flight when the death is discovered.
-            recovered = fit(backend, seed=1)
+            recovered = _shm_fit(backend, seed=1)
             assert recovered.worker_restarts >= 1
             assert recovered.bytes_mapped > 0
         finally:
@@ -250,3 +265,21 @@ class TestOnePool:
         survivors = {p.pid for p in multiprocessing.active_children()}
         assert survivors - children_before == set()
         assert set(os.listdir("/dev/shm")) - shm_before == set()
+
+    def test_worker_exit_closes_segments_quietly(self, capfd):
+        """Workers that cached rows viewing shared-memory segments exit
+        without ``SharedMemory.__del__`` printing ``BufferError: cannot
+        close exported pointers exist`` (two ships: one parked segment
+        alone happened to be freed in a harmless order)."""
+        if not os.access("/dev/shm", os.R_OK | os.W_OK | os.X_OK):
+            pytest.skip("/dev/shm unusable on this host")
+        backend = ActorBackend(
+            workers=2, task_timeout=120.0, reuse_pool=False, shm_threshold=1024
+        )
+        try:
+            mapped = [_shm_fit(backend, seed).bytes_mapped for seed in (0, 1)]
+        finally:
+            backend.close()
+        if not all(mapped):
+            pytest.skip("shared memory segment creation unavailable")
+        assert "BufferError" not in capfd.readouterr().err
