@@ -1,37 +1,54 @@
-"""Kernel-lowered serving: batch-invariant columnar execution.
+"""Kernel-lowered serving: columnar execution that never changes a byte.
 
-Trains a *headless* text pipeline (raw score vectors, no classification
-head) and serves it two ways: through the per-op interpreter
-(``vectorize=False``) and through the default kernel-lowered path, where
-``VectorizePass`` folds the kernel-capable op run into one columnar
-``KernelStage`` that executes the whole micro-batch as a handful of
-numpy calls.  The smoke run gates the two claims of the rewrite:
+Part 1 trains a *headless* text pipeline (raw score vectors, no
+classification head) and serves it two ways: through the per-op
+interpreter (``vectorize=False``) and through the default kernel-lowered
+path, where ``VectorizePass`` folds the kernel-capable op run into one
+columnar ``KernelStage`` that executes the whole micro-batch as a
+handful of numpy calls.
 
-- **batch invariance** — the kernel-served batched predictions are
-  byte-identical to ``fitted.apply`` per item, raw score vectors
-  included (historically only classifier-headed pipelines held this on
-  the batched path);
+Part 2 trains a dense TIMIT-style frame classifier (gathered random
+cosine features, a linear map, an arg-max head).  The whole model folds
+into one *certified* stage: its matmuls run as one BLAS GEMM per batch,
+and the head proves each class id equal to the per-item reference from
+an error bound — rows it cannot prove are recomputed exactly.
+
+The smoke run gates the claims:
+
+- **batch invariance** — kernel-served batched predictions are
+  byte-identical to ``fitted.apply`` per item: raw score vectors in
+  part 1, class ids in part 2;
 - **throughput** — on the sparse text featurization chain, the columnar
-  path clears a measured speedup over the interpreter.
+  path beats the interpreter; on the dense model, the certified stage
+  beats the exact per-row kernel stage of the same model without its
+  head.
 
 Run:  python examples/kernel_serving.py
 """
 
+import os
 import time
 
-import numpy as np
+# One BLAS thread (set before numpy loads it), as in the observatory: on
+# a busy machine a threaded GEMM waits on scheduling, and the timings
+# would compare thread wake-ups instead of kernels.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro import Context, ModelServer, Pipeline
-from repro.nodes.learning.linear import LinearSolver
-from repro.nodes.text import (
+import numpy as np  # noqa: E402
+
+from repro import Context, ModelServer, Pipeline  # noqa: E402
+from repro.nodes.learning.linear import LinearSolver  # noqa: E402
+from repro.nodes.numeric import MaxClassifier  # noqa: E402
+from repro.nodes.text import (  # noqa: E402
     CommonSparseFeatures,
     LowerCase,
     TermFrequency,
     Tokenizer,
     unit_weighting,
 )
-from repro.serving import compile_inference_plan
-from repro.workloads import amazon_reviews
+from repro.pipelines import timit_pipeline  # noqa: E402
+from repro.serving import compile_inference_plan  # noqa: E402
+from repro.workloads import amazon_reviews, timit_frames  # noqa: E402
 
 
 def train_scoring_model(wl, num_features=500):
@@ -39,22 +56,32 @@ def train_scoring_model(wl, num_features=500):
     ctx = Context()
     data = wl.train_data(ctx)
     labels = wl.train_label_vectors(ctx)
-    return (Pipeline.identity()
-            .and_then(LowerCase())
-            .and_then(Tokenizer())
-            .and_then(TermFrequency(unit_weighting()))
-            .and_then(CommonSparseFeatures(num_features), data)
-            .and_then(LinearSolver(), data, labels)
-            .fit(level="none"))
+    return (
+        Pipeline.identity()
+        .and_then(LowerCase())
+        .and_then(Tokenizer())
+        .and_then(TermFrequency(unit_weighting()))
+        .and_then(CommonSparseFeatures(num_features), data)
+        .and_then(LinearSolver(), data, labels)
+        .fit(level="none")
+    )
 
 
 def as_bytes(rows):
     return [(r.dtype, r.shape, r.tobytes()) for r in rows]
 
 
-def main():
-    wl = amazon_reviews(num_train=600, num_test=200, vocab_size=1500,
-                        seed=0)
+def rows_per_second(plan, stream, batch):
+    """``run_batch`` throughput over ``stream`` in batches (no queue noise)."""
+    plan.run_batch(stream[:batch])  # warmup: kernels, BLAS
+    start = time.perf_counter()
+    for i in range(0, len(stream), batch):
+        plan.run_batch(stream[i : i + batch])
+    return len(stream) / (time.perf_counter() - start)
+
+
+def text_scores():
+    wl = amazon_reviews(num_train=600, num_test=200, vocab_size=1500, seed=0)
     print("training the raw-score text model...")
     fitted = train_scoring_model(wl)
     stream = [wl.test_items[i % len(wl.test_items)] for i in range(1000)]
@@ -64,46 +91,89 @@ def main():
         # vectorize=True is the register() default; the explicit pair
         # makes the comparison visible.
         kernel = server.register("scores", fitted, version="kernel")
-        interp = server.register("scores", fitted, version="interp",
-                                 vectorize=False)
-        print(f"\ninterpreter plan: {len(interp.plan)} ops, "
-              f"kernel plan: {len(kernel.plan)} ops")
+        interp = server.register("scores", fitted, version="interp", vectorize=False)
+        print(
+            f"\ninterpreter plan: {len(interp.plan)} ops, "
+            f"kernel plan: {len(kernel.plan)} ops"
+        )
         print(f"\nkernel-lowered plan:\n{kernel.plan.describe()}\n")
         assert "kernel[" in kernel.plan.describe()
         assert len(kernel.plan) < len(interp.plan)
 
-        served = server.predict_many("scores", wl.test_items,
-                                     version="kernel")
+        served = server.predict_many("scores", wl.test_items, version="kernel")
 
     # Batch invariance: the kernel-served *batched* raw scores are
     # byte-identical to the per-item reference.
     expected = [fitted.apply(x) for x in wl.test_items]
     assert as_bytes(served) == as_bytes(expected), (
-        "kernel-served raw scores diverged from fitted.apply")
-    print("batch invariance: served raw score vectors byte-identical "
-          f"to fitted.apply on {len(expected)} items")
+        "kernel-served raw scores diverged from fitted.apply"
+    )
+    print(
+        "batch invariance: served raw score vectors byte-identical "
+        f"to fitted.apply on {len(expected)} items"
+    )
 
-    # Throughput: time the two compiled batch paths directly (no queue
-    # noise), interpreter vs columnar kernels.
-    interp_plan = compile_inference_plan(fitted, vectorize=False)
-    kernel_plan = compile_inference_plan(fitted, vectorize=True)
-    interp_plan.run_batch(stream[:64])  # warmup both paths
-    kernel_plan.run_batch(stream[:64])
-    start = time.perf_counter()
-    interp_plan.run_batch(stream)
-    interp_rps = len(stream) / (time.perf_counter() - start)
-    start = time.perf_counter()
-    kernel_plan.run_batch(stream)
-    kernel_rps = len(stream) / (time.perf_counter() - start)
+    # Throughput: the two compiled batch paths, interpreter vs kernels.
+    interp_rps = rows_per_second(
+        compile_inference_plan(fitted, vectorize=False), stream, len(stream)
+    )
+    kernel_rps = rows_per_second(
+        compile_inference_plan(fitted, vectorize=True), stream, len(stream)
+    )
     ratio = kernel_rps / interp_rps
-    print(f"run_batch throughput: interpreter {interp_rps:.0f}/s, "
-          f"kernels {kernel_rps:.0f}/s ({ratio:.1f}x)")
-    assert ratio > 1.0, (
-        f"columnar kernels did not beat the interpreter ({ratio:.2f}x)")
+    print(
+        f"run_batch throughput: interpreter {interp_rps:.0f}/s, "
+        f"kernels {kernel_rps:.0f}/s ({ratio:.1f}x)"
+    )
+    assert ratio > 1.0, f"columnar kernels did not beat the interpreter ({ratio:.2f}x)"
 
     scores = served[0]
     assert isinstance(scores, np.ndarray) and scores.ndim == 1
     print(f"\nexample raw score vector: {np.array_str(scores, precision=3)}")
+
+
+def frame_model(wl):
+    """TIMIT-style dense model: 4 gathered cosine-feature blocks -> linear map."""
+    return timit_pipeline(Context(), wl, num_feature_blocks=4, block_size=256)
+
+
+def dense_classes():
+    wl = timit_frames(num_train=600, num_test=400, dim=128, num_classes=12, seed=0)
+    print("\ntraining the dense frame classifier and its headless twin...")
+    classifier = frame_model(wl).and_then(MaxClassifier()).fit(level="none")
+    scorer = frame_model(wl).fit(level="none")
+    frames = list(wl.test_items)
+
+    server = ModelServer(max_batch=32, max_delay_ms=2.0)
+    with server:
+        served = server.register("frames", classifier)
+        print(f"\ncertified plan:\n{served.plan.describe()}\n")
+        assert len(served.plan) == 2 and "[certified]" in served.plan.describe()
+        labels = server.predict_many("frames", frames)
+
+    expected = [classifier.apply(x) for x in frames]
+    assert labels == expected, "certified class ids diverged from fitted.apply"
+    print(f"certified ids byte-identical to fitted.apply on {len(frames)} frames")
+
+    # The certified stage (batched GEMMs + proof) against the exact
+    # per-row GEMV kernels the same model runs without its head.
+    certified_rps = rows_per_second(
+        compile_inference_plan(classifier, vectorize=True), frames, 32
+    )
+    per_row_rps = rows_per_second(
+        compile_inference_plan(scorer, vectorize=True), frames, 32
+    )
+    ratio = certified_rps / per_row_rps
+    print(
+        f"run_batch throughput: per-row kernels {per_row_rps:.0f}/s, "
+        f"certified {certified_rps:.0f}/s ({ratio:.1f}x)"
+    )
+    assert ratio > 1.0, f"certified stage did not beat per-row kernels ({ratio:.2f}x)"
+
+
+def main():
+    text_scores()
+    dense_classes()
 
 
 if __name__ == "__main__":

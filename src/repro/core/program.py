@@ -503,6 +503,21 @@ class Op:
     key: str
 
 
+def stage_mark(op: Op) -> str:
+    """`` [certified]`` for a kernel stage that takes the certified path."""
+    return " [certified]" if getattr(op.op, "certified", False) else ""
+
+
+def stage_lines(op: Op) -> List[str]:
+    """``describe()`` lines naming the ops a kernel stage folded.
+
+    So vectorization decisions read like fusion/CSE decisions; a folded
+    gather lists its branches beneath it.
+    """
+    fold_lines = getattr(op.op, "fold_lines", None)
+    return ["      " + line for line in fold_lines()] if fold_lines else []
+
+
 class OpProgram:
     """A flat, topologically-ordered program lowered from an operator DAG.
 
@@ -560,12 +575,9 @@ class OpProgram:
             parents = ",".join(str(p) for p in op.parents)
             lines.append(
                 f"  %{op.slot} = {op.kind}({op.label})"
-                f" <- [{parents}]  key={op.key[:12]}"
+                f" <- [{parents}]  key={op.key[:12]}{stage_mark(op)}"
             )
-            # Kernel stages list which original ops folded into them, so
-            # vectorization decisions read like fusion/CSE decisions.
-            for member in getattr(op.op, "member_labels", ()):
-                lines.append(f"      fold {member}")
+            lines.extend(stage_lines(op))
         return "\n".join(lines)
 
     def without_dead_ops(self) -> "OpProgram":
@@ -818,16 +830,39 @@ class DeadOpElimination(ProgramPass):
         return program.without_dead_ops()
 
 
+class _Run:
+    """A kernel stage in the making (see :class:`VectorizePass`)."""
+
+    def __init__(self, start: int):
+        self.start = start  #: the slot the stage reads
+        self.members: List[Any] = []
+        self.labels: List[str] = []
+        #: every op folded so far; the last one is the stage's tail
+        self.ops: List[Op] = []
+
+    def add(self, member: Any, label: str, ops: Sequence[Op]) -> None:
+        self.members.append(member)
+        self.labels.append(label)
+        self.ops.extend(ops)
+
+
 class VectorizePass(ProgramPass):
     """Group runs of kernel-capable transform ops into ``KernelStage`` ops.
 
     The second lowering target behind the :class:`ProgramPass` hook: a
-    maximal chain of transform ops whose operators expose a
-    batch-invariant columnar kernel (``Transformer.columnar_kernel()``)
-    and whose interior links have exactly one consumer collapses into a
-    single op backed by :class:`repro.core.kernels.KernelStage` — the
-    batch then executes as a handful of numpy calls over one columnar
-    block instead of per-op, per-item Python dispatch.
+    maximal chain of transform ops whose operators expose a columnar
+    kernel (``Transformer.columnar_kernel()``) and whose interior links
+    have exactly one consumer collapses into a single op backed by
+    :class:`repro.core.kernels.KernelStage` — the batch then executes as
+    a handful of numpy calls over one columnar block instead of per-op,
+    per-item Python dispatch.
+
+    A ``GATHER`` folds too, when each of its branches is such a run, all
+    of them read one common slot, and the gather's single consumer is
+    kernel-capable: the branches become one
+    :class:`~repro.core.kernels.FoldedGather` member of the consumer's
+    stage.  A gathered model such as TIMIT's random-feature blocks then
+    lowers to one stage from the input to its head.
 
     Structure-preserving bookkeeping:
 
@@ -859,13 +894,14 @@ class VectorizePass(ProgramPass):
         self.boundaries = frozenset(boundaries)
 
     def run(self, program: OpProgram) -> OpProgram:
-        from repro.core.kernels import KernelStage
+        from repro.core.kernels import FoldedGather, KernelStage
 
         program = program.without_dead_ops()
-        refs: Dict[int, int] = {}
+        consumers: Dict[int, List[Op]] = {}
         for op in program.ops:
             for parent in op.parents:
-                refs[parent] = refs.get(parent, 0) + 1
+                consumers.setdefault(parent, []).append(op)
+        refs = {slot: len(readers) for slot, readers in consumers.items()}
         for slot in program.root_slots:
             refs[slot] = refs.get(slot, 0) + 1
 
@@ -877,27 +913,51 @@ class VectorizePass(ProgramPass):
             kernel_of = getattr(op.op, "columnar_kernel", None)
             return kernel_of is not None and kernel_of() is not None
 
-        # Maximal runs: ``open_runs`` maps a run's current last slot to
+        def foldable(op: Op) -> bool:
+            """May the op's value vanish into its single consumer's stage?"""
+            return refs.get(op.slot) == 1 and op.key not in self.boundaries
+
+        # Maximal runs: ``open_runs`` maps a run's current tail slot to
         # the run while that slot still awaits its single consumer.
-        open_runs: Dict[int, List[Op]] = {}
-        runs: List[List[Op]] = []
+        open_runs: Dict[int, _Run] = {}
+        runs: List[_Run] = []
         for op in program.ops:
+            if op.kind == GATHER:
+                branches = [open_runs.get(p) for p in op.parents]
+                readers = consumers.get(op.slot, ())
+                if (
+                    all(branches)
+                    and len({branch.start for branch in branches}) == 1
+                    and foldable(op)
+                    and readers
+                    and vectorizable(readers[0])
+                ):
+                    run = _Run(branches[0].start)
+                    gathered = FoldedGather(
+                        [KernelStage(b.members, b.labels) for b in branches]
+                    )
+                    folded = [o for b in branches for o in b.ops] + [op]
+                    run.add(gathered, op.label, folded)
+                    for parent, branch in zip(op.parents, branches):
+                        del open_runs[parent]
+                        runs.remove(branch)
+                    runs.append(run)
+                    open_runs[op.slot] = run
+                continue
             if not vectorizable(op):
                 continue
-            parent = op.parents[0]
-            run = open_runs.pop(parent, None)
+            run = open_runs.pop(op.parents[0], None)
             if run is None:
-                run = [op]
+                run = _Run(op.parents[0])
                 runs.append(run)
-            else:
-                run.append(op)
-            if refs[op.slot] == 1 and op.key not in self.boundaries:
+            run.add(op.op, op.label, [op])
+            if foldable(op):
                 open_runs[op.slot] = run
         if not runs:
             return program
 
-        last_to_run = {run[-1].slot: run for run in runs}
-        interior = {op.slot for run in runs for op in run[:-1]}
+        last_to_run = {run.ops[-1].slot: run for run in runs}
+        interior = {op.slot for run in runs for op in run.ops[:-1]}
 
         remap: Dict[int, int] = {}
         new_ops: List[Op] = []
@@ -919,17 +979,14 @@ class VectorizePass(ProgramPass):
                     )
                 )
             else:
-                stage = KernelStage(
-                    [o.op for o in run], [o.label for o in run]
-                )
                 new_ops.append(
                     Op(
                         slot,
                         op.node_id,
                         TRANSFORM,
-                        stage,
-                        (remap[run[0].parents[0]],),
-                        "kernel[" + "+".join(o.label for o in run) + "]",
+                        KernelStage(run.members, run.labels),
+                        (remap[run.start],),
+                        "kernel[" + "+".join(run.labels) + "]",
                         op.key,
                     )
                 )

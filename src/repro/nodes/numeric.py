@@ -133,7 +133,8 @@ class StandardScalerTransformer(Transformer):
     def columnar_kernel(self):
         from repro.core.kernels import ElementwiseKernel
 
-        return ElementwiseKernel(lambda X: (X - self.mean) / self.std)
+        return ElementwiseKernel(lambda X: (X - self.mean) / self.std,
+                                 lipschitz=1.0 / self.std)
 
 
 class ColumnSampler(Transformer):
@@ -168,6 +169,11 @@ class VectorCombiner(Transformer):
 
     def apply(self, vectors: Sequence) -> np.ndarray:
         return np.concatenate([as_dense_row(v) for v in vectors])
+
+    def columnar_kernel(self):
+        from repro.core.kernels import HStackKernel
+
+        return HStackKernel()
 
 
 class Flatten(Transformer):
@@ -275,7 +281,8 @@ class MinMaxScalerTransformer(Transformer):
     def columnar_kernel(self):
         from repro.core.kernels import ElementwiseKernel
 
-        return ElementwiseKernel(lambda X: (X - self.lo) / self.span)
+        return ElementwiseKernel(lambda X: (X - self.lo) / self.span,
+                                 lipschitz=1.0 / self.span)
 
 
 class InterceptAdder(Transformer):
@@ -328,4 +335,5 @@ class ClipTransformer(Transformer):
     def columnar_kernel(self):
         from repro.core.kernels import ElementwiseKernel
 
-        return ElementwiseKernel(lambda X: np.clip(X, self.lo, self.hi))
+        return ElementwiseKernel(lambda X: np.clip(X, self.lo, self.hi),
+                                 lipschitz=1.0)

@@ -32,10 +32,11 @@ Two execution modes:
   :class:`~repro.core.kernels.KernelStage` slots whose columnar batch
   path is **byte-identical** to ``fitted.apply`` per item — raw score
   vectors included, so served pipelines no longer need to end in a
-  classification head.  Without it, operators with BLAS-batched
-  partitions (``LinearMapper``, ``RandomFeaturesTransformer``) may
-  differ from the per-item path in the last float ulp — the historical
-  ``apply_dataset`` caveat.
+  classification head; a stage that does end in one batches its dense
+  GEMMs and proves each class id instead.  Without it, operators with
+  BLAS-batched partitions (``LinearMapper``,
+  ``RandomFeaturesTransformer``) may differ from the per-item path in
+  the last float ulp — the historical ``apply_dataset`` caveat.
 
 Both modes are calls into the one program evaluator,
 :func:`repro.core.interp.evaluate` (grains ``ITEM`` and ``BATCH``); this
@@ -62,6 +63,8 @@ from repro.core.program import (
     VectorizePass,
     lower_inference_program,
     run_program_passes,
+    stage_lines,
+    stage_mark,
 )
 from repro.dataset.sizing import estimate_size
 from repro.serving.cache import fingerprint
@@ -110,10 +113,9 @@ class InferencePlan:
             mark = " [cached]" if op.slot in self._cached_slot_set else ""
             parents = ",".join(str(p) for p in op.parents)
             lines.append(f"  %{op.slot} = {op.kind}({op.label})"
-                         f" <- [{parents}]{mark}")
+                         f" <- [{parents}]{mark}{stage_mark(op)}")
             # Which original ops a KernelStage folded (vectorize=True).
-            for member in getattr(op.op, "member_labels", ()):
-                lines.append(f"      fold {member}")
+            lines.extend(stage_lines(op))
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -258,10 +260,16 @@ def compile_inference_plan(
 
     ``vectorize=True`` appends
     :class:`~repro.core.program.VectorizePass` to the registered passes
-    (unless one is already registered): runs of kernel-capable ops
-    collapse into :class:`~repro.core.kernels.KernelStage` slots whose
-    batched execution is byte-identical to ``fitted.apply`` per item —
-    ``ModelServer.register`` passes this by default.
+    (unless one is already registered): runs of kernel-capable ops —
+    gathered branches included — collapse into
+    :class:`~repro.core.kernels.KernelStage` slots whose batched
+    execution is byte-identical to ``fitted.apply`` per item.  A stage
+    ending in an arg-max head is *certified*: its dense matmuls run as
+    one BLAS GEMM per batch and each class id is proved equal to the
+    reference's, the unproved rows recomputed exactly (see
+    :mod:`repro.core.kernels`).  The choice follows from the program's
+    structure, not from a knob.  ``ModelServer.register`` passes
+    ``vectorize=True`` by default.
     ``vectorize_boundaries`` (content keys) pins ops that must survive
     as addressable slots — the server passes its serving-cache selection
     so cache-marked intermediates still materialize after the rewrite.
