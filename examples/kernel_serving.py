@@ -1,11 +1,12 @@
 """Kernel-lowered serving: columnar execution that never changes a byte.
 
 Part 1 trains a *headless* text pipeline (raw score vectors, no
-classification head) and serves it two ways: through the per-op
-interpreter (``vectorize=False``) and through the default kernel-lowered
-path, where ``VectorizePass`` folds the kernel-capable op run into one
-columnar ``KernelStage`` that executes the whole micro-batch as a
-handful of numpy calls.
+classification head) and serves it through the kernel-lowered path
+``ModelServer`` always takes: ``VectorizePass`` folds the kernel-capable
+op run into one columnar ``KernelStage`` that executes the whole
+micro-batch as a handful of numpy calls.  The per-op interpreter plan
+(``compile_inference_plan(fitted, vectorize=False)``) is the baseline
+it is compared against.
 
 Part 2 trains a dense TIMIT-style frame classifier (gathered random
 cosine features, a linear map, an arg-max head).  The whole model folds
@@ -86,21 +87,19 @@ def text_scores():
     fitted = train_scoring_model(wl)
     stream = [wl.test_items[i % len(wl.test_items)] for i in range(1000)]
 
+    interp = compile_inference_plan(fitted, vectorize=False)
     server = ModelServer(max_batch=64, max_delay_ms=2.0)
     with server:
-        # vectorize=True is the register() default; the explicit pair
-        # makes the comparison visible.
-        kernel = server.register("scores", fitted, version="kernel")
-        interp = server.register("scores", fitted, version="interp", vectorize=False)
+        kernel = server.register("scores", fitted)
         print(
-            f"\ninterpreter plan: {len(interp.plan)} ops, "
+            f"\ninterpreter plan: {len(interp)} ops, "
             f"kernel plan: {len(kernel.plan)} ops"
         )
         print(f"\nkernel-lowered plan:\n{kernel.plan.describe()}\n")
         assert "kernel[" in kernel.plan.describe()
-        assert len(kernel.plan) < len(interp.plan)
+        assert len(kernel.plan) < len(interp)
 
-        served = server.predict_many("scores", wl.test_items, version="kernel")
+        served = server.predict_many("scores", wl.test_items)
 
     # Batch invariance: the kernel-served *batched* raw scores are
     # byte-identical to the per-item reference.
@@ -114,9 +113,7 @@ def text_scores():
     )
 
     # Throughput: the two compiled batch paths, interpreter vs kernels.
-    interp_rps = rows_per_second(
-        compile_inference_plan(fitted, vectorize=False), stream, len(stream)
-    )
+    interp_rps = rows_per_second(interp, stream, len(stream))
     kernel_rps = rows_per_second(
         compile_inference_plan(fitted, vectorize=True), stream, len(stream)
     )

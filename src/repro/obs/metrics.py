@@ -1,11 +1,11 @@
 """A process-local metrics registry: counters, gauges, bounded histograms.
 
-One :class:`MetricsRegistry` unifies the counters scattered across the
-training path (:class:`~repro.core.executor.TrainingReport`) and the
-serving tier (``ModelServer.stats()``): both render into a registry via
-their ``fill_registry`` methods, giving a single flat ``to_dict()`` view
-of a run.  All instruments are thread-safe and hold bounded memory —
-a :class:`Histogram` keeps a fixed-size reservoir of recent samples
+:class:`~repro.core.executor.TrainingReport` renders its counters into
+a :class:`MetricsRegistry` via ``fill_registry``, giving a single flat
+``to_dict()`` view of a fit.  The serving tier (``ModelServer.stats()``)
+reads its latency distribution from a :class:`Histogram` per model
+version.  All instruments are thread-safe and hold bounded memory — a
+:class:`Histogram` keeps a fixed-size reservoir of recent samples
 (exact counts and totals are kept separately), so long-lived servers
 never grow an unbounded latency list.
 """

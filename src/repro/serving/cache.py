@@ -160,24 +160,6 @@ class ServingCache:
     def __len__(self) -> int:
         return len(self.manager)
 
-    def fill_registry(self, registry=None, prefix: str = "serving.cache"):
-        """Export cache health gauges into a
-        :class:`~repro.obs.metrics.MetricsRegistry` (created when
-        omitted)."""
-        from repro.obs.metrics import MetricsRegistry
-
-        if registry is None:
-            registry = MetricsRegistry()
-        head = f"{prefix}." if prefix else ""
-        registry.set(f"{head}hits", float(self.hits))
-        registry.set(f"{head}misses", float(self.misses))
-        registry.set(f"{head}hit_rate", self.hit_rate)
-        registry.set(f"{head}entries", float(len(self)))
-        registry.set(f"{head}used_bytes", float(self.used_bytes))
-        registry.set(f"{head}budget_bytes", float(self.budget_bytes))
-        registry.set(f"{head}keys", float(len(self.keys)))
-        return registry
-
     def __repr__(self) -> str:
         return (f"ServingCache(keys={len(self.keys)}, "
                 f"entries={len(self)}, used={self.used_bytes}, "

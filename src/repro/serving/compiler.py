@@ -23,32 +23,34 @@ Two execution modes:
 
 - :meth:`InferencePlan.run_item` — one request, per-item ``op.apply``;
   byte-identical to the recursive walk (same ops, same order, same
-  item-level numerics).
+  item-level numerics).  This is ``fitted.apply``'s path; it never
+  consults a serving cache.
 - :meth:`InferencePlan.run_batch` — a micro-batch, vectorized through
   ``op.apply_partition`` exactly like the existing
   ``FittedPipeline.apply_dataset`` path (a micro-batch is one partition).
-  With ``vectorize=True`` (the serving default), ``VectorizePass``
-  additionally groups kernel-capable op runs into
+  With ``vectorize=True`` (what ``ModelServer.register`` serves),
+  ``VectorizePass`` additionally groups kernel-capable op runs into
   :class:`~repro.core.kernels.KernelStage` slots whose columnar batch
   path is **byte-identical** to ``fitted.apply`` per item — raw score
   vectors included, so served pipelines no longer need to end in a
   classification head; a stage that does end in one batches its dense
-  GEMMs and proves each class id instead.  Without it, operators with
-  BLAS-batched partitions (``LinearMapper``,
-  ``RandomFeaturesTransformer``) may differ from the per-item path in
-  the last float ulp — the historical ``apply_dataset`` caveat.
+  GEMMs and proves each class id instead.  Without it (the interpreter
+  plan, kept as a measurement probe), operators with BLAS-batched
+  partitions (``LinearMapper``, ``RandomFeaturesTransformer``) may
+  differ from the per-item path in the last float ulp — the historical
+  ``apply_dataset`` caveat.
 
 Both modes are calls into the one program evaluator,
 :func:`repro.core.interp.evaluate` (grains ``ITEM`` and ``BATCH``); this
-module adds the serving-cache policy only.  Both consult an attached
-:class:`~repro.serving.cache.ServingCache` when one is configured.  Cache
-entries are addressed by ``(op key, input fingerprint)`` — the op key
-being the content-addressed structural fingerprint each
+module adds the serving-cache policy only.  Given fingerprints,
+``run_batch`` consults an attached
+:class:`~repro.serving.cache.ServingCache`.  Cache entries are addressed
+by ``(op key, input fingerprint)`` — the op key being the
+content-addressed structural fingerprint each
 :class:`~repro.core.program.Op` carries — so two model versions sharing
-a featurization prefix share entries.  ``run_item``
-short-circuits at the deepest cached node on the path to the sink,
-``run_batch`` inserts the outputs of cache-marked ops for every item of
-the flush.
+a featurization prefix share entries.  Each item of the flush resumes
+from its deepest cached ancestor, and the outputs of cache-marked ops
+are inserted.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from repro.core.program import (
     stage_mark,
 )
 from repro.dataset.sizing import estimate_size
-from repro.serving.cache import fingerprint
 
 
 class InferencePlan:
@@ -140,9 +141,8 @@ class InferencePlan:
 
         Returns ``(hit, value)``; used by the server to answer repeats
         without paying the batching queue.  Counts one hit/miss — a
-        caller forwarding the miss into ``run_item``/``run_batch``
-        should pass ``sink_probed=True`` so the request is not counted
-        twice.
+        caller forwarding the miss into ``run_batch`` should pass
+        ``sink_probed=True`` so the request is not counted twice.
         """
         cache = self.cache
         if cache is None or self.sink_slot not in self._cached_slot_set:
@@ -183,18 +183,9 @@ class InferencePlan:
                                  lambda op: rows, grain, probe, store)
         return values[self.sink_slot]
 
-    def run_item(self, item: Any, fp: Optional[bytes] = None,
-                 sink_probed: bool = False) -> Any:
-        """Apply the program to one item (per-item ``op.apply`` numerics).
-
-        ``sink_probed`` means the caller already counted a sink lookup
-        for this request (the server's pre-queue fast path), so the
-        backward pass re-probes it without hit/miss accounting.
-        """
-        if fp is None and self._cached_slots:
-            fp = fingerprint(item)
-        fps = None if fp is None else (fp,)
-        return self._evaluate((item,), fps, sink_probed, interp.ITEM)[0]
+    def run_item(self, item: Any) -> Any:
+        """Apply the program to one item (per-item ``op.apply`` numerics)."""
+        return self._evaluate((item,), None, False, interp.ITEM)[0]
 
     def run_batch(self, items: Sequence[Any],
                   fps: Optional[Sequence[bytes]] = None,
@@ -204,10 +195,12 @@ class InferencePlan:
         Vectorizes through ``op.apply_partition`` — the same numerics as
         ``FittedPipeline.apply_dataset`` on a single partition.  When a
         serving cache is attached and fingerprints are supplied, each
-        item individually resumes from its deepest cached ancestor (the
-        per-item partial reuse of :meth:`run_item`, batched: every op
-        runs once over exactly the sub-batch of items that still need
-        it) and the outputs of cache-marked ops are inserted.
+        item individually resumes from its deepest cached ancestor
+        (every op runs once over exactly the sub-batch of items that
+        still need it) and the outputs of cache-marked ops are inserted.
+        ``sink_probed`` means the caller already counted each item's
+        sink lookup (the server's pre-queue fast path), so the backward
+        pass re-probes the sink without hit/miss accounting.
         """
         if len(items) == 0:
             return []
@@ -268,8 +261,9 @@ def compile_inference_plan(
     one BLAS GEMM per batch and each class id is proved equal to the
     reference's, the unproved rows recomputed exactly (see
     :mod:`repro.core.kernels`).  The choice follows from the program's
-    structure, not from a knob.  ``ModelServer.register`` passes
-    ``vectorize=True`` by default.
+    structure, not from a knob.  ``ModelServer.register`` always serves
+    the lowered plan; ``vectorize=False`` (the default, which
+    ``fitted.apply`` compiles with) keeps the per-op interpreter.
     ``vectorize_boundaries`` (content keys) pins ops that must survive
     as addressable slots — the server passes its serving-cache selection
     so cache-marked intermediates still materialize after the rewrite.

@@ -6,19 +6,18 @@ percentiles) plus exact counts and totals — backed by the shared
 :class:`repro.obs.metrics.Histogram` ring buffer, so a long-lived server
 holds constant memory per model version no matter how many requests it
 serves.  :class:`ModelStats` is the per-model snapshot assembled by
-:meth:`ModelServer.stats`; :class:`ServerStats` aggregates the fleet,
-renders the report, and fills a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+:meth:`ModelServer.stats`; :class:`ServerStats` aggregates the fleet
+and renders the report.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 
 
 class LatencyRecorder:
@@ -26,7 +25,7 @@ class LatencyRecorder:
 
     The distribution lives in an :class:`repro.obs.metrics.Histogram`
     (fixed-size ring buffer of recent samples; exact count and total kept
-    separately), exposed as :attr:`histogram` for registry export.
+    separately), exposed as :attr:`histogram`.
     """
 
     def __init__(self, window: int = 8192):
@@ -140,22 +139,6 @@ class ModelStats:
                 f"{self.cache_used_bytes} bytes")
         return "\n".join(lines)
 
-    def fill_registry(self, registry: Optional[MetricsRegistry] = None,
-                      prefix: str = "serving") -> MetricsRegistry:
-        """Export every numeric field as a ``<prefix>.<name>.<version>.*``
-        gauge in ``registry`` (created when omitted)."""
-        if registry is None:
-            registry = MetricsRegistry()
-        base = f"{self.name}.{self.version}"
-        if prefix:
-            base = f"{prefix}.{base}"
-        for spec in fields(self):
-            if spec.name in ("name", "version"):
-                continue
-            registry.set(f"{base}.{spec.name}",
-                         float(getattr(self, spec.name)))
-        return registry
-
 
 @dataclass
 class ServerStats:
@@ -178,21 +161,3 @@ class ServerStats:
         for key in sorted(self.models):
             lines.append(self.models[key].describe())
         return "\n".join(lines)
-
-    def fill_registry(self, registry: Optional[MetricsRegistry] = None,
-                      prefix: str = "serving") -> MetricsRegistry:
-        """Export fleet totals plus every model's fields into ``registry``."""
-        if registry is None:
-            registry = MetricsRegistry()
-        head = f"{prefix}." if prefix else ""
-        registry.set(f"{head}models", float(len(self.models)))
-        registry.set(f"{head}total_requests", float(self.total_requests))
-        registry.set(f"{head}total_errors", float(self.total_errors))
-        for key in sorted(self.models):
-            self.models[key].fill_registry(registry, prefix=prefix)
-        return registry
-
-
-def percentiles_ms(recorder: LatencyRecorder) -> List[float]:
-    """[p50, p95, p99] in milliseconds."""
-    return [recorder.percentile(q) * 1000.0 for q in (0.50, 0.95, 0.99)]

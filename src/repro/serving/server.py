@@ -8,13 +8,14 @@ version is already compiled and serving-ready before the default-version
 pointer moves, and in-flight requests against the old version drain
 unaffected.
 
-Request path (:meth:`submit` / :meth:`predict`):
+Request path (:meth:`submit` / :meth:`predict`) — there is one:
 
 1. resolve the model version (default or pinned),
 2. fingerprint the item when a serving cache is configured; a cached
    sink output answers immediately without touching the queue,
-3. otherwise enqueue into the version's micro-batcher (or, with
-   ``micro_batching=False``, run the compiled per-item path inline),
+3. otherwise enqueue into the version's micro-batcher, whose flushes
+   run the kernel-lowered plan (``VectorizePass``) — byte-identical to
+   ``fitted.apply`` per item, raw score vectors included,
 4. a completion callback records end-to-end latency and errors, and
    feeds the SLO controller when one is configured.
 
@@ -60,29 +61,22 @@ from repro.serving.cache import (
     fingerprint,
 )
 from repro.serving.compiler import InferencePlan, compile_inference_plan
-from repro.serving.metrics import (
-    LatencyRecorder,
-    ModelStats,
-    ServerStats,
-    percentiles_ms,
-)
+from repro.serving.metrics import LatencyRecorder, ModelStats, ServerStats
 
 
 class ServedModel:
     """One registered (name, version): compiled plan + batcher + metrics."""
 
     def __init__(self, name: str, version: str, fitted,
-                 plan: InferencePlan, batcher: Optional[MicroBatcher],
-                 cache: Optional[ServingCache],
-                 controller: Optional[SLOController] = None,
-                 replica_set=None):
+                 plan: InferencePlan, batcher: MicroBatcher,
+                 cache: Optional[ServingCache], replica_set=None):
         self.name = name
         self.version = version
         self.fitted = fitted
         self.plan = plan
         self.batcher = batcher
         self.cache = cache
-        self.controller = controller
+        self.controller: Optional[SLOController] = batcher.controller
         #: the server-owned ReplicaSet executing this version's batches
         #: (None when serving in-process)
         self.replica_set = replica_set
@@ -93,21 +87,21 @@ class ServedModel:
         return f"{self.name}@{self.version}"
 
     def stats(self) -> ModelStats:
-        p50, p95, p99 = percentiles_ms(self.latency)
+        p50, p95, p99 = (self.latency.percentile(q) * 1000.0
+                         for q in (0.50, 0.95, 0.99))
+        batcher = self.batcher
         out = ModelStats(
             name=self.name, version=self.version,
             requests=self.latency.count, errors=self.latency.errors,
             throughput_rps=self.latency.throughput_rps,
             mean_ms=self.latency.mean_seconds * 1000.0,
             p50_ms=p50, p95_ms=p95, p99_ms=p99,
+            queue_depth=batcher.queue_depth, batches=batcher.batches,
+            mean_batch_size=batcher.mean_batch_size,
+            max_batch_size=batcher.max_batch_seen,
+            shed_requests=batcher.shed_requests,
             plan_ops=len(self.plan),
             cached_nodes=len(self.plan.cached_slots))
-        if self.batcher is not None:
-            out.queue_depth = self.batcher.queue_depth
-            out.batches = self.batcher.batches
-            out.mean_batch_size = self.batcher.mean_batch_size
-            out.max_batch_size = self.batcher.max_batch_seen
-            out.shed_requests = self.batcher.shed_requests
         if self.controller is not None:
             snap = self.controller.snapshot()
             out.slo_target_p99_ms = snap["target_p99_ms"]
@@ -131,7 +125,14 @@ class ServedModel:
 class ModelServer:
     """Multi-model online serving with micro-batching and a serving cache.
 
-    Construction knobs (overridable per :meth:`register` call):
+    Every request is a pre-queue cache hit or a row of a micro-batch
+    over the version's kernel-lowered plan
+    (:class:`~repro.core.program.VectorizePass`): runs of kernel-capable
+    ops execute as columnar numpy kernels, byte-identical to
+    ``fitted.apply`` per item (raw score vectors included).
+
+    Construction knobs (the cache pair is overridable per
+    :meth:`register` call):
 
     - ``max_batch`` / ``max_delay_ms`` / ``max_queue`` — the dynamic
       micro-batching policy and the bounded-queue backpressure limit.
@@ -145,34 +146,22 @@ class ModelServer:
       share the prefix's entries — and the cache hit/miss counters.
     - ``expected_reuse`` — modelled requests per distinct input, the
       serving analogue of the materialization weight.
-    - ``micro_batching`` — with ``False``, requests run inline on the
-      per-item compiled path (byte-identical to ``FittedPipeline.apply``
-      for every pipeline, including raw-score outputs).
     - ``replicas`` — 0 serves in-process (the default); N >= 1 executes
       every version's batches on a fleet of N persistent worker
-      processes (requires ``micro_batching``); the processes spawn
-      lazily at the first ``register()``.
+      processes; the processes spawn lazily at the first ``register()``.
     - ``slo_target_p99_ms`` — attach a per-version
       :class:`~repro.serving.batcher.SLOController` steering the
       effective batch limit and flush delay toward this p99 target
       (``max_batch``/``max_delay_ms`` stay hard bounds).
     - ``shed_watermarks`` — priority-tier load shedding map
       ``{priority: queue fraction}``; see :mod:`repro.serving.batcher`.
-    - ``vectorize`` — compile registered plans through
-      :class:`~repro.core.program.VectorizePass` (the default): runs of
-      kernel-capable ops execute each micro-batch as columnar numpy
-      kernels, byte-identical to ``fitted.apply`` per item (raw score
-      vectors included).  ``False`` keeps the per-op interpreter;
-      overridable per :meth:`register` call.
     """
 
     def __init__(self, max_batch: int = 32, max_delay_ms: float = 2.0,
                  max_queue: int = 1024, cache_budget_bytes: float = 0.0,
-                 expected_reuse: float = 4.0, micro_batching: bool = True,
-                 replicas: int = 0,
+                 expected_reuse: float = 4.0, replicas: int = 0,
                  slo_target_p99_ms: Optional[float] = None,
-                 shed_watermarks: Optional[Mapping[int, float]] = None,
-                 vectorize: bool = True):
+                 shed_watermarks: Optional[Mapping[int, float]] = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if cache_budget_bytes < 0:
@@ -180,21 +169,15 @@ class ModelServer:
                              f"{cache_budget_bytes}")
         if replicas < 0:
             raise ValueError(f"replicas must be >= 0, got {replicas}")
-        if replicas and not micro_batching:
-            raise ValueError(
-                "replicas require micro_batching=True: the replica tier "
-                "executes micro-batches, there is no inline replica path")
         self.max_batch = max_batch
         self.max_delay_ms = max_delay_ms
         self.max_queue = max_queue
         self.cache_budget_bytes = cache_budget_bytes
         self.expected_reuse = expected_reuse
-        self.micro_batching = micro_batching
         self.replicas = replicas
         self.slo_target_p99_ms = slo_target_p99_ms
         self.shed_watermarks = (dict(shed_watermarks)
                                 if shed_watermarks else None)
-        self.vectorize = vectorize
         self._replica_set = None  # lazy: spawned at first register()
         self._lock = threading.RLock()
         self._versions: Dict[str, Dict[str, ServedModel]] = {}
@@ -212,24 +195,21 @@ class ModelServer:
                  warmup_items: Optional[Sequence[Any]] = None,
                  cache_budget_bytes: Optional[float] = None,
                  expected_reuse: Optional[float] = None,
-                 deploy: Optional[bool] = None,
-                 vectorize: Optional[bool] = None) -> ServedModel:
+                 deploy: Optional[bool] = None) -> ServedModel:
         """Compile and (optionally) warm a model version for serving.
 
         The first version registered under ``name`` becomes the default;
         later versions stay warm but undeployed until :meth:`deploy`
-        (or ``deploy=True``) moves the pointer.  ``vectorize`` overrides
-        the server-wide kernel-lowering default for this version;
-        replicas inherit the rewritten program automatically (the
-        pickled ``OpProgram`` carries the kernel stages).
+        (or ``deploy=True``) moves the pointer.  The served plan is
+        always kernel-lowered; replicas inherit the rewritten program
+        automatically (the pickled ``OpProgram`` carries the kernel
+        stages).
         """
         budget = (self.cache_budget_bytes if cache_budget_bytes is None
                   else cache_budget_bytes)
         reuse = (self.expected_reuse if expected_reuse is None
                  else expected_reuse)
-        vectorized = self.vectorize if vectorize is None else vectorize
-        plan = compile_inference_plan(
-            fitted, vectorize=vectorized and budget <= 0)
+        plan = compile_inference_plan(fitted, vectorize=budget <= 0)
 
         node_ids = set()
         if budget > 0:
@@ -245,17 +225,15 @@ class ModelServer:
                 # the budgeted LRU keep what earns its bytes.
                 node_ids = {op.node_id for op in plan.ops
                             if op.kind != INPUT}
-            if vectorized:
-                # Re-lower with every cache-marked op pinned as a stage
-                # boundary: a marked op may end a kernel stage (the
-                # stage output is its value, under its key) but never
-                # disappears into one — so the cache, including prefix
-                # entries shared with sibling versions, keeps its read
-                # and write points after the rewrite.
-                plan = compile_inference_plan(
-                    fitted, vectorize=True,
-                    vectorize_boundaries={plan.key_of(nid)
-                                          for nid in node_ids})
+            # Re-lower with every cache-marked op pinned as a stage
+            # boundary: a marked op may end a kernel stage (the stage
+            # output is its value, under its key) but never disappears
+            # into one — so the cache, including prefix entries shared
+            # with sibling versions, keeps its read and write points
+            # after the rewrite.
+            plan = compile_inference_plan(
+                fitted, vectorize=True,
+                vectorize_boundaries={plan.key_of(nid) for nid in node_ids})
 
         replica_set = None
         if self.replicas:
@@ -266,50 +244,44 @@ class ModelServer:
             # every model before retrying work).
             replica_set.load(slot, plan.program)
 
-        batcher = None
-        if self.micro_batching:
-            if replica_set is not None:
-                def run(payloads: List[Any], _plan=plan, _slot=slot,
-                        _fleet=replica_set) -> List[Any]:
-                    items = [item for item, _fp in payloads]
-                    results = _fleet.run_batch(_slot, items)
-                    # The serving cache lives parent-side; insert sink
-                    # outputs so any replica's work answers fleet-wide
-                    # repeats through the pre-queue fast path.
-                    cache = _plan.cache
-                    if (cache is not None
-                            and _plan.sink_slot in _plan.cached_slots):
-                        sink_key = _plan.ops[_plan.sink_slot].key
-                        for (_item, fp), value in zip(payloads, results):
-                            if fp is not None:
-                                cache.put(sink_key, fp, value)
-                    return results
-            else:
-                def run(payloads: List[Any], _plan=plan) -> List[Any]:
-                    items = [item for item, _fp in payloads]
-                    fps = ([fp for _item, fp in payloads]
-                           if _plan.cache is not None else None)
-                    # submit() already counted each payload's sink probe.
-                    return _plan.run_batch(items, fps, sink_probed=True)
+            def run(payloads: List[Any], _plan=plan, _slot=slot,
+                    _fleet=replica_set) -> List[Any]:
+                items = [item for item, _fp in payloads]
+                results = _fleet.run_batch(_slot, items)
+                # The serving cache lives parent-side; insert sink
+                # outputs so any replica's work answers fleet-wide
+                # repeats through the pre-queue fast path.
+                cache = _plan.cache
+                if cache is not None and _plan.sink_slot in _plan.cached_slots:
+                    sink_key = _plan.ops[_plan.sink_slot].key
+                    for (_item, fp), value in zip(payloads, results):
+                        if fp is not None:
+                            cache.put(sink_key, fp, value)
+                return results
+        else:
+            def run(payloads: List[Any], _plan=plan) -> List[Any]:
+                items = [item for item, _fp in payloads]
+                fps = ([fp for _item, fp in payloads]
+                       if _plan.cache is not None else None)
+                # submit() already counted each payload's sink probe.
+                return _plan.run_batch(items, fps, sink_probed=True)
 
-            controller = None
-            if self.slo_target_p99_ms is not None:
-                controller = SLOController(
-                    self.slo_target_p99_ms,
-                    max_batch=self.max_batch,
-                    max_delay_ms=self.max_delay_ms)
-            batcher = MicroBatcher(
-                run, max_batch=self.max_batch,
-                max_delay_ms=self.max_delay_ms, max_queue=self.max_queue,
-                name=f"{name}@{version}",
-                controller=controller,
-                shed_watermarks=self.shed_watermarks,
-                # one in-flight batch per replica saturates the fleet
-                concurrency=max(self.replicas, 1))
+        controller = None
+        if self.slo_target_p99_ms is not None:
+            controller = SLOController(
+                self.slo_target_p99_ms,
+                max_batch=self.max_batch,
+                max_delay_ms=self.max_delay_ms)
+        batcher = MicroBatcher(
+            run, max_batch=self.max_batch,
+            max_delay_ms=self.max_delay_ms, max_queue=self.max_queue,
+            name=f"{name}@{version}",
+            controller=controller,
+            shed_watermarks=self.shed_watermarks,
+            # one in-flight batch per replica saturates the fleet
+            concurrency=max(self.replicas, 1))
 
         model = ServedModel(name, version, fitted, plan, batcher, None,
-                            controller=(batcher.controller
-                                        if batcher is not None else None),
                             replica_set=replica_set)
         # One critical section covers the sibling scan, the cache attach
         # and the registry insertion: two concurrent register() calls for
@@ -358,9 +330,9 @@ class ModelServer:
                             else name not in self._default_version)
             if make_default:
                 self._default_version[name] = version
-            if self._started and batcher is not None:
+            if self._started:
                 batcher.start()
-        if displaced is not None and displaced.batcher is not None:
+        if displaced is not None:
             # Re-registering a live (name, version) must not leak the old
             # worker thread; its queued requests drain first.
             displaced.batcher.stop()
@@ -427,8 +399,7 @@ class ModelServer:
             self._stopped = False
             for versions in self._versions.values():
                 for model in versions.values():
-                    if model.batcher is not None:
-                        model.batcher.start()
+                    model.batcher.start()
         return self
 
     def stop(self, drain: bool = True) -> None:
@@ -437,8 +408,7 @@ class ModelServer:
             self._stopped = True
             batchers = [model.batcher
                         for versions in self._versions.values()
-                        for model in versions.values()
-                        if model.batcher is not None]
+                        for model in versions.values()]
         for batcher in batchers:
             batcher.stop(drain=drain)
 
@@ -473,12 +443,14 @@ class ModelServer:
                priority: int = NORMAL) -> Future:
         """Enqueue one request; returns a Future of the prediction.
 
+        A cached sink output resolves the Future before this returns;
+        every other request joins the version's micro-batcher.
         ``priority`` (smaller = more important; see
         :data:`repro.serving.batcher.HIGH` / ``NORMAL`` / ``LOW``) only
         matters when the server was built with ``shed_watermarks``:
         above a tier's queue watermark its requests raise
         :class:`~repro.serving.batcher.RequestShedError` instead of
-        queuing — cache hits and inline execution are never shed.
+        queuing — cache hits are never shed.
         """
         if self._stopped:
             # Checked before the cache fast path too: a stopped server
@@ -500,18 +472,6 @@ class ModelServer:
                     key=model.plan.ops[model.plan.sink_slot].key or None,
                     args={"model": model.key})
                 return fut
-        if model.batcher is None:
-            fut = Future()
-            with obs_trace.span("serve.request", cat="serving",
-                                args={"model": model.key}):
-                try:
-                    fut.set_result(model.plan.run_item(
-                        item, fp=fp, sink_probed=fp is not None))
-                except BaseException as exc:  # noqa: BLE001 - surfaced below
-                    fut.set_exception(exc)
-            model.latency.record(time.perf_counter() - start,
-                                 error=fut.exception() is not None)
-            return fut
         if not model.batcher.running:
             # Late start() on a never-started server is forgiven (an
             # unstarted batcher would park the request forever), but a
@@ -572,8 +532,7 @@ class ModelServer:
         with self._lock:
             n = sum(len(v) for v in self._versions.values())
         return (f"ModelServer(models={n}, max_batch={self.max_batch}, "
-                f"max_delay_ms={self.max_delay_ms}, "
-                f"micro_batching={self.micro_batching})")
+                f"max_delay_ms={self.max_delay_ms})")
 
 
 __all__ = ["ModelServer", "ServedModel", "ServerOverloadedError"]

@@ -2,14 +2,14 @@
 
 The headline contract, in the style of ``tests/test_backends.py``: every
 workload in ``workloads/registry.py`` served through :class:`ModelServer`
-— batched and unbatched, cache on and off — returns predictions
-byte-identical to ``FittedPipeline.apply``.  Served pipelines no longer
-need to end in a classification head: ``VectorizePass`` (the serving
-default) lowers kernel-capable op runs into batch-invariant columnar
-``KernelStage`` slots, so the *batched* path is byte-identical on raw
-score vectors too (``TestVectorizedServing`` — single-process and
-replica-tier, cache on and off; historically only the unbatched path
-held this).
+— micro-batches of many rows or of one, cache on and off — returns
+predictions byte-identical to
+``FittedPipeline.apply``.  Every served request is a cache hit or a row
+of a micro-batch over the kernel-lowered plan: ``VectorizePass`` lowers
+kernel-capable op runs into batch-invariant columnar ``KernelStage``
+slots, so served pipelines need not end in a classification head — raw
+score vectors are byte-identical too (``TestVectorizedServing`` —
+single-process and replica-tier, cache on and off).
 
 Component coverage: the InferencePlan compiler (flat lowering, fusion/CSE
 preservation, compiled-plan caching on FittedPipeline), the micro-batcher
@@ -19,6 +19,7 @@ propagation), the cost-model serving cache (greedy selection under
 swap, versions, stats) and ``ShardingPass(workers="auto")``.
 """
 
+import inspect
 import threading
 import time
 
@@ -132,6 +133,14 @@ def raw_scenario(name):
 class TestServingEquivalence:
     """ModelServer == FittedPipeline.apply, byte for byte."""
 
+    @staticmethod
+    def _serve(server, name, items, batched):
+        """Open-loop ``predict_many`` fills micro-batches; one synchronous
+        ``predict`` at a time makes every micro-batch a single row."""
+        if batched:
+            return comparable(server.predict_many(name, items))
+        return comparable([server.predict(name, x) for x in items])
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     @pytest.mark.parametrize("batched", [True, False],
                              ids=["batched", "unbatched"])
@@ -141,31 +150,32 @@ class TestServingEquivalence:
                                                cache_budget):
         fitted, items, expected = fitted_scenario(name)
         server = ModelServer(max_batch=8, max_delay_ms=5.0,
-                             micro_batching=batched,
                              cache_budget_bytes=cache_budget)
         with server:
             server.register(name, fitted, warmup_items=items[:3])
-            got = comparable(server.predict_many(name, items))
+            got = self._serve(server, name, items, batched)
             assert got == expected
             # Repeats (cache hits, when enabled) must not change bytes.
-            again = comparable(server.predict_many(name, items))
+            again = self._serve(server, name, items, batched)
             assert again == expected
+            stats = server.stats(name).models[f"{name}@v1"]
             if cache_budget:
-                assert server.stats(name).models[f"{name}@v1"].cache_hits > 0
+                assert stats.cache_hits > 0
+            if not batched:
+                assert stats.max_batch_size == 1
 
     @pytest.mark.parametrize("batched", [True, False],
                              ids=["batched", "unbatched"])
     def test_serving_matches_raw_scores(self, batched):
-        """No classification head required: the kernel-lowered batched
-        path matches apply bit-for-bit on raw score vectors, exactly
-        like the inline per-item path always has."""
+        """No classification head required: the kernel-lowered path
+        matches apply bit-for-bit on raw score vectors, whether a
+        micro-batch holds many rows or one."""
         raw, wl_items, expected = raw_scenario("timit")
-        server = ModelServer(micro_batching=batched,
-                             cache_budget_bytes=1e7)
+        server = ModelServer(cache_budget_bytes=1e7)
         with server:
             server.register("raw", raw, warmup_items=wl_items[:2])
-            got = comparable(server.predict_many("raw", wl_items))
-            again = comparable(server.predict_many("raw", wl_items))
+            got = self._serve(server, "raw", wl_items, batched)
+            again = self._serve(server, "raw", wl_items, batched)
         assert got == expected
         assert again == expected
 
@@ -453,6 +463,22 @@ class TestServingCacheRuntime:
 
 
 class TestModelServer:
+    def test_one_request_path_surface(self):
+        """No knob selects another request path: no inline
+        ``micro_batching`` mode, no ``vectorize`` override, and
+        ``run_item`` takes no cache arguments."""
+        def params(fn):
+            return list(inspect.signature(fn).parameters)[1:]
+
+        assert params(ModelServer.__init__) == [
+            "max_batch", "max_delay_ms", "max_queue", "cache_budget_bytes",
+            "expected_reuse", "replicas", "slo_target_p99_ms",
+            "shed_watermarks"]
+        assert params(ModelServer.register) == [
+            "name", "fitted", "version", "warmup_items",
+            "cache_budget_bytes", "expected_reuse", "deploy"]
+        assert params(InferencePlan.run_item) == ["item"]
+
     def test_warm_swap_between_versions(self):
         wl = timit_frames(80, 10, dim=16, num_classes=3, seed=2)
         ctx = Context()
@@ -464,7 +490,7 @@ class TestModelServer:
               .and_then(MaxClassifier())
               .fit(level="none"))
         item = wl.test_items[0]
-        server = ModelServer(micro_batching=False)
+        server = ModelServer()
         with server:
             server.register("m", v1, version="v1")
             server.register("m", v2, version="v2")  # warm, not default
@@ -529,7 +555,7 @@ class TestModelServer:
 
     def test_undeployed_only_model_raises_actionable_error(self):
         fitted, items, _ = fitted_scenario("timit")
-        server = ModelServer(micro_batching=False)
+        server = ModelServer()
         server.register("m", fitted, version="v1", deploy=False)
         with pytest.raises(KeyError, match="no deployed version"):
             server.predict("m", items[0])
@@ -582,14 +608,12 @@ class TestModelServer:
 
         fitted = (Pipeline.identity().and_then(Boom())
                   .fit(level="none"))
-        for batched in (True, False):
-            server = ModelServer(max_batch=2, max_delay_ms=1.0,
-                                 micro_batching=batched)
-            with server:
-                server.register("m", fitted)
-                with pytest.raises(RuntimeError, match="inference boom"):
-                    server.predict("m", 1)
-                assert server.stats("m").models["m@v1"].errors == 1
+        server = ModelServer(max_batch=2, max_delay_ms=1.0)
+        with server:
+            server.register("m", fitted)
+            with pytest.raises(RuntimeError, match="inference boom"):
+                server.predict("m", 1)
+            assert server.stats("m").models["m@v1"].errors == 1
 
     def test_concurrent_clients_closed_loop(self):
         fitted, items, expected = fitted_scenario("youtube8m")
@@ -672,7 +696,7 @@ class TestCrossVersionCache:
 
     def test_distinct_entries_keep_private_caches(self):
         v1, v2, items = self._two_text_versions()
-        server = ModelServer(micro_batching=False, cache_budget_bytes=1e7)
+        server = ModelServer(cache_budget_bytes=1e7)
         with server:
             m1 = server.register("a", v1)
             m2 = server.register("b", v2)
@@ -1127,9 +1151,7 @@ class TestReplicaServing:
         finally:
             fleet.shutdown()
 
-    def test_replicas_require_micro_batching(self):
-        with pytest.raises(ValueError, match="micro_batching"):
-            ModelServer(replicas=2, micro_batching=False)
+    def test_negative_replica_count_is_rejected(self):
         with pytest.raises(ValueError, match="replicas"):
             ModelServer(replicas=-1)
 
@@ -1187,31 +1209,35 @@ class TestVectorizedServing:
             fleet.shutdown()
 
     def test_vectorize_knob_and_describe_membership(self):
-        fitted, items, _ = fitted_scenario("timit")
+        """register() has no lowering knob: the served plan is always
+        kernel-lowered, shorter than the interpreter plan."""
+        fitted, items, expected = fitted_scenario("timit")
+        interp = compile_inference_plan(fitted)
         server = ModelServer()
         with server:
-            on = server.register("on", fitted)
-            off = server.register("off", fitted, vectorize=False)
-            assert comparable(server.predict_many("on", items)) == \
-                comparable(server.predict_many("off", items))
-        assert len(on.plan) < len(off.plan)
-        desc = on.plan.describe()
+            served = server.register("m", fitted)
+            assert comparable(server.predict_many("m", items)) == expected
+        assert len(served.plan) < len(interp)
+        desc = served.plan.describe()
         assert "kernel[" in desc and "fold " in desc
-        assert "kernel[" not in off.plan.describe()
+        assert "kernel[" not in interp.describe()
 
     def test_cross_rewrite_cache_sharing(self):
         """Grouped op keys combine deterministically (a stage keeps its
         last member's key), so the content-addressed serving cache keeps
-        hitting across the vectorization rewrite: an interpreter-compiled
-        version's results answer a kernel-compiled version's repeats."""
+        hitting across differently folded plans: a version whose cache
+        selection pins some fold boundaries answers the repeats of a
+        version that pins every op."""
         fitted, items, expected = raw_scenario("amazon")
+        interp = compile_inference_plan(fitted)
         server = ModelServer(cache_budget_bytes=64e6)
         with server:
             v1 = server.register("m", fitted, version="v1",
-                                 vectorize=False, warmup_items=items[:3])
-            v2 = server.register("m", fitted, version="v2",
-                                 vectorize=True, warmup_items=items[:3])
-            assert (v1.plan.key_of(fitted.sink.id)
+                                 warmup_items=items[:3])
+            v2 = server.register("m", fitted, version="v2")
+            assert len(v1.plan) != len(v2.plan)
+            assert (interp.key_of(fitted.sink.id)
+                    == v1.plan.key_of(fitted.sink.id)
                     == v2.plan.key_of(fitted.sink.id))
             first = comparable(server.predict_many("m", items,
                                                    version="v1"))

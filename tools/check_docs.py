@@ -1,6 +1,6 @@
 """Docs smoke check: executable README, non-dangling links.
 
-Two gates, both cheap enough for every CI run:
+Three gates, all cheap enough for every CI run:
 
 1. Every fenced ``python`` code block in README.md is executed (one
    shared namespace per file, top to bottom), so the quickstart the
@@ -9,10 +9,16 @@ Two gates, both cheap enough for every CI run:
 2. Every relative markdown link in README.md and docs/*.md must resolve
    to an existing file (anchors and absolute http(s)/mailto links are
    skipped), so refactors cannot silently strand the docs.
+3. The knob tables of docs/SERVING.md match the code: every backticked
+   name in the first column of the ``ModelServer(...)`` and
+   ``register(...)`` tables is a parameter of the matching signature,
+   and every parameter has a row — so a deleted knob cannot leave a
+   stale row, and a new one cannot go undocumented.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
 
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -25,6 +31,12 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN_RE = re.compile(r"`[^`]*`")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
+# (heading that opens the table's section, ModelServer method it documents)
+KNOB_TABLES = (
+    ("## `ModelServer(...)`", "__init__"),
+    ("## `register(...)`", "register"),
+)
+NAME_RE = re.compile(r"`(\w+)`")
 
 
 def python_blocks(path: Path):
@@ -73,6 +85,47 @@ def check_links(path: Path, errors: list) -> int:
     return count
 
 
+def table_names(text: str, heading: str) -> list:
+    """Backticked names in the first column of the first table after ``heading``."""
+    names, in_table = [], False
+    for line in text.split(heading, 1)[1].splitlines():
+        if line.startswith("|"):
+            in_table = True
+            names += NAME_RE.findall(line.split("|")[1])
+        elif in_table:
+            break
+    return names
+
+
+def check_knob_tables(errors: list) -> int:
+    from repro.serving import ModelServer
+
+    path = REPO / "docs" / "SERVING.md"
+    text = path.read_text()
+    count = 0
+    for heading, method in KNOB_TABLES:
+        where = f"{path.relative_to(REPO)} {heading.lstrip('# ')} table"
+        if heading not in text:
+            errors.append(f"{where}: heading not found")
+            continue
+        rows = table_names(text, heading)
+        signature = inspect.signature(getattr(ModelServer, method))
+        params = [p for p in signature.parameters if p != "self"]
+        count += len(params)
+        target = f"ModelServer.{method}"
+        errors += [
+            f"{where}: row `{n}` is not a parameter of {target}"
+            for n in rows
+            if n not in params
+        ]
+        errors += [
+            f"{where}: parameter `{n}` of {target} has no row"
+            for n in params
+            if n not in rows
+        ]
+    return count
+
+
 def main() -> int:
     doc_files = [REPO / "README.md"]
     doc_files += sorted((REPO / "docs").glob("*.md"))
@@ -84,6 +137,8 @@ def main() -> int:
     errors = []
     links = sum(check_links(p, errors) for p in doc_files)
     print(f"checked {links} relative links across {len(doc_files)} files")
+    knobs = check_knob_tables(errors)
+    print(f"checked {knobs} serving knobs against docs/SERVING.md")
     for err in errors:
         print(f"  FAIL {err}")
 
