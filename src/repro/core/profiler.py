@@ -3,9 +3,9 @@
 The optimizer needs, for every node: input statistics ``A_s`` (to choose
 physical operators), per-execution local runtime ``t(v)`` and output size
 ``size(v)`` (to choose what to materialize).  Following the paper, we run
-the pipeline on two samples of the input (default 512 and 1024 records,
-configurable), measure each node, and extrapolate to full scale with a
-linear fit through the two measurements.
+the pipeline on two samples of the input (``ProfilingPass`` uses 256 and
+512 records unless told otherwise), measure each node, and extrapolate to
+full scale with a linear fit through the two measurements.
 
 Operator selection is interleaved with profiling: a node is optimized using
 statistics from its (already profiled) inputs, then executed on the sample
@@ -208,7 +208,7 @@ class _ProfilePass:
 
 
 def profile_pipeline(sinks: List[g.OpNode], resources,
-                     sample_sizes: Tuple[int, int] = (512, 1024),
+                     sample_sizes: Tuple[int, int],
                      select_operators: bool = True) -> PipelineProfile:
     """Profile the DAG on two samples and extrapolate to full scale.
 

@@ -2,8 +2,9 @@
 
 The operator-level optimizer decides between physical implementations using
 numerical properties of the data flowing into each node: record count,
-dimensionality, sparsity, record size.  These are exactly the statistics the
-paper says conventional optimizers do not consider.
+dimensionality, sparsity.  These are exactly the statistics the paper says
+conventional optimizers do not consider.  Record sizes are measured by the
+profiler itself (``NodeProfile.size_bytes``), not here.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-from repro.dataset.sizing import estimate_size
 
 
 @dataclass(frozen=True)
@@ -31,16 +30,11 @@ class DataStats:
     d: int = 1
     k: int = 1
     sparsity: float = 1.0
-    bytes_per_row: float = 8.0
 
     @property
     def nnz_per_row(self) -> float:
         """Average non-zeros per row (``s`` in the paper's Table 1)."""
         return self.d * self.sparsity
-
-    @property
-    def total_bytes(self) -> float:
-        return self.n * self.bytes_per_row
 
     @property
     def is_sparse(self) -> bool:
@@ -67,13 +61,11 @@ def stats_from_rows(rows: List, full_n: Optional[int] = None) -> DataStats:
     """Measure statistics from sample rows, extrapolating the count.
 
     Works for numeric vector rows (dense or sparse); non-numeric rows (raw
-    text, images as objects) get ``d=1`` and only sizes are meaningful.
+    text, images as objects) get ``d=1, sparsity=1``.
     """
     if not rows:
-        return DataStats(n=full_n or 0, d=0, sparsity=0.0, bytes_per_row=0.0)
+        return DataStats(n=full_n or 0, d=0, sparsity=0.0)
     n = full_n if full_n is not None else len(rows)
-    total_bytes = sum(estimate_size(r) for r in rows)
-    bytes_per_row = total_bytes / len(rows)
 
     dims = 0
     nnz = 0
@@ -87,10 +79,8 @@ def stats_from_rows(rows: List, full_n: Optional[int] = None) -> DataStats:
         nnz += nnz_i
         numeric_rows += 1
     if numeric_rows == 0 or dims == 0:
-        return DataStats(n=n, d=1, sparsity=1.0, bytes_per_row=bytes_per_row)
-    sparsity = nnz / (numeric_rows * dims)
-    return DataStats(n=n, d=dims, sparsity=sparsity,
-                     bytes_per_row=bytes_per_row)
+        return DataStats(n=n, d=1, sparsity=1.0)
+    return DataStats(n=n, d=dims, sparsity=nnz / (numeric_rows * dims))
 
 
 def num_label_dims(rows: List) -> int:

@@ -133,6 +133,14 @@ class Dataset:
             self.ctx.cache.put(key, rows, estimate_partition_size(rows))
             return rows
 
+    def holds_partition(self, i: int) -> bool:
+        """Whether :meth:`partition` would return already-held row objects
+        for ``i``: a source (parent-less) dataset always holds its rows, a
+        cached dataset holds them while the partition is resident."""
+        if not self.parents:
+            return True
+        return self.should_cache and self.ctx.cache.contains((self.id, i))
+
     def _iter_partitions(self) -> Iterable[List[Any]]:
         for i in range(self.num_partitions):
             yield self.partition(i)

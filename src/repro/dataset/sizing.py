@@ -32,10 +32,9 @@ def estimate_size(obj: Any) -> int:
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if sp.issparse(obj):
-        csr = obj.tocsr() if not sp.issparse(obj) else obj
         total = 0
         for attr in ("data", "indices", "indptr", "row", "col", "offsets"):
-            arr = getattr(csr, attr, None)
+            arr = getattr(obj, attr, None)
             if isinstance(arr, np.ndarray):
                 total += int(arr.nbytes)
         return max(total, 48)

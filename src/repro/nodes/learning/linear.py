@@ -45,6 +45,7 @@ from repro.core.operators import (
 from repro.dataset.dataset import Dataset
 from repro.linalg.tsqr import tsqr_solve_from_factors
 from repro.nodes.learning._util import (
+    BlockMemo,
     collect_dense,
     feature_dim,
     iter_xy_blocks,
@@ -168,7 +169,12 @@ class LBFGSSolver(LabelEstimator, Iterative):
     Each objective evaluation scans the feature dataset once (one "pass"
     in the materialization cost model), computing
     ``grad = 2 A^T (A X - B) / n + l2 X`` block by block — sparse blocks
-    cost ``O(nnz * k)`` instead of ``O(n d k)``.
+    cost ``O(nnz * k)`` instead of ``O(n d k)``.  Every pass re-reads
+    each partition, but a fit stacks a resident sparse partition's
+    ``(A, B)`` block once and reuses it while its rows stay the same
+    objects (see :func:`~repro.nodes.learning._util.iter_xy_blocks`), so
+    a pass over cached or source input costs the products, not a
+    re-stack of every row.
     """
 
     def __init__(self, max_iter: int = 50, l2_reg: float = 1e-8,
@@ -186,12 +192,14 @@ class LBFGSSolver(LabelEstimator, Iterative):
         k = label_dim(labels)
         n = data.count()
         self.iterations_run = 0
+        memo: BlockMemo = {}
 
         def objective(x_flat: np.ndarray) -> Tuple[float, np.ndarray]:
             x = x_flat.reshape(d, k)
             loss = 0.0
             grad = np.zeros((d, k))
-            for a, b in iter_xy_blocks(data, labels, prefer_sparse=True):
+            for a, b in iter_xy_blocks(data, labels, prefer_sparse=True,
+                                       memo=memo):
                 resid = np.asarray(a @ x) - b
                 loss += float(np.sum(resid * resid))
                 grad += np.asarray(a.T @ resid)

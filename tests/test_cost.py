@@ -82,7 +82,3 @@ class TestDataStats:
         stats = DataStats(n=5, d=3).with_k(7)
         assert stats.k == 7
         assert stats.n == 5
-
-    def test_total_bytes(self):
-        stats = DataStats(n=10, bytes_per_row=100.0)
-        assert stats.total_bytes == 1000

@@ -8,6 +8,9 @@ from repro.cluster.resources import ResourceDescriptor, local_machine, \
     r3_4xlarge
 from repro.core.stats import DataStats
 from repro.dataset import Context
+from repro.dataset.cache import LRUPolicy, PinnedPolicy
+from repro.dataset.sizing import estimate_partition_size
+from repro.nodes.learning import _util
 from repro.nodes.learning.linear import (
     BlockCoordinateSolver,
     DistributedQRSolver,
@@ -97,6 +100,132 @@ class TestSolverCorrectness:
         solver = BlockCoordinateSolver(block_size=3, epochs=2)
         solver.fit(data, labels)
         assert solver.weight == 2 * 4  # ceil(10/3) = 4 blocks x 2 epochs
+
+
+def _sparse_problem(ctx, n=160, d=40, k=2, seed=4):
+    rng = np.random.default_rng(seed)
+    x_true = rng.standard_normal((d, k))
+    rows = [sp.random(1, d, density=0.15, format="csr",
+                      random_state=int(rng.integers(1 << 31)))
+            for _ in range(n)]
+    ys = [np.asarray(r @ x_true).ravel() for r in rows]
+    return ctx.parallelize(rows, 4), ctx.parallelize(ys, 4)
+
+
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """Count ``rows_to_block`` calls on sparse (feature) rows."""
+    calls = []
+    real = _util.rows_to_block
+
+    def counting(rows, prefer_sparse=False):
+        if sp.issparse(rows[0]):
+            calls.append(len(rows))
+        return real(rows, prefer_sparse)
+
+    monkeypatch.setattr(_util, "rows_to_block", counting)
+    return calls
+
+
+class TestLBFGSBlockMemo:
+    """One fit stacks each resident sparse partition once; every pass
+    still re-reads every partition."""
+
+    @pytest.mark.parametrize("budget_partitions", [None, 1.5])
+    def test_weights_byte_equal_with_and_without_reuse(self, budget_partitions):
+        # The cached copy is reused across passes (or, under an LRU
+        # budget of 1.5 partitions, evicted and restacked each pass); the
+        # uncached copy yields new row objects every pass.
+        ctx = Context()
+        src, labels = _sparse_problem(ctx)
+        if budget_partitions is not None:
+            part = estimate_partition_size(src.partition(0))
+            ctx.set_policy(LRUPolicy(), budget_partitions * part)
+        cached = src.map(lambda r: r.copy()).cache()
+        uncached = src.map(lambda r: r.copy())
+        w_cached = LBFGSSolver(max_iter=25).fit(cached, labels).weights
+        w_uncached = LBFGSSolver(max_iter=25).fit(uncached, labels).weights
+        assert w_cached.tobytes() == w_uncached.tobytes()
+
+    def test_memo_lets_go_of_evicted_partitions(self):
+        # Under an LRU budget of 1.5 partitions each read evicts the
+        # previous partition; the memo must drop it too, never holding
+        # rows (or blocks) the cache has let go of.
+        ctx = Context()
+        src, labels = _sparse_problem(ctx)
+        ctx.set_policy(LRUPolicy(),
+                       1.5 * estimate_partition_size(src.partition(0)))
+        data = src.map(lambda r: r.copy()).cache()
+        memo = {}
+        for _ in range(3):
+            for _block in _util.iter_xy_blocks(data, labels,
+                                               prefer_sparse=True, memo=memo):
+                resident = {i for i in range(data.num_partitions)
+                            if data.holds_partition(i)}
+                assert memo and set(memo) <= resident
+            assert len(memo) <= len(resident) < data.num_partitions
+
+    def test_uncached_input_recomputed_every_pass(self):
+        ctx = Context()
+        src, labels = _sparse_problem(ctx)
+        data = src.map(lambda r: r.copy())
+        solver = LBFGSSolver(max_iter=10)
+        solver.fit(data, labels)
+        # first() reads partition 0, count() all 4, each objective call all 4
+        expected = 1 + 4 + 4 * solver.iterations_run
+        assert ctx.stats.compute_counts[data.id] == expected
+        assert ctx.stats.compute_counts[src.id] == expected
+
+    def test_cached_sparse_input_stacked_once_per_partition(self, stack_calls):
+        ctx = Context()
+        src, labels = _sparse_problem(ctx)
+        data = src.map(lambda r: r.copy()).cache()
+        solver = LBFGSSolver(max_iter=10)
+        solver.fit(data, labels)
+        assert solver.iterations_run > 1
+        assert len(stack_calls) <= data.num_partitions
+        assert ctx.stats.compute_counts[data.id] == data.num_partitions
+
+    def test_eviction_between_passes_forces_restack(self, stack_calls):
+        ctx = Context()
+        src, labels = _sparse_problem(ctx)
+        data = src.map(lambda r: r.copy()).cache()
+        memo = {}
+
+        def one_pass():
+            return [a for a, _b in _util.iter_xy_blocks(
+                data, labels, prefer_sparse=True, memo=memo)]
+
+        first = one_pass()
+        assert len(stack_calls) == 4 and len(memo) == 4
+        assert all(a is b for a, b in zip(one_pass(), first))
+        assert len(stack_calls) == 4
+        ctx.cache.invalidate(lambda key: key[0] == data.id)
+        restacked = one_pass()
+        assert len(stack_calls) == 8
+        assert all(a is not b for a, b in zip(restacked, first))
+        assert all((a != b).nnz == 0 for a, b in zip(restacked, first))
+
+    def test_dense_and_non_resident_partitions_are_not_kept(self):
+        ctx = Context()
+        src, labels = _sparse_problem(ctx)
+        dense, dense_labels, _x = _planted_problem(ctx)
+        pinned_none = Context(policy=PinnedPolicy(set()))
+        rejected, rejected_labels = _sparse_problem(pinned_none)
+        cases = [
+            (dense, dense_labels),                        # dense source
+            (src.map(lambda r: r.copy()), labels),        # uncached input
+            (src, labels.map(lambda y: y.copy())),        # uncached labels
+            (rejected.map(lambda r: r).cache(),           # cache refused it
+             rejected_labels),
+        ]
+        for data, y in cases:
+            memo = {}
+            for _ in range(2):
+                for _block in _util.iter_xy_blocks(data, y, prefer_sparse=True,
+                                                   memo=memo):
+                    pass
+            assert memo == {}
 
 
 class TestLinearMapper:

@@ -5,17 +5,22 @@ import pytest
 
 from repro.cluster.resources import local_machine
 from repro.core import graph as g
+from repro.core import profiler
 from repro.core.operators import (
     Estimator,
     LabelEstimator,
     Optimizable,
     Transformer,
 )
+from repro.core.optimizer import Optimizer
 from repro.core.pipeline import Pipeline
 from repro.core.profiler import _extrapolate, profile_pipeline
 from repro.cost.model import CostModel
 from repro.cost.profile import CostProfile
 from repro.dataset import Context
+from repro.dataset.sizing import estimate_size
+from repro.pipelines import amazon_pipeline, timit_pipeline
+from repro.workloads import amazon_reviews, timit_frames
 
 
 class Doubler(Transformer):
@@ -157,6 +162,43 @@ class TestOperatorSelection:
         with pytest.raises(AssertionError, match="should have been"):
             profile_pipeline([pipe.sink], local_machine(),
                              sample_sizes=(5, 10), select_operators=False)
+
+
+class TestRegistryDecisions:
+    """Operator selection and the cache set of the registry's sparse text
+    and dense random-feature pipelines are pinned."""
+
+    CASES = {
+        "amazon": (
+            lambda ctx: amazon_pipeline(
+                ctx, amazon_reviews(300, 10, vocab_size=2000, seed=0),
+                num_features=1000),
+            ["LBFGSSolver"],
+            ["CommonSparseFeatures", "TermFrequency",
+             "apply(CommonSparseFeatures)"]),
+        "timit": (
+            lambda ctx: timit_pipeline(
+                ctx, timit_frames(600, 10, dim=32, num_classes=24, seed=0),
+                num_feature_blocks=4, block_size=512),
+            ["BlockCoordinateSolver"],
+            ["CosineRandomFeatures"] * 4 + ["VectorCombiner"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_selections_and_cache_set(self, name, monkeypatch):
+        build, selections, cache_labels = self.CASES[name]
+        sized = []
+
+        def counting_size(obj):
+            sized.append(obj)
+            return estimate_size(obj)
+
+        monkeypatch.setattr(profiler, "estimate_size", counting_size)
+        plan = Optimizer().optimize(build(Context()))
+        # Every sampled output (and sample-fitted model) is sized once.
+        assert sized and len({id(obj) for obj in sized}) == len(sized)
+        assert sorted(plan.selections.values()) == selections
+        assert plan.cache_set_labels == sorted(cache_labels)
 
 
 class _FixedEstimator(LabelEstimator):

@@ -30,7 +30,7 @@ class TestStatsFromRows:
     def test_text_rows_fallback(self):
         stats = stats_from_rows(["hello", "world"])
         assert stats.d == 1
-        assert stats.bytes_per_row > 0
+        assert stats.sparsity == 1.0
 
     def test_empty(self):
         stats = stats_from_rows([], full_n=100)
@@ -42,11 +42,6 @@ class TestStatsFromRows:
         row[:2] = 1.0
         stats = stats_from_rows([row.copy() for _ in range(3)])
         assert stats.sparsity == pytest.approx(0.2)
-
-    def test_bytes_per_row(self):
-        rows = [np.zeros(100) for _ in range(4)]
-        stats = stats_from_rows(rows)
-        assert stats.bytes_per_row == pytest.approx(800)
 
 
 class TestLabelDims:
