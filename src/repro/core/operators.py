@@ -95,28 +95,33 @@ class Optimizable:
     """Mixin for logical operators with multiple physical implementations.
 
     ``options`` returns ``(cost_model, physical_operator)`` pairs; the
-    default :meth:`optimize` picks the feasible option with the lowest
+    default :meth:`select` picks the feasible option with the lowest
     estimated cost, mirroring the paper's per-operator optimizer.
     """
 
     def options(self) -> Sequence[Tuple[CostModel, Any]]:
         raise NotImplementedError
 
-    def optimize(self, stats: "DataStats",
-                 resources: "ResourceDescriptor") -> Any:
-        best: Optional[Any] = None
+    def select(self, stats: "DataStats",
+               resources: "ResourceDescriptor") -> Tuple[CostModel, Any]:
+        """The cheapest feasible option as its ``(cost_model, op)`` pair."""
+        best: Optional[Tuple[CostModel, Any]] = None
         best_cost = float("inf")
         for model, op in self.options():
             if not model.feasible(stats, resources):
                 continue
             cost = estimate_cost(model, stats, resources)
             if cost < best_cost:
-                best, best_cost = op, cost
+                best, best_cost = (model, op), cost
         if best is None:
             raise RuntimeError(
                 f"{type(self).__name__}: no feasible physical operator "
                 f"for stats {stats}")
         return best
+
+    def optimize(self, stats: "DataStats",
+                 resources: "ResourceDescriptor") -> Any:
+        return self.select(stats, resources)[1]
 
     def cost_table(self, stats: "DataStats",
                    resources: "ResourceDescriptor") -> List[Tuple[str, float]]:

@@ -117,6 +117,9 @@ class ProfilingPass(Pass):
                 (f"{names[nid]}#{nid}" if counts[names[nid]] > 1
                  else names[nid]): phys
                 for nid, phys in profile.selections.items()})
+            # Entries estimated from cost models instead of sample fits.
+            state.annotate(pruned=[labels.get(nid, f"#{nid}")
+                                   for nid in profile.pruned])
 
     def __repr__(self) -> str:
         return f"{self.name}(sample_sizes={self.sample_sizes})"

@@ -9,20 +9,49 @@ full scale with a linear fit through the two measurements.
 
 Operator selection is interleaved with profiling: a node is optimized using
 statistics from its (already profiled) inputs, then executed on the sample
-so downstream nodes can be optimized in turn.
+so downstream nodes can be optimized in turn.  Sample fits run on a shallow
+copy of the estimator, so whatever a fit records on itself (iteration
+counts) never reaches the DAG's operator or its content key.
+
+Decision-driven pruning: a sample fit is worth its cost only through what
+later decisions read.  An estimator is *not* sample-fitted when
+
+- its physical operator was selected in this profile, so the selected
+  option's :class:`~repro.cost.model.CostModel` is known, and
+- everything downstream of it is one chain to a sink: each node a weight-1
+  transformer or an apply of that estimator, with exactly one consumer,
+  and none of them an estimator, an ``Optimizable`` or a gather.
+
+Every node of such a chain is requested at most once under any cache set,
+so its time and size cannot move a materialization choice, and no
+selection downstream reads its sampled statistics.  The profile entries of
+the estimator and its chain are then cost-model estimates, not
+measurements, and ``PipelineProfile.pruned`` lists their node ids:
+
+- the estimator's ``t_seconds`` is the selected option's modelled seconds
+  at the selection-time input statistics (with ``k``), its size the
+  fitted linear map's ``d * k * 8`` bytes;
+- each chain node gets ``n`` rows of ``d = k`` (``n`` the full count of
+  the data flowing into the chain), ``n * k * 8`` bytes and zero seconds.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core import graph as g
 from repro.core.operators import Optimizable
 from repro.core.stats import DataStats, num_label_dims, stats_from_rows
+from repro.cost.model import CostModel, estimate_cost
 from repro.dataset.context import Context
 from repro.dataset.sizing import estimate_size
+from repro.obs import trace as obs_trace
+
+DOUBLE = 8.0  # bytes per float64
+
 
 @dataclass
 class NodeProfile:
@@ -52,6 +81,10 @@ class PipelineProfile:
     profiling_seconds: float = 0.0
     sample_sizes: Tuple[int, ...] = ()
     selections: Dict[int, str] = field(default_factory=dict)
+    #: ids of nodes whose entry is a cost-model estimate, not a
+    #: measurement: estimators whose sample fit was pruned, and the chain
+    #: below each (see the module docstring)
+    pruned: List[int] = field(default_factory=list)
 
     def t(self, node_id: int) -> float:
         return self.nodes[node_id].t_seconds
@@ -85,15 +118,46 @@ def _source_rows(node: g.OpNode, sample_size: int) -> Tuple[List[Any], int]:
     return rows, dataset.count()
 
 
+def _unread_chain(est: g.OpNode, succ: Dict[int, List[g.OpNode]],
+                  sink_ids: Set[int]) -> Optional[List[g.OpNode]]:
+    """The nodes below ``est`` if no decision reads them, else ``None``.
+
+    They must form one single-consumer chain of weight-1 transformers
+    (not ``Optimizable``) and applies of ``est``, ending at a sink.
+    """
+    chain: List[g.OpNode] = []
+    node = est
+    while succ[node.id]:
+        if node.id in sink_ids or len(succ[node.id]) != 1:
+            return None
+        node = succ[node.id][0]
+        if node.kind == g.APPLY:
+            if node.parents[0] is not est:
+                return None
+        elif node.kind != g.TRANSFORMER or isinstance(node.op, Optimizable):
+            return None
+        if node.weight != 1:
+            return None
+        chain.append(node)
+    return chain if node.id in sink_ids else None
+
+
 class _ProfilePass:
-    """One execution of the DAG on samples of a given size."""
+    """One execution of the DAG on samples of a given size.
+
+    ``selected`` (node id -> physical operator name, its option's cost
+    model and the input statistics it was priced at) is shared by the
+    passes of one profile; nodes in ``skip`` are pruned, never executed.
+    """
 
     def __init__(self, sample_size: int, resources, select_operators: bool,
-                 selections: Dict[int, str]):
+                 selected: Dict[int, Tuple[str, CostModel, DataStats]],
+                 skip: Set[int]):
         self.sample_size = sample_size
         self.resources = resources
         self.select_operators = select_operators
-        self.selections = selections
+        self.selected = selected
+        self.skip = skip
         self.measurements: Dict[int, _Measurement] = {}
         self.full_counts: Dict[int, float] = {}
         self._outputs: Dict[int, Any] = {}
@@ -132,15 +196,24 @@ class _ProfilePass:
     def _maybe_select(self, node: g.OpNode) -> None:
         if not (self.select_operators and isinstance(node.op, Optimizable)):
             return
-        if node.id in self.selections:
+        if node.id in self.selected:
             return  # selected in an earlier pass; op already swapped
         stats = self._input_stats(node)
-        physical = node.op.optimize(stats, self.resources)
-        self.selections[node.id] = type(physical).__name__
+        model, physical = node.op.select(stats, self.resources)
+        self.selected[node.id] = (type(physical).__name__, model, stats)
         node.op = physical
 
     # -- per-kind profiling ----------------------------------------------
     def _profile_node(self, node: g.OpNode) -> None:
+        if node.id in self.skip:
+            if node.kind == g.ESTIMATOR:
+                self._maybe_select(node)
+                self.full_counts[node.id] = 1.0
+            else:  # a chain node: an apply's or a transformer's data count
+                data = node.parents[-1]
+                self.full_counts[node.id] = self._full_count(data)
+            return
+
         if node.kind == g.SOURCE:
             if node.is_pipeline_input:
                 # Not executed at fit time; profile as empty.
@@ -177,12 +250,13 @@ class _ProfilePass:
             self._maybe_select(node)
             ctx = Context(default_partitions=1)
             data = ctx.parallelize(self._rows_of(node.parents[0]), 1)
+            op = copy.copy(node.op)
             start = time.perf_counter()
             if len(node.parents) == 2:
                 labels = ctx.parallelize(self._rows_of(node.parents[1]), 1)
-                fitted = node.op.fit(data, labels)
+                fitted = op.fit(data, labels)
             else:
-                fitted = node.op.fit(data)
+                fitted = op.fit(data)
             seconds = time.perf_counter() - start
             self._outputs[node.id] = fitted
             self.full_counts[node.id] = 1.0
@@ -207,6 +281,24 @@ class _ProfilePass:
         raise ValueError(f"cannot profile node kind {node.kind}")
 
 
+def _estimate(chain: List[g.OpNode], model: CostModel, stats: DataStats,
+              full_counts: Dict[int, float], resources) -> List[NodeProfile]:
+    """Cost-model entries for a pruned estimator and the chain below it."""
+    est, below = chain[0], chain[1:]
+    k = stats.k
+    entries = [NodeProfile(node=est,
+                           t_seconds=estimate_cost(model, stats, resources),
+                           size_bytes=DOUBLE * stats.d * k, stats=stats,
+                           weight=est.weight)]
+    for node in below:
+        n = int(full_counts[node.id])
+        entries.append(NodeProfile(node=node, t_seconds=0.0,
+                                   size_bytes=DOUBLE * n * k,
+                                   stats=DataStats(n=n, d=k),
+                                   weight=node.weight))
+    return entries
+
+
 def profile_pipeline(sinks: List[g.OpNode], resources,
                      sample_sizes: Tuple[int, int],
                      select_operators: bool = True) -> PipelineProfile:
@@ -215,18 +307,46 @@ def profile_pipeline(sinks: List[g.OpNode], resources,
     Mutates ``Optimizable`` nodes in place when ``select_operators`` is set,
     replacing logical operators with the chosen physical implementation
     (paper Section 3); the selections are recorded in the returned profile.
+    Estimators selected here whose output no decision reads are not
+    sample-fitted (see the module docstring).
     """
     start = time.perf_counter()
     n1, n2 = sorted(sample_sizes)
-    selections: Dict[int, str] = {}
+    selected: Dict[int, Tuple[str, CostModel, DataStats]] = {}
 
-    pass1 = _ProfilePass(n1, resources, select_operators, selections)
+    chains: Dict[int, List[g.OpNode]] = {}
+    if select_operators:
+        succ = g.successors_map(sinks)
+        sink_ids = {s.id for s in sinks}
+        for node in g.ancestors(sinks):
+            if node.kind == g.ESTIMATOR and isinstance(node.op, Optimizable):
+                below = _unread_chain(node, succ, sink_ids)
+                if below is not None:
+                    chains[node.id] = [node] + below
+    skip = {n.id for chain in chains.values() for n in chain}
+
+    pass1 = _ProfilePass(n1, resources, select_operators, selected, skip)
     pass1.run(sinks)
-    pass2 = _ProfilePass(n2, resources, select_operators, selections)
+    pass2 = _ProfilePass(n2, resources, select_operators, selected, skip)
     pass2.run(sinks)
 
-    profile = PipelineProfile(sample_sizes=(n1, n2), selections=selections)
+    estimates: Dict[int, NodeProfile] = {}
+    for est_id, chain in chains.items():
+        name, model, stats = selected[est_id]
+        entries = _estimate(chain, model, stats, pass2.full_counts, resources)
+        estimates.update((e.node_id, e) for e in entries)
+        obs_trace.event("profile.skip", args={
+            "node": chain[0].label, "operator": name,
+            "estimated_seconds": entries[0].t_seconds})
+
+    profile = PipelineProfile(
+        sample_sizes=(n1, n2),
+        selections={nid: name for nid, (name, _m, _s) in selected.items()})
     for node in g.ancestors(sinks):
+        if node.id in estimates:
+            profile.nodes[node.id] = estimates[node.id]
+            profile.pruned.append(node.id)
+            continue
         m1 = pass1.measurements[node.id]
         m2 = pass2.measurements[node.id]
         if node.kind == g.ESTIMATOR:
@@ -235,8 +355,8 @@ def profile_pipeline(sinks: List[g.OpNode], resources,
             t_full = _extrapolate(m1.sample_in, m1.seconds,
                                   m2.sample_in, m2.seconds, full_in)
             size_full = m2.out_bytes  # fitted models don't grow with n
-            stats = stats_from_rows(pass2._outputs.get(node.parents[0].id, []),
-                                    full_n=int(full_in))
+            # The data parent's entry: its sample rows at count full_in.
+            stats = profile.nodes[node.parents[0].id].stats
         else:
             full_out = pass2.full_counts[node.id]
             t_full = _extrapolate(m1.sample_out, m1.seconds,

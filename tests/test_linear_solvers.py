@@ -96,10 +96,17 @@ class TestSolverCorrectness:
         assert 1 <= solver.iterations_run <= 5 + 22  # scipy may line-search
 
     def test_block_solver_weight_reflects_blocks(self, ctx):
+        """Selection sets the pass count; a fit leaves it alone."""
+        stats = DataStats(n=2_000_000, d=65_536, k=147, sparsity=1.0)
+        selected = LinearSolver(block_epochs=2).optimize(stats,
+                                                         r3_4xlarge(16))
+        assert isinstance(selected, BlockCoordinateSolver)
+        assert selected.weight == 2 * 64  # 65536 / 1024 blocks x 2 epochs
         data, labels, _ = _planted_problem(ctx, d=10)
         solver = BlockCoordinateSolver(block_size=3, epochs=2)
+        assert solver.passes_for(10) == 2 * 4  # ceil(10/3) = 4 blocks
         solver.fit(data, labels)
-        assert solver.weight == 2 * 4  # ceil(10/3) = 4 blocks x 2 epochs
+        assert solver.weight == 2
 
 
 def _sparse_problem(ctx, n=160, d=40, k=2, seed=4):
@@ -226,6 +233,58 @@ class TestLBFGSBlockMemo:
                                                    memo=memo):
                     pass
             assert memo == {}
+
+
+def _per_epoch_gram_fit(solver, data, labels):
+    """The block solver re-forming every block's Gram in every epoch."""
+    d, k = _util.feature_dim(data), _util.label_dim(labels)
+    residual = [np.asarray(b).copy()
+                for _a, b in _util.iter_xy_blocks(data, labels)]
+    x = np.zeros((d, k))
+    for _epoch in range(solver.epochs):
+        for lo, hi in solver._blocks(d):
+            width = hi - lo
+            gram = np.zeros((width, width))
+            rhs = np.zeros((width, k))
+            slices = []
+            for i, (a, _b) in enumerate(
+                    _util.iter_xy_blocks(data, labels, prefer_sparse=True)):
+                a_block = a[:, lo:hi]
+                a_block = (np.asarray(a_block.todense())
+                           if sp.issparse(a_block) else a_block)
+                gram += a_block.T @ a_block
+                rhs += a_block.T @ residual[i]
+                slices.append(a_block)
+            gram += solver.l2_reg * np.eye(width)
+            delta = np.linalg.solve(gram, rhs + gram @ x[lo:hi]
+                                    - solver.l2_reg * x[lo:hi]) - x[lo:hi]
+            x[lo:hi] += delta
+            for i, a_block in enumerate(slices):
+                residual[i] -= a_block @ delta
+    return x
+
+
+class TestBlockSolverGramReuse:
+    """Forming each block's Gram once per fit moves no weight bit."""
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("partitions", [1, 4])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_weights_byte_equal_to_per_epoch_grams(self, sparse, partitions,
+                                                   epochs):
+        ctx = Context()
+        if sparse:
+            data, labels = _sparse_problem(ctx, n=90, d=11, k=3)
+        else:
+            data, labels, _ = _planted_problem(ctx, n=90, d=11, k=3,
+                                               noise=0.1)
+        data = ctx.parallelize(data.collect(), partitions)
+        labels = ctx.parallelize(labels.collect(), partitions)
+        solver = BlockCoordinateSolver(block_size=4, epochs=epochs,
+                                       l2_reg=1e-3)  # 11 % 4 != 0
+        weights = solver.fit(data, labels).weights
+        assert weights.tobytes() == _per_epoch_gram_fit(
+            solver, data, labels).tobytes()
 
 
 class TestLinearMapper:

@@ -1,7 +1,10 @@
 """Tests for execution subsampling and pipeline profiling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from workload_scenarios import SCENARIOS, comparable
 
 from repro.cluster.resources import local_machine
 from repro.core import graph as g
@@ -12,15 +15,21 @@ from repro.core.operators import (
     Optimizable,
     Transformer,
 )
-from repro.core.optimizer import Optimizer
+from repro.core.optimizer import Optimizer, passes_for_level
+from repro.core.passes import ShardingPass
 from repro.core.pipeline import Pipeline
 from repro.core.profiler import _extrapolate, profile_pipeline
+from repro.core.program import training_keys
 from repro.cost.model import CostModel
 from repro.cost.profile import CostProfile
 from repro.dataset import Context
 from repro.dataset.sizing import estimate_size
-from repro.pipelines import amazon_pipeline, timit_pipeline
-from repro.workloads import amazon_reviews, timit_frames
+from repro.nodes.learning.linear import LinearSolver
+from repro.nodes.learning.pca import PCAEstimator
+from repro.nodes.numeric import MaxClassifier, StandardScaler, VectorCombiner
+from repro.obs import trace as obs_trace
+from repro.pipelines import amazon_pipeline, timit_pipeline, voc_pipeline
+from repro.workloads import amazon_reviews, timit_frames, voc_images
 
 
 class Doubler(Transformer):
@@ -168,25 +177,25 @@ class TestRegistryDecisions:
     """Operator selection and the cache set of the registry's sparse text
     and dense random-feature pipelines are pinned."""
 
+    #: name -> (workload, pipeline over it, selections, cache set)
     CASES = {
         "amazon": (
-            lambda ctx: amazon_pipeline(
-                ctx, amazon_reviews(300, 10, vocab_size=2000, seed=0),
-                num_features=1000),
+            lambda: amazon_reviews(300, 10, vocab_size=2000, seed=0),
+            lambda ctx, wl: amazon_pipeline(ctx, wl, num_features=1000),
             ["LBFGSSolver"],
             ["CommonSparseFeatures", "TermFrequency",
              "apply(CommonSparseFeatures)"]),
         "timit": (
-            lambda ctx: timit_pipeline(
-                ctx, timit_frames(600, 10, dim=32, num_classes=24, seed=0),
-                num_feature_blocks=4, block_size=512),
+            lambda: timit_frames(600, 10, dim=32, num_classes=24, seed=0),
+            lambda ctx, wl: timit_pipeline(ctx, wl, num_feature_blocks=4,
+                                           block_size=512),
             ["BlockCoordinateSolver"],
             ["CosineRandomFeatures"] * 4 + ["VectorCombiner"]),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_selections_and_cache_set(self, name, monkeypatch):
-        build, selections, cache_labels = self.CASES[name]
+        workload, build, selections, cache_labels = self.CASES[name]
         sized = []
 
         def counting_size(obj):
@@ -194,11 +203,176 @@ class TestRegistryDecisions:
             return estimate_size(obj)
 
         monkeypatch.setattr(profiler, "estimate_size", counting_size)
-        plan = Optimizer().optimize(build(Context()))
+        plan = Optimizer().optimize(build(Context(), workload()))
         # Every sampled output (and sample-fitted model) is sized once.
         assert sized and len({id(obj) for obj in sized}) == len(sized)
         assert sorted(plan.selections.values()) == selections
         assert plan.cache_set_labels == sorted(cache_labels)
+
+
+def _registry_case(name):
+    workload, build = TestRegistryDecisions.CASES[name][:2]
+
+    def case(ctx):
+        wl = workload()
+        return build(ctx, wl), wl.test_items
+
+    return case
+
+
+#: name -> ctx -> (pipeline, test items): every cross-suite scenario plus
+#: the two registry-size pipelines pinned above
+DECISION_CASES = dict(SCENARIOS)
+DECISION_CASES.update({f"registry_{name}": _registry_case(name)
+                       for name in TestRegistryDecisions.CASES})
+
+
+def _no_pruning(monkeypatch):
+    """The unpruned reference: every estimator is sample-fitted."""
+    monkeypatch.setattr(profiler, "_unread_chain", lambda *args: None)
+
+
+def _decisions(case, level):
+    """Optimize and train one case; everything its decisions produced."""
+    pipe, items = case(Context())
+    passes = passes_for_level(level) + [
+        ShardingPass(workers="auto", max_workers=8)]
+    plan = Optimizer(passes).optimize(pipe, level=level)
+    order = g.ancestors([plan.sink])
+    fitted = plan.execute()
+    return {
+        "nodes": [(n.label, plan.selections.get(n.id),
+                   plan.profile.nodes[n.id].weight) for n in order],
+        "cache": [i for i, n in enumerate(order) if n.id in plan.cache_set],
+        "workers": plan.state.shard_workers,
+        "backend": plan.state.shard_backend,
+        "predictions": comparable([fitted.apply(x) for x in items]),
+    }
+
+
+def _count_fits(monkeypatch, *logical):
+    """Count ``fit`` calls per physical option class of ``logical`` ops."""
+    calls = Counter()
+    for cls in {type(op) for est in logical for _model, op in est.options()}:
+        def fit(self, *args, _fit=cls.fit, _name=cls.__name__):
+            calls[_name] += 1
+            return _fit(self, *args)
+
+        monkeypatch.setattr(cls, "fit", fit)
+    return calls
+
+
+class TestDecisionDrivenPruning:
+    """Skipping sample fits no decision reads changes no decision."""
+
+    @pytest.mark.parametrize("level", ["pipe", "full"])
+    @pytest.mark.parametrize("name", sorted(DECISION_CASES))
+    def test_decisions_match_unpruned_reference(self, name, level,
+                                                monkeypatch):
+        pruned = _decisions(DECISION_CASES[name], level)
+        with monkeypatch.context() as m:
+            _no_pruning(m)
+            reference = _decisions(DECISION_CASES[name], level)
+        assert pruned == reference
+
+    @pytest.mark.parametrize("name", ["timit", "amazon"])
+    def test_selected_solver_fits_once(self, name, monkeypatch):
+        calls = _count_fits(monkeypatch, LinearSolver())
+        plan = Optimizer().optimize(SCENARIOS[name](Context())[0])
+        plan.execute()
+        assert calls == {next(iter(plan.selections.values())): 1}
+
+    def test_solver_feeding_an_estimator_is_sample_fitted(self, monkeypatch):
+        wl = timit_frames(100, 4, dim=24, num_classes=4, seed=0)
+        data = wl.train_data(Context())
+        labels = wl.train_label_vectors(data.ctx)
+        pipe = (Pipeline.identity()
+                .and_then(StandardScaler(), data)
+                .and_then(LinearSolver(), data, labels)
+                .and_then(LinearSolver(l2_reg=1e-4), data, labels)
+                .and_then(MaxClassifier()))
+        calls = _count_fits(monkeypatch, LinearSolver())
+        plan = Optimizer().optimize(pipe)
+        plan.execute()
+        # First solver: two sample fits and the real one; second: real only.
+        assert sum(calls.values()) == 3 + 1
+        solvers = [n for n in g.ancestors([plan.sink])
+                   if n.label == "LinearSolver"]
+        assert [n.id in plan.profile.pruned for n in solvers] == [False, True]
+
+    def test_solvers_behind_a_gather_are_sample_fitted(self, monkeypatch):
+        wl = timit_frames(100, 4, dim=24, num_classes=4, seed=0)
+        data = wl.train_data(Context())
+        labels = wl.train_label_vectors(data.ctx)
+        branches = [Pipeline.identity().and_then(LinearSolver(l2_reg=l2),
+                                                 data, labels)
+                    for l2 in (1e-8, 1e-4)]
+        pipe = (Pipeline.gather(branches).and_then(VectorCombiner())
+                .and_then(MaxClassifier()))
+        calls = _count_fits(monkeypatch, LinearSolver())
+        plan = Optimizer().optimize(pipe)
+        plan.execute()
+        assert sum(calls.values()) == 2 * 3
+        assert plan.profile.pruned == []
+
+    def test_pca_feeding_an_estimator_is_sample_fitted(self, monkeypatch):
+        wl = voc_images(16, 2, size=32, num_classes=3, seed=0)
+        pipe = voc_pipeline(Context(), wl, pca_dims=4, gmm_components=2,
+                            sampled_descriptors=40)
+        calls = _count_fits(monkeypatch, PCAEstimator(4), LinearSolver())
+        plan = Optimizer(passes_for_level("full", sample_sizes=(6, 12))
+                         ).optimize(pipe)
+        plan.execute()
+        pca, solver = sorted(plan.selections)
+        assert calls[plan.selections[pca]] == 3
+        assert calls[plan.selections[solver]] == 1
+        assert pca not in plan.profile.pruned
+        assert solver in plan.profile.pruned
+
+    @pytest.mark.parametrize("name", ["timit", "amazon"])
+    def test_solver_training_key_independent_of_pruning(self, name,
+                                                        monkeypatch):
+        def solver_key():
+            plan = Optimizer().optimize(SCENARIOS[name](Context())[0])
+            (solver,) = [n for n in g.ancestors([plan.sink])
+                         if n.id in plan.selections]
+            return training_keys([plan.sink])[solver.id]
+
+        pruned = solver_key()
+        with monkeypatch.context() as m:
+            _no_pruning(m)
+            assert solver_key() == pruned
+
+    def test_skip_is_explained_traced_and_estimated(self):
+        pipe, _ = SCENARIOS["timit"](Context())
+        tracer = obs_trace.enable()
+        try:
+            plan = Optimizer().optimize(pipe)
+        finally:
+            obs_trace.disable()
+        assert ("pruned=['LinearSolver', 'apply(LinearSolver)', "
+                "'MaxClassifier']") in plan.explain()
+        (event,) = [s for s in tracer.spans if s["name"] == "profile.skip"]
+        solver_id, *chain = plan.profile.pruned
+        solver = plan.profile.nodes[solver_id]
+        assert event["args"] == {
+            "node": "LinearSolver",
+            "operator": plan.selections[solver_id],
+            "estimated_seconds": solver.t_seconds}
+        assert solver.t_seconds > 0
+        d, k = solver.stats.d, solver.stats.k
+        assert (d, k) == (32, 4)  # 32 random features, 4 classes
+        assert solver.size_bytes == d * k * 8
+        for nid in chain:
+            entry = plan.profile.nodes[nid]
+            assert entry.t_seconds == 0.0
+            assert entry.stats.d == k
+            assert entry.size_bytes == entry.stats.n * k * 8
+
+    def test_pipe_level_prunes_nothing(self):
+        plan = Optimizer(passes_for_level("pipe")).optimize(
+            SCENARIOS["timit"](Context())[0])
+        assert plan.profile.pruned == []
 
 
 class _FixedEstimator(LabelEstimator):
