@@ -10,9 +10,9 @@ Two experiments:
 
 - ``test_fig12_real_plan_strong_scaling`` — the node-count sweep is
   produced by *executing a real PhysicalPlan* (the Figure 2 text
-  classification pipeline, optimized with a ShardingPass) under
-  ``ShardedBackend``, then re-pricing its measured per-shard stages at
-  each cluster size with ``plan_scaling_sweep``.
+  classification pipeline, optimized with a ShardingPass), then
+  re-pricing its measured per-node seconds at each cluster size with
+  ``plan_scaling_sweep``.
 - ``test_fig12_paper_scale_model`` — the paper-scale stage models
   (Table 3 constants) that reproduce Figure 12's absolute shapes, which
   no laptop-sized real run can.
@@ -24,20 +24,17 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.cluster.resources import r3_4xlarge
 from repro.core.backends import (
     ActorBackend,
     LocalBackend,
     ProcessPoolBackend,
-    ShardedBackend,
-    plan_scaling_sweep,
     shutdown_actor_pools,
 )
 from repro.core.operators import Transformer
 from repro.core.optimizer import Optimizer, passes_for_level
-from repro.core.passes import ShardingPass
+from repro.core.passes import ShardingPass, plan_scaling_sweep
 from repro.core.pipeline import Pipeline
 from repro.dataset import Context
 from repro.nodes.learning.kmeans import KMeansEstimator
@@ -93,25 +90,24 @@ def _real_plan():
 
 
 def test_fig12_real_plan_strong_scaling(benchmark):
-    """Sweep cluster sizes by executing a real plan under ShardedBackend."""
+    """Sweep cluster sizes by pricing one real fit of the plan."""
     plan = _real_plan()
 
     def run():
-        backend = ShardedBackend(resources=r3_4xlarge(NODES[0]),
-                                 overhead_per_stage=0.0)
-        fitted = plan.execute(backend=backend)
+        fitted = plan.execute()
         rep = fitted.training_report
         serial = sum(rep.node_seconds.values())
         overhead = REAL_PLAN_OVERHEAD_FRACTION * serial
-        return fitted, plan_scaling_sweep(fitted, NODES,
-                                          overhead_per_stage=overhead)
+        return fitted, plan_scaling_sweep(
+            plan, fitted, NODES, resources=r3_4xlarge(NODES[0]),
+            overhead_per_stage=overhead)
 
     fitted, sweep = once(benchmark, run)
     rep = fitted.training_report
 
     widths = [8, 12, 12, 12, 10]
-    lines = [f"plan: {rep.backend}, {len(rep.simulated_stages)} simulated "
-             f"stages, measured serial {sum(rep.node_seconds.values()):.3f}s",
+    lines = [f"plan: {rep.backend} fit, {len(rep.node_seconds)} timed "
+             f"nodes, measured serial {sum(rep.node_seconds.values()):.3f}s",
              fmt_row(["nodes", "Featurize(s)", "Solve(s)", "total(s)",
                       "speedup"], widths)]
     t8 = _total(sweep[NODES[0]])
@@ -127,12 +123,6 @@ def test_fig12_real_plan_strong_scaling(benchmark):
     report("fig12_real_plan_scaling", lines)
 
     assert sorted(sweep) == sorted(NODES)
-    # The backend priced the plan itself at the base cluster size; the
-    # sweep at that size differs only by the derived per-stage overhead.
-    assert rep.simulated_workers == NODES[0]
-    assert rep.simulated_seconds == pytest.approx(_total(
-        plan_scaling_sweep(fitted, [NODES[0]],
-                           overhead_per_stage=0.0)[NODES[0]]))
     assert {"Featurization", "Model Solve"} <= set(sweep[NODES[0]])
     # Strong scaling: monotone non-increasing totals, real speedup by 128
     # nodes, but sublinear (the per-stage overhead bounds it).

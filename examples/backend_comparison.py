@@ -1,28 +1,23 @@
-"""Execution backends: one plan, four ways to run it.
+"""Execution backends: one plan, two ways to run it, any cluster size priced.
 
 Optimizes the Figure-2 text classification pipeline once, then trains the
 same PhysicalPlan under each shipped ExecutionBackend:
 
-- local      — serial depth-first execution (the reference semantics);
-- pipelined  — independent estimator fits overlap on a thread pool;
-- sharded    — trains in-process, then prices per-shard stage times on a
-               simulated 8-node cluster and sweeps the cluster size
-               (the Figure-12 axis) without retraining;
-- actors     — actually executes shards in persistent worker processes
-               (``backend="process"`` is an alias): spawn-safe shard
-               programs, sufficient-statistic merges for the frequency
-               selector, gather-and-fit for the solvers
-               (``examples/actor_runtime.py`` tours the worker-side
-               caching and in-worker iterative solving).
+- local   — serial depth-first execution (the reference semantics);
+- actors  — actually executes shards in persistent worker processes
+            (``backend="process"`` is an alias): spawn-safe shard
+            programs, sufficient-statistic merges for the frequency
+            selector, gather-and-fit for the solvers
+            (``examples/actor_runtime.py`` tours the worker-side caching
+            and in-worker iterative solving).
 
-All four produce byte-identical predictions — that is the backend
-contract (asserted below; this example exits non-zero if it breaks).
+Both produce byte-identical predictions — that is the backend contract
+(asserted below; this example exits non-zero if it breaks).
 
-Threads vs processes on this workload: tokenization/n-grams/term counting
-are pure Python, so the thread pool only overlaps the two solver
-branches (the GIL serializes featurization) while the actor pool
-parallelizes featurization itself and featurizes once for both solver
-branches by keeping worker output.
+Cluster scaling is a cost-model question, not a backend:
+``plan_scaling_sweep`` prices the measured per-node seconds of the local
+fit on a simulated cluster and sweeps its size (the Figure-12 axis)
+without retraining.
 
 Run:  python examples/backend_comparison.py
 """
@@ -32,12 +27,10 @@ from repro.cluster.resources import r3_4xlarge
 from repro.core.backends import (
     ActorBackend,
     LocalBackend,
-    PipelinedBackend,
-    ShardedBackend,
-    plan_scaling_sweep,
     shutdown_actor_pools,
 )
 from repro.core.optimizer import passes_for_level
+from repro.core.passes import plan_scaling_sweep
 from repro.nodes.learning.linear import LinearSolver
 from repro.nodes.text import (
     CommonSparseFeatures,
@@ -56,8 +49,8 @@ def build_plan(wl):
     ctx = Context()
     data = wl.train_data(ctx)
     labels = wl.train_label_vectors(ctx)
-    # Two solver branches over a shared featurization: the pipelined
-    # backend can overlap their fits.
+    # Two solver branches over a shared featurization: the actor pool
+    # featurizes once for both.
     base = (Pipeline.identity()
             .and_then(LowerCase())
             .and_then(Tokenizer())
@@ -80,14 +73,10 @@ def main():
 
     backends = [
         LocalBackend(),
-        PipelinedBackend(max_workers=4),
-        ShardedBackend(resources=r3_4xlarge(WORKERS),
-                       overhead_per_stage=0.02),
         ActorBackend(workers=2, task_timeout=600.0),
     ]
 
     reference = None
-    sharded_fitted = None
     train_seconds = {}
     print(f"{'backend':<22} {'train(s)':>9} {'identical':>10}")
     for backend in backends:
@@ -104,16 +93,15 @@ def main():
         # The backend contract, enforced: identical bytes or die.
         assert key == reference, (
             f"{report.backend} diverged from the serial reference")
-        if isinstance(backend, ShardedBackend):
-            sharded_fitted = fitted
-            sharded_plan = plan
+        if isinstance(backend, LocalBackend):
+            local_fitted, local_plan = fitted, plan
         if isinstance(backend, ActorBackend):
             actor_report = report
 
-    print("\nThreads vs processes on this numpy-light text workload:")
-    print(f"  pipelined (threads) {train_seconds['pipelined']:>7.2f}s — the "
-          "GIL serializes tokenization; only solver branches overlap")
-    print(f"  actors    (2 procs) {train_seconds['actors']:>7.2f}s — "
+    print("\nSerial vs processes on this numpy-light text workload:")
+    print(f"  local  (1 thread) {train_seconds['local']:>7.2f}s — the "
+          "reference schedule")
+    print(f"  actors (2 procs)  {train_seconds['actors']:>7.2f}s — "
           "featurization itself runs in parallel shards "
           f"(stat-merged: {actor_report.process_stat_merged}, "
           f"gathered: {actor_report.process_gathered})")
@@ -124,23 +112,25 @@ def main():
     for line in actor_report.summary().splitlines():
         print(f"  {line}")
 
-    report = sharded_fitted.training_report
-    print(f"\nSharded pricing at {report.simulated_workers} workers: "
-          f"{report.simulated_seconds:.3f}s simulated "
+    report = local_fitted.training_report
+    sweep = plan_scaling_sweep(local_plan, local_fitted, NODES,
+                               resources=r3_4xlarge(WORKERS),
+                               overhead_per_stage=0.02)
+    base_total = sum(sweep[NODES[0]].values())
+    print(f"\nThe local fit priced at {NODES[0]} workers: "
+          f"{base_total:.3f}s simulated "
           f"(measured serial {sum(report.node_seconds.values()):.3f}s)")
-    for category, seconds in sorted(report.simulated_breakdown.items()):
+    for category, seconds in sorted(sweep[NODES[0]].items()):
         print(f"  {category:<14} {seconds:.3f}s")
 
     print("\nStrong scaling of the SAME trained plan (no retraining):")
-    sweep = plan_scaling_sweep(sharded_fitted, NODES)
-    base_total = sum(sweep[NODES[0]].values())
     for w in NODES:
         total = sum(sweep[w].values())
         print(f"  {w:>4} workers: {total:.3f}s  "
               f"({base_total / total:.1f}x)")
 
     print("\nThe optimizer recorded the sharding decision on the plan:")
-    sharding_lines = [line for line in sharded_plan.explain().splitlines()
+    sharding_lines = [line for line in local_plan.explain().splitlines()
                       if "Sharding" in line or "sharding" in line]
     assert sharding_lines, "ShardingPass decision missing from explain()"
     for line in sharding_lines:

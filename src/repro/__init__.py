@@ -45,15 +45,14 @@ The classic one-call path still works: ``model = pipe.fit()`` (optionally
 ``level="none" | "pipe" | "full"``) is a shim over the same passes.
 
 Execution is pluggable: the same plan trains serially
-(``LocalBackend``), with independent branches overlapped on threads
-(``PipelinedBackend``), priced per-shard on a simulated cluster
-(``ShardedBackend``), or actually sharded across persistent worker
-processes (``ActorBackend``; ``"process"`` / ``ProcessPoolBackend`` are
-aliases of it)::
+(``LocalBackend``) or sharded across persistent worker processes
+(``ActorBackend``; ``"process"`` / ``ProcessPoolBackend`` are aliases of
+it), and any fit prices on a simulated cluster of any size
+(``plan_scaling_sweep``, the paper's Figure 12 axis)::
 
-    model = plan.execute(backend="pipelined")
-    fitted = pipe.fit(backend=ShardedBackend(workers=8))
     fitted = pipe.fit(backend=ActorBackend(workers=4))
+    model = plan.execute()
+    sweep = plan_scaling_sweep(plan, model, [8, 16, 32, 64])
 
 Trained pipelines serve online traffic through :mod:`repro.serving`:
 ``ModelServer`` compiles each registered model into a flat
@@ -86,12 +85,11 @@ from repro.core import (
     PhysicalPlan,
     ProgramPass,
     Pipeline,
-    PipelinedBackend,
     ProcessPoolBackend,
     ProfilingPass,
-    ShardedBackend,
     ShardingPass,
     Transformer,
+    plan_scaling_sweep,
 )
 from repro.cost import CostModel, CostProfile
 from repro.dataset import Context, Dataset
@@ -123,13 +121,12 @@ __all__ = [
     "PhysicalPlan",
     "ProgramPass",
     "Pipeline",
-    "PipelinedBackend",
     "ProcessPoolBackend",
     "ProfilingPass",
     "ResourceDescriptor",
-    "ShardedBackend",
     "ShardingPass",
     "Transformer",
     "__version__",
     "compile_inference_plan",
+    "plan_scaling_sweep",
 ]

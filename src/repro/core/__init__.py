@@ -8,10 +8,11 @@ The optimizer is a composable pass pipeline: an
 the same machinery.
 
 Execution is pluggable (:mod:`repro.core.backends`): the same physical
-plan trains serially (``LocalBackend``), with independent branches
-overlapped on threads (``PipelinedBackend``), or priced per-shard on a
-simulated cluster (``ShardedBackend``) — select with
-``plan.execute(backend=...)`` or ``Pipeline.fit(backend=...)``.
+plan trains serially (``LocalBackend``) or on persistent worker processes
+(``ActorBackend``) — select with ``plan.execute(backend=...)`` or
+``Pipeline.fit(backend=...)``.  Cluster scaling is priced, not executed:
+``plan_scaling_sweep(plan, fitted, node_counts)`` re-prices any fit's
+measured node seconds at each cluster size.
 """
 
 from repro.core.operators import (
@@ -51,6 +52,7 @@ from repro.core.passes import (
     Pass,
     ProfilingPass,
     ShardingPass,
+    plan_scaling_sweep,
 )
 from repro.core.optimizer import Optimizer, default_passes, passes_for_level
 from repro.core.backends import (
@@ -58,10 +60,7 @@ from repro.core.backends import (
     ActorBackend,
     ExecutionBackend,
     LocalBackend,
-    PipelinedBackend,
     ProcessPoolBackend,
-    ShardedBackend,
-    plan_scaling_sweep,
     resolve_backend,
 )
 
@@ -71,9 +70,7 @@ __all__ = [
     "CSEPass",
     "ExecutionBackend",
     "LocalBackend",
-    "PipelinedBackend",
     "ProcessPoolBackend",
-    "ShardedBackend",
     "ShardingPass",
     "plan_scaling_sweep",
     "resolve_backend",

@@ -2,16 +2,11 @@
 
 One logical plan, several execution strategies — the KeystoneML premise
 (and SparkCL's: one programming model lowered onto heterogeneous engines).
-The protocol lives in :mod:`repro.core.backends.base`; four backends
+The protocol lives in :mod:`repro.core.backends.base`; two backends
 ship:
 
 - :class:`LocalBackend` — serial depth-first training (the default; the
   reference semantics every other backend must reproduce byte-for-byte).
-- :class:`PipelinedBackend` — thread-pool scheduling that overlaps
-  featurization of independent branches with solver iterations.
-- :class:`ShardedBackend` — partitions the training flow across N
-  simulated workers and prices per-shard stage times through the cluster
-  simulator, opening the strong-scaling axis to *real* plans.
 - :class:`ActorBackend` — actually executes shards in separate worker
   processes (spawn-safe, GIL-free) on the persistent-worker runtime
   (:mod:`repro.runtime`): merges per-shard sufficient statistics where
@@ -23,13 +18,16 @@ ship:
 :class:`ProcessPoolBackend` (``"process"``) and
 :func:`shutdown_worker_pools` are the historical names of the
 multi-process backend, kept as aliases of :class:`ActorBackend` and
-:func:`shutdown_actor_pools`.
+:func:`shutdown_actor_pools`.  The retired names ``"pipelined"`` and
+``"sharded"`` resolve to :class:`LocalBackend`.  Strong-scaling what-ifs
+are not a backend: :func:`repro.core.passes.plan_scaling_sweep` prices
+any backend's fit on a simulated cluster.
 
 Selection threads through the public API: ``plan.execute(backend=...)``,
 ``Pipeline.fit(backend=...)`` and ``FittedPipeline.apply`` /
 ``apply_dataset`` all accept an instance, a registry name from
-:data:`BACKENDS` (``"local" | "pipelined" | "sharded" | "process" |
-"actors"``), or ``None`` for the default.
+:data:`BACKENDS` (``"local" | "process" | "actors"``, plus the
+retired aliases), or ``None`` for the default.
 ``plan.execute(backend="auto")`` additionally honours the backend a
 ``ShardingPass(workers="auto")`` recommended.
 """
@@ -41,8 +39,6 @@ from repro.core.backends.base import (
     recursive_apply_item,
 )
 from repro.core.backends.local import LocalBackend
-from repro.core.backends.pipelined import PipelinedBackend
-from repro.core.backends.sharded import ShardedBackend, plan_scaling_sweep
 from repro.runtime.pool import shutdown_actor_pools
 
 #: historical name: the actor pool is the only worker pool there is
@@ -51,8 +47,10 @@ shutdown_worker_pools = shutdown_actor_pools
 #: registry of backend names accepted wherever ``backend=`` is
 BACKENDS = {
     LocalBackend.name: LocalBackend,
-    PipelinedBackend.name: PipelinedBackend,
-    ShardedBackend.name: ShardedBackend,
+    # retired names, still used by benchmarks/observatory's backend
+    # probe: serial training, same predictions
+    "pipelined": LocalBackend,
+    "sharded": LocalBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
     ActorBackend.name: ActorBackend,
 }
@@ -90,11 +88,8 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "LocalBackend",
-    "PipelinedBackend",
     "ProcessPoolBackend",
-    "ShardedBackend",
     "TrainingSession",
-    "plan_scaling_sweep",
     "recursive_apply_item",
     "resolve_backend",
     "shutdown_actor_pools",

@@ -1,11 +1,10 @@
 """ActorBackend: multi-process training on the persistent actor runtime.
 
-The sharded backend *prices* shards on a simulated cluster while training
-serially in-process; this backend actually executes them — it is the one
-multi-process training runtime (``backend="process"`` is a registry
-alias for it).  The training data is split into contiguous chunks of
-partitions (one per worker), the flow feeding each estimator is lowered
-into a picklable *shard program* — the same
+This backend executes shards of the training flow in worker processes —
+it is the one multi-process training runtime (``backend="process"`` is a
+registry alias for it).  The training data is split into contiguous
+chunks of partitions (one per worker), the flow feeding each estimator is
+lowered into a picklable *shard program* — the same
 :class:`~repro.core.program.OpProgram` IR the serving compiler executes,
 lowered by the same :func:`repro.core.program.lower_training_program`
 walk — and :class:`~repro.runtime.pool.ActorPool` workers run the

@@ -17,10 +17,9 @@ The protocol is three methods:
 :class:`TrainingSession` holds the depth-first training semantics shared by
 every backend (estimators are pipeline breakers; the plan's caching policy
 is honoured; an :class:`~repro.core.executor.ExclusiveTimer` attributes
-per-node wall time).  Backends differ only in *scheduling*: the serial
-backend fits estimators one by one, the pipelined backend fits independent
-estimators concurrently, and the sharded backend additionally prices the
-measured stage times on a simulated cluster.
+per-node wall time).  Backends differ only in *where* the training flow
+runs: the serial backend fits estimators one by one in-process, the actor
+backend computes shards in worker processes and fits in the parent.
 """
 
 from __future__ import annotations
@@ -141,9 +140,10 @@ class TrainingSession:
     work (``op.fit`` and the partition computations it triggers) runs
     outside the lock.  Callers scheduling estimators concurrently must
     ensure an estimator's estimator-ancestors are fitted before it starts
-    (:class:`~repro.core.backends.pipelined.PipelinedBackend` does this via
-    future dependencies) — ``fit_estimator`` itself does not deduplicate
-    concurrent fits of the *same* node.
+    (both shipped backends fit in topological order on one thread; a
+    custom backend fitting on a thread pool must wait on dependencies) —
+    ``fit_estimator`` itself does not deduplicate concurrent fits of the
+    *same* node.
     """
 
     def __init__(

@@ -18,8 +18,7 @@ executes::
 Execution itself is pluggable: ``fit_pipeline(..., backend=...)`` (and
 ``plan.execute(backend=...)``) hand the optimized plan to an
 :class:`~repro.core.backends.ExecutionBackend` — serial ``"local"``
-(default), thread-pooled ``"pipelined"``, or simulated-cluster
-``"sharded"``.
+(default) or the multi-process ``"actors"`` runtime.
 
 It also hosts :class:`TrainingReport` (what happened during fit) and
 :class:`ExclusiveTimer` (thread-safe per-node wall time attribution),
@@ -34,7 +33,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.resources import ResourceDescriptor
 from repro.core.profiler import PipelineProfile
 from repro.dataset.context import Context
 
@@ -131,16 +129,8 @@ class TrainingReport:
     #: names of the optimizer passes applied, in order
     passes: List[str] = field(default_factory=list)
     #: which execution backend trained the plan (e.g. "local",
-    #: "pipelined", "sharded[workers=8]")
+    #: "actors[workers=2]")
     backend: str = "local"
-    #: filled by ShardedBackend: simulated-cluster pricing of this run
-    simulated_workers: Optional[int] = None
-    simulated_seconds: Optional[float] = None
-    simulated_breakdown: Dict[str, float] = field(default_factory=dict)
-    #: the per-node SimulatedStage list, reusable for scaling sweeps
-    simulated_stages: List[Any] = field(default_factory=list)
-    simulated_resources: Optional[ResourceDescriptor] = None
-    simulated_overhead_per_stage: float = 0.0
     #: filled by ActorBackend (``"actors"`` and its ``"process"``
     #: alias): worker-process count and, per estimator label, which
     #: merge strategy trained it.  With multi-process execution

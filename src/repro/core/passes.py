@@ -15,8 +15,9 @@ transforming a :class:`~repro.core.plan.PlanState`:
 - :class:`MaterializationPass` — choose the cache set under the memory
   budget (:mod:`repro.core.materialization`, paper §4.3).
 - :class:`ShardingPass` — partition the training flow across simulated
-  workers (paper Figure 12's cluster axis); consumed by
-  :class:`~repro.core.backends.ShardedBackend`.
+  workers (paper Figure 12's cluster axis); its stage rule,
+  :func:`simulated_node_stages`, also prices any fit's measured seconds
+  for :func:`plan_scaling_sweep`.
 
 Ordering matters: DAG-rewriting passes (CSE, fusion) must run before
 profiling, because the profile is keyed by node identity; the
@@ -226,26 +227,36 @@ class LoweringPass(Pass):
         return f"{self.name}(program_passes={names})"
 
 
+#: stage categories of the Figure 12 breakdown; every other node is
+#: featurization
+_STAGE_CATEGORIES = {g.ESTIMATOR: "Model Solve", g.SOURCE: "Loading"}
+
+
 def simulated_node_stages(state: PlanState,
-                          roles: Optional[Dict[int, str]] = None,
                           resources=None,
                           compute_scale: float = 1.0,
-                          network_scale: float = 1.0):
+                          network_scale: float = 1.0,
+                          node_seconds: Optional[Dict[int, float]] = None):
     """Price every profiled plan node as one simulated cluster stage.
 
-    The shared stage-construction rule behind
-    ``ShardingPass(workers="auto")`` and the observability layer's
-    :class:`~repro.obs.calibrate.CostModelCalibrator`: each node's
-    extrapolated serial seconds calibrate the stage's flops against the
-    descriptor's per-node compute rate (so the simulator prices it back
-    to those seconds at ``w=1``), and coordinated nodes additionally move
-    their profiled output bytes through a ``log2 w`` aggregation tree.
+    The one stage-construction rule behind ``ShardingPass(workers="auto")``,
+    the observability layer's :class:`~repro.obs.calibrate.
+    CostModelCalibrator` and :func:`plan_scaling_sweep`: each node's serial
+    seconds calibrate the stage's flops against the descriptor's per-node
+    compute rate (so the simulator prices it back to those seconds at
+    ``w=1``), and coordinated nodes (:meth:`ShardingPass.role_for`)
+    additionally move their profiled output bytes through a ``log2 w``
+    aggregation tree.
 
+    The serial seconds are the profile's extrapolated estimates, or, with
+    ``node_seconds`` (a fit's ``TrainingReport.node_seconds``), the
+    measured ones; a node the fit did not time then prices zero compute,
+    so an untimed gather on the training flow is a network-only stage.
     ``compute_scale``/``network_scale`` are measured correction factors
     (observed / predicted, from :mod:`repro.obs.calibrate`) multiplying
-    the profiled compute seconds and coordination bytes respectively.
-    Returns ``[(node, SimulatedStage), ...]`` in dependency order;
-    raises if the plan is unprofiled or the profile is stale.
+    the compute seconds and coordination bytes respectively.  Returns
+    ``[(node, SimulatedStage), ...]`` in dependency order; raises if the
+    plan is unprofiled or the profile is stale.
     """
     import math
 
@@ -274,21 +285,45 @@ def simulated_node_stages(state: PlanState,
                 network = moved_bytes * math.log2(w)
             return CostProfile(flops=flops_total / w, network=network)
 
-        return SimulatedStage(node.label, profile_fn)
+        return SimulatedStage(
+            node.label, profile_fn,
+            _STAGE_CATEGORIES.get(node.kind, "Featurization"))
 
     stages = []
     for node in g.ancestors([state.sink]):
-        if node.is_pipeline_input or node.id not in profile.nodes:
+        if node.is_pipeline_input:
             continue
-        role = (roles.get(node.id) if roles is not None
-                else ShardingPass.role_for(node))
-        seconds = profile.t(node.id)
+        seconds = (profile.t(node.id) if node_seconds is None
+                   else node_seconds.get(node.id, 0.0))
         coord_bytes = (profile.size(node.id)
-                       if role == ShardingPass.COORDINATED else 0.0)
+                       if ShardingPass.role_for(node) == ShardingPass.COORDINATED
+                       else 0.0)
         if seconds <= 0.0 and coord_bytes <= 0.0:
             continue
         stages.append((node, make_stage(node, seconds, coord_bytes)))
     return stages
+
+
+def plan_scaling_sweep(plan, fitted, node_counts, resources=None,
+                       overhead_per_stage: float = 0.0):
+    """Re-price one fit of ``plan`` at several cluster sizes (Figure 12).
+
+    Any backend's fit will do: the measured ``node_seconds`` of
+    ``fitted.training_report`` go through :func:`simulated_node_stages`,
+    so the *same trained plan* sweeps the strong-scaling axis without
+    retraining.  ``resources`` is the descriptor whose node count is
+    swept (default: the plan's); ``overhead_per_stage`` is the simulated
+    task-launch cost of every stage.  Returns ``{nodes: {category:
+    seconds}}``; raises if the plan is unprofiled.
+    """
+    from repro.cluster.simulator import scaling_sweep
+
+    resources = resources or plan.state.resources
+    stages = [stage for _, stage in simulated_node_stages(
+        plan.state, resources,
+        node_seconds=fitted.training_report.node_seconds)]
+    return scaling_sweep(stages, resources, node_counts,
+                         overhead_per_stage=overhead_per_stage)
 
 
 class ShardingPass(Pass):
@@ -301,7 +336,8 @@ class ShardingPass(Pass):
     paper's Table 1.  The decision (worker count plus the role of every
     node) is recorded on the :class:`~repro.core.plan.PlanState` and in
     the plan's decision log, so ``explain()`` shows it before execution
-    and :class:`~repro.core.backends.ShardedBackend` prices it.
+    and :class:`~repro.core.backends.ActorBackend` defaults its worker
+    count to it.
 
     ``workers`` defaults to the plan's resource descriptor node count.
     With ``workers="auto"`` the count is chosen cost-optimally: every
@@ -316,7 +352,7 @@ class ShardingPass(Pass):
     conventionally it goes last, after MaterializationPass.
     """
 
-    #: role names shared with the sharded backend
+    #: role names, read by :func:`simulated_node_stages`
     DATA_PARALLEL = "data-parallel"
     COORDINATED = "coordinated"
     AUTO = "auto"
@@ -324,7 +360,7 @@ class ShardingPass(Pass):
     #: simulated network (coordination) share of total time — amortized
     #: over the passes of an iterative solver — is below this fraction:
     #: cheap coordination means worker-process shards pay off; above it
-    #: thread-pool overlap (no IPC) is the better real execution
+    #: serial in-process execution (no IPC) is the better real execution
     PROCESS_NETWORK_FRACTION = 0.15
 
     def __init__(self, workers: Optional[Union[int, str]] = None,
@@ -353,8 +389,8 @@ class ShardingPass(Pass):
 
     @classmethod
     def role_for(cls, node) -> str:
-        """The single classification rule, shared with ShardedBackend's
-        fallback for plans optimized without this pass."""
+        """The single classification rule, shared with
+        :func:`simulated_node_stages`."""
         if node.kind in (g.ESTIMATOR, g.GATHER):
             return cls.COORDINATED
         return cls.DATA_PARALLEL
@@ -371,7 +407,7 @@ class ShardingPass(Pass):
                 coordinated.append(labels[node.id])
         if self.workers == self.AUTO:
             workers, simulated, network_fraction = \
-                self._choose_workers(state, roles)
+                self._choose_workers(state)
             iterative_passes = self._iterative_passes(state)
             state.shard_backend = self._recommend_backend(
                 workers, network_fraction, iterative_passes)
@@ -398,8 +434,8 @@ class ShardingPass(Pass):
 
         One worker: serial.  Otherwise the network share decides: cheap
         coordination means worker processes (featurization dominates,
-        shards independent); expensive coordination stays in-process
-        with thread overlap.  Persistent actors pay the shard movement
+        shards independent); expensive coordination stays serial and
+        in-process.  Persistent actors pay the shard movement
         once per fit, not once per pass, so for an iterative workload
         the share is judged *amortized* over the passes
         (:func:`~repro.cluster.simulator.amortized_profile`).
@@ -415,7 +451,7 @@ class ShardingPass(Pass):
                 iterative_passes).network
         if network_fraction <= self.PROCESS_NETWORK_FRACTION:
             return "actors"
-        return "pipelined"
+        return "local"
 
     @staticmethod
     def _iterative_passes(state: PlanState) -> int:
@@ -435,8 +471,7 @@ class ShardingPass(Pass):
                 passes = max(passes, int(getattr(node.op, "weight", 1)))
         return passes
 
-    def _choose_workers(self, state: PlanState, roles: Dict[int, str]
-                        ) -> Tuple[int, float, float]:
+    def _choose_workers(self, state: PlanState) -> Tuple[int, float, float]:
         """Minimize simulated seconds over worker counts in the budget.
 
         Each profiled node becomes one simulated stage: its extrapolated
@@ -456,7 +491,7 @@ class ShardingPass(Pass):
             compute_scale = getattr(self.calibration, "compute_scale", 1.0)
             network_scale = getattr(self.calibration, "network_scale", 1.0)
         stages = [stage for _, stage in simulated_node_stages(
-            state, roles, resources,
+            state, resources,
             compute_scale=compute_scale, network_scale=network_scale)]
 
         best_w, best_seconds = 1, float("inf")

@@ -265,10 +265,9 @@ class FittedPipeline(Transformer):
     def apply_dataset(self, data: Dataset, backend=None) -> Dataset:
         """Batch inference; ``backend`` selects the execution backend.
 
-        The serial default evaluates the inference DAG lazily; the
-        pipelined backend materializes output partitions concurrently;
-        the sharded backend re-partitions the batch into one shard per
-        simulated worker.  All return identical rows.
+        The serial default evaluates the inference DAG lazily; the actor
+        backend runs it as a wave over its worker pool.  Both return
+        identical rows.
         """
         from repro.core.backends import resolve_backend
 

@@ -14,7 +14,8 @@ the optimizer decided (:meth:`PhysicalPlan.explain`,
 default): depth-first training with estimators as pipeline breakers,
 followed by extraction of the inference-only DAG into a
 :class:`~repro.core.pipeline.FittedPipeline`.  Pass ``backend=`` to train
-the same plan pipelined across threads or priced on a simulated cluster.
+the same plan on the multi-process actor runtime; price any fit on a
+simulated cluster with :func:`~repro.core.passes.plan_scaling_sweep`.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class PlanState:
     shard_roles: Dict[int, str] = field(default_factory=dict)
     #: execution backend recommended by ShardingPass(workers="auto"):
     #: "actors" when the simulated coordination cost is low enough for
-    #: multi-process shards to pay off, "pipelined" when coordination
-    #: dominates, "local" at one worker (None: no recommendation)
+    #: multi-process shards to pay off, "local" when coordination
+    #: dominates or at one worker (None: no recommendation)
     shard_backend: Optional[str] = None
     #: OpProgram-level rewrites registered by LoweringPass; applied by
     #: every consumer that lowers this plan's DAG to the flat IR (the
@@ -270,8 +271,7 @@ class PhysicalPlan:
         recorded).  Every backend honours the plan's caching policy and
         trains to identical predictions; the returned pipeline carries a
         :class:`~repro.core.executor.TrainingReport` combining the
-        optimizer's decisions with measured (and, for the sharded
-        backend, simulated) execution times.
+        optimizer's decisions with measured execution times.
 
         ``fit_store`` attaches a :class:`~repro.incremental.FitStore` for
         this execution (warm retrain / streaming refit; see

@@ -100,8 +100,10 @@ class CacheManager:
     rows.  Eviction happens at insert time until the new entry fits, per the
     configured policy.
 
-    Thread-safe: the pipelined execution backend pulls partitions of shared
-    datasets from several threads, so every compound operation (hit
+    Thread-safe: :class:`~repro.serving.cache.ServingCache` shares one
+    manager between client threads (pre-queue lookups) and micro-batch
+    flush threads, and callers may pull partitions of shared datasets
+    from a thread pool, so every compound operation (hit
     bookkeeping, the admit/evict/insert sequence) runs under one lock —
     without it, concurrent evictions race ``entries.pop`` and corrupt the
     ``used`` accounting.  Policy callbacks run under the lock and must not

@@ -17,9 +17,9 @@ class ExecutionStats:
     ``compute_counts[dataset_id]`` is the number of partition computations
     performed for that dataset — recomputation of uncached intermediates
     shows up directly here, which is how Figure 10's comparisons are
-    measured.  Updates are locked: the pipelined backend records computes
-    from several threads, and an unguarded read-modify-write would drop
-    counts.
+    measured.  Updates are locked: callers pulling partitions from a
+    thread pool record computes from several threads, and an unguarded
+    read-modify-write would drop counts.
     """
 
     compute_counts: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
@@ -59,8 +59,9 @@ class Context:
         self._id_lock = threading.Lock()
 
     def next_dataset_id(self) -> int:
-        # Locked: pipelined estimator fits may derive datasets on pool
-        # threads, and duplicate ids would alias (id, partition) cache keys.
+        # Locked: callers may derive datasets from several threads (fits
+        # or apply_dataset calls sharing one Context), and duplicate ids
+        # would alias (id, partition) cache keys.
         with self._id_lock:
             self._next_dataset_id += 1
             return self._next_dataset_id

@@ -120,9 +120,9 @@ class Dataset:
         if hit is not None:
             return hit
         # Cold partition: compute under a per-partition lock so concurrent
-        # pulls (the pipelined backend) do the work once.  Lineage is a
-        # DAG of distinct datasets, so a compute never re-enters its own
-        # (dataset, partition) lock.
+        # pulls (a thread pool over partition()) do the work once.
+        # Lineage is a DAG of distinct datasets, so a compute never
+        # re-enters its own (dataset, partition) lock.
         with self._inflight.setdefault(i, threading.Lock()):
             # peek, not get: the miss was already counted above.
             hit = self.ctx.cache.peek(key)

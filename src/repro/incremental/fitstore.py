@@ -48,8 +48,8 @@ class FitStore:
     ``budget_bytes`` bounds the total pickled bytes retained; inserting
     past the budget evicts least-recently-used entries (an entry larger
     than the whole budget is rejected outright).  Thread-safe via the
-    underlying :class:`~repro.dataset.cache.CacheManager` — the pipelined
-    backend probes it from several threads.
+    underlying :class:`~repro.dataset.cache.CacheManager` — fits running
+    on different threads may share one store.
     """
 
     def __init__(self, budget_bytes: float = float("inf")):

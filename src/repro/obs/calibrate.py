@@ -90,7 +90,9 @@ class CostModelCalibrator:
         ``spans`` supplies worker/parent op spans (category ``"op"``,
         carrying ``node_id`` args); ``report`` supplies
         ``TrainingReport.node_seconds`` as a fallback for nodes without
-        spans.  Returns the number of pairs added.
+        spans.  Estimator fits are already in ``node_seconds``
+        (``estimator_seconds`` is a view of the same timer), so they are
+        counted once.  Returns the number of pairs added.
         """
         from repro.cluster.resources import ResourceDescriptor
         from repro.cluster.simulator import ClusterSimulator
@@ -101,8 +103,6 @@ class CostModelCalibrator:
         observed: Dict[int, float] = {}
         if report is not None:
             observed.update(report.node_seconds)
-            for nid, seconds in getattr(report, "estimator_seconds", {}).items():
-                observed[nid] = observed.get(nid, 0.0) + seconds
         if spans is not None:
             # Span measurements win over report fallback where both exist.
             observed.update(_trace.node_seconds(spans, cats=("op",)))

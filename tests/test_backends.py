@@ -5,13 +5,14 @@ byte-identical predictions vs the serial LocalBackend, on both a linear
 (quickstart-style) pipeline and a gather/branching one; backend selection
 threads through ``plan.execute``, ``Pipeline.fit`` and
 ``FittedPipeline.apply`` / ``apply_dataset``; ``ShardingPass`` decisions
-reach ``explain()`` and the sharded backend's simulated pricing anchors to
-measured serial time at ``workers=1``.
+reach ``explain()``, and ``plan_scaling_sweep`` prices a fit through the
+same stage rule, anchored to measured serial time at one worker.
 """
 
 import inspect
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,12 +22,9 @@ from repro.core import graph as g
 from repro.core.backends import (
     BACKENDS,
     ActorBackend,
-    ExecutionBackend,
     LocalBackend,
-    PipelinedBackend,
     ProcessPoolBackend,
-    ShardedBackend,
-    plan_scaling_sweep,
+    TrainingSession,
     resolve_backend,
     shutdown_actor_pools,
     shutdown_worker_pools,
@@ -34,7 +32,12 @@ from repro.core.backends import (
 from repro.core.executor import ExclusiveTimer
 from repro.core.operators import Transformer
 from repro.core.optimizer import Optimizer, passes_for_level
-from repro.core.passes import ShardingPass
+from repro.core.passes import (
+    ShardingPass,
+    plan_scaling_sweep,
+    simulated_node_stages,
+)
+from repro.core.plan import PassDecision
 from repro.core.pipeline import Pipeline
 from repro.dataset import Context
 from repro.nodes.learning.kmeans import KMeansEstimator
@@ -84,6 +87,22 @@ def branching_pipeline(ctx, wl=WORKLOAD):
     return Pipeline.gather([branch1, branch2])
 
 
+def gather_then_solve(ctx, wl=WORKLOAD):
+    """Two featurization branches gathered into one solver."""
+    from repro.nodes.numeric import VectorCombiner
+
+    data = wl.train_data(ctx)
+    labels = wl.train_label_vectors(ctx)
+    b1 = (Pipeline.identity().and_then(Tokenizer())
+          .and_then(TermFrequency(lambda c: 1.0))
+          .and_then(CommonSparseFeatures(100), data))
+    b2 = (Pipeline.identity().and_then(LowerCase()).and_then(Tokenizer())
+          .and_then(TermFrequency(lambda c: 1.0))
+          .and_then(CommonSparseFeatures(50), data))
+    return (Pipeline.gather([b1, b2]).and_then(VectorCombiner())
+            .and_then(LinearSolver(), data, labels))
+
+
 def comparable(rows):
     """Map prediction rows to hashable byte-exact representations."""
     out = []
@@ -104,10 +123,10 @@ def optimize(builder, extra_passes=()):
 
 ALL_BACKENDS = [
     pytest.param(lambda: LocalBackend(), id="local"),
-    pytest.param(lambda: PipelinedBackend(max_workers=3), id="pipelined"),
-    pytest.param(lambda: ShardedBackend(workers=4,
-                                        resources=r3_4xlarge(4)),
-                 id="sharded"),
+    # retired registry names, still resolved by name by the observatory's
+    # backend probe: they must keep giving the serial predictions
+    pytest.param(lambda: resolve_backend("pipelined"), id="pipelined"),
+    pytest.param(lambda: resolve_backend("sharded"), id="sharded"),
     pytest.param(lambda: ProcessPoolBackend(workers=2,
                                             task_timeout=PROCESS_TIMEOUT),
                  id="process"),
@@ -149,16 +168,39 @@ class TestBackendEquivalence:
         got = comparable([fitted.apply(doc, backend=make_backend())])
         assert got == expected
 
-    def test_fit_accepts_backend(self):
-        fitted = text_pipeline(Context()).fit(sample_sizes=(20, 40),
-                                              backend="pipelined")
-        assert fitted.training_report.backend == "pipelined"
-        assert fitted.apply("fine product") is not None
+    @pytest.mark.parametrize("make_backend", ALL_BACKENDS)
+    def test_estimator_times_attributed(self, make_backend):
+        """Each estimator's fit time is its measured node time, once."""
+        fitted = optimize(branching_pipeline).execute(
+            backend=make_backend())
+        report = fitted.training_report
+        # Three estimators: CommonSparseFeatures + two LinearSolvers.
+        assert len(report.estimator_seconds) == 3
+        for node_id, seconds in report.estimator_seconds.items():
+            assert seconds >= 0
+            assert seconds == report.node_seconds[node_id]
 
-    def test_report_names_backend(self):
-        plan = optimize(text_pipeline)
-        fitted = plan.execute(backend=ShardedBackend(workers=4))
-        assert fitted.training_report.backend == "sharded[workers=4]"
+    def test_error_propagates(self):
+        from repro.core.operators import LabelEstimator
+
+        class Boom(LabelEstimator):
+            def fit(self, data, labels):
+                raise RuntimeError("boom")
+
+        ctx = Context()
+        data = ctx.parallelize([1.0, 2.0], 2)
+        labels = ctx.parallelize([1.0, 2.0], 2)
+        pipe = Pipeline.identity().and_then(Boom(), data, labels)
+        plan = Optimizer(passes_for_level("none")).optimize(pipe)
+        with pytest.raises(RuntimeError, match="boom"):
+            plan.execute()
+
+    def test_fit_accepts_backend(self):
+        backend = ActorBackend(workers=2, task_timeout=PROCESS_TIMEOUT)
+        fitted = text_pipeline(Context()).fit(sample_sizes=(20, 40),
+                                              backend=backend)
+        assert fitted.training_report.backend == "actors[workers=2]"
+        assert fitted.apply("fine product") is not None
 
 
 class TestTracingTransparency:
@@ -207,14 +249,12 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(None), LocalBackend)
 
     def test_instance_passthrough(self):
-        backend = PipelinedBackend(2)
+        backend = LocalBackend()
         assert resolve_backend(backend) is backend
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_names_resolve(self, name):
-        backend = resolve_backend(name)
-        assert isinstance(backend, ExecutionBackend)
-        assert backend.name == name
+        assert type(resolve_backend(name)) is BACKENDS[name]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -230,159 +270,126 @@ class TestResolveBackend:
             plan.execute(backend="bogus")
 
 
-class TestPipelinedBackend:
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            PipelinedBackend(0)
-
-    def test_terminates_without_deadlock(self):
-        """Watchdog: a deadlocked scheduler fails instead of hanging."""
-        result = {}
-
-        def run():
-            fitted = optimize(branching_pipeline).execute(
-                backend=PipelinedBackend(max_workers=2))
-            result["fitted"] = fitted
-
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=120)
-        assert not worker.is_alive(), "pipelined execution deadlocked"
-        assert result["fitted"].training_report.backend == "pipelined"
-
-    def test_estimator_times_attributed(self):
-        fitted = optimize(branching_pipeline).execute(
-            backend=PipelinedBackend(max_workers=3))
-        report = fitted.training_report
-        # Three estimators: CommonSparseFeatures + two LinearSolvers.
-        assert len(report.estimator_seconds) == 3
-        assert all(t >= 0 for t in report.estimator_seconds.values())
-
+class TestConcurrentTraining:
     def test_lru_cache_safe_under_concurrency(self):
         """Regression: concurrent partition pulls raced the cache manager
-        (eviction KeyError + corrupted byte accounting)."""
-        reference = None
-        for backend in (LocalBackend(), PipelinedBackend(max_workers=4)):
-            fitted = branching_pipeline(Context()).fit(
-                sample_sizes=(20, 40), cache_strategy="lru",
-                mem_budget_bytes=2e5, backend=backend)
-            rows = comparable(fitted.apply_dataset(
-                WORKLOAD.test_data(Context())).collect())
-            if reference is None:
-                reference = rows
-            assert rows == reference
+        (eviction KeyError + corrupted byte accounting).  The two solver
+        fits share one LRU-cached featurization and run on a thread pool;
+        the batch output is then pulled partition-parallel."""
+        reference = comparable(
+            branching_pipeline(Context())
+            .fit(sample_sizes=(20, 40), cache_strategy="lru",
+                 mem_budget_bytes=2e5)
+            .apply_dataset(WORKLOAD.test_data(Context())).collect())
 
-    def test_error_propagates(self):
-        from repro.core.operators import LabelEstimator
+        passes = passes_for_level("full", sample_sizes=(20, 40),
+                                  cache_strategy="lru",
+                                  mem_budget_bytes=2e5)
+        plan = Optimizer(passes).optimize(branching_pipeline(Context()))
+        session = TrainingSession(plan, None)
+        selector, *solvers = session.estimator_nodes()
+        assert [n.label for n in solvers] == ["LinearSolver"] * 2
+        session.fit_estimator(selector)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(session.fit_estimator, solvers))
+            out = session.finish().apply_dataset(
+                WORKLOAD.test_data(Context()))
+            parts = list(pool.map(out.partition,
+                                  range(out.num_partitions)))
+        cache = session.ctx.cache
+        assert cache.used == sum(e.size for e in cache.entries.values())
+        assert cache.used <= cache.budget
+        assert comparable([row for part in parts for row in part]) == \
+            reference
 
-        class Boom(LabelEstimator):
-            def fit(self, data, labels):
-                raise RuntimeError("boom")
 
-        ctx = Context()
-        data = ctx.parallelize([1.0, 2.0], 2)
-        labels = ctx.parallelize([1.0, 2.0], 2)
-        pipe = Pipeline.identity().and_then(Boom(), data, labels)
-        plan = Optimizer(passes_for_level("none")).optimize(pipe)
-        with pytest.raises(RuntimeError, match="boom"):
-            plan.execute(backend=PipelinedBackend(2))
+def _sweep_total(sweep, w):
+    return sum(sweep[w].values())
 
 
-class TestShardedBackend:
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            ShardedBackend(workers=0)
+class TestPlanScalingSweep:
+    """Cluster scaling is priced from any fit's measured node seconds
+    through the one stage rule, ``simulated_node_stages``."""
 
-    def test_workers_1_matches_serial_timings(self):
-        """With one worker and no overhead, simulation == measurement."""
-        backend = ShardedBackend(workers=1, resources=r3_4xlarge(1),
-                                 overhead_per_stage=0.0)
-        fitted = optimize(text_pipeline).execute(backend=backend)
-        report = fitted.training_report
-        assert report.simulated_workers == 1
-        assert report.simulated_seconds == pytest.approx(
-            sum(report.node_seconds.values()), rel=1e-9)
+    @pytest.fixture(scope="class")
+    def text_fit(self):
+        plan = optimize(text_pipeline)
+        return plan, plan.execute()
 
-    def test_more_workers_shrink_simulated_time(self):
-        results = {}
-        for w in (1, 8):
-            backend = ShardedBackend(workers=w, resources=r3_4xlarge(w),
-                                     overhead_per_stage=0.0)
-            fitted = optimize(text_pipeline).execute(backend=backend)
-            results[w] = fitted.training_report.simulated_seconds
-        assert results[8] < results[1]
+    def test_one_worker_prices_measured_seconds(self, text_fit):
+        """With one worker and no overhead, the price is the measurement."""
+        plan, fitted = text_fit
+        sweep = plan_scaling_sweep(plan, fitted, [1],
+                                   resources=r3_4xlarge(1))
+        assert _sweep_total(sweep, 1) == pytest.approx(
+            sum(fitted.training_report.node_seconds.values()), rel=1e-9)
 
-    def test_workers_default_to_sharding_pass(self):
-        plan = optimize(text_pipeline, [ShardingPass(workers=16)])
-        fitted = plan.execute(backend=ShardedBackend())
-        assert fitted.training_report.simulated_workers == 16
+    def test_more_workers_cost_less(self, text_fit):
+        plan, fitted = text_fit
+        sweep = plan_scaling_sweep(plan, fitted, [1, 8],
+                                   resources=r3_4xlarge(1))
+        assert _sweep_total(sweep, 8) < _sweep_total(sweep, 1)
 
-    def test_breakdown_separates_solve_from_featurize(self):
-        fitted = optimize(text_pipeline).execute(
-            backend=ShardedBackend(workers=4))
-        breakdown = fitted.training_report.simulated_breakdown
-        assert "Model Solve" in breakdown
-        assert "Featurization" in breakdown
+    @pytest.mark.parametrize("make_backend", ALL_BACKENDS)
+    def test_prices_any_backends_fit(self, make_backend):
+        plan = optimize(text_pipeline)
+        fitted = plan.execute(backend=make_backend())
+        sweep = plan_scaling_sweep(plan, fitted, [1, 8],
+                                   resources=r3_4xlarge(1))
+        assert _sweep_total(sweep, 1) == pytest.approx(
+            sum(fitted.training_report.node_seconds.values()), rel=1e-9)
+        assert _sweep_total(sweep, 8) < _sweep_total(sweep, 1)
 
-    def test_scaling_sweep_over_real_plan(self):
-        backend = ShardedBackend(workers=8, resources=r3_4xlarge(8),
-                                 overhead_per_stage=0.0)
-        fitted = optimize(text_pipeline,
-                          [ShardingPass(workers=8)]).execute(backend=backend)
-        sweep = plan_scaling_sweep(fitted, [8, 16, 32, 64])
-        totals = [sum(sweep[w].values()) for w in (8, 16, 32, 64)]
-        assert sorted(sweep) == [8, 16, 32, 64]
+    def test_overhead_is_paid_once_per_stage(self, text_fit):
+        plan, fitted = text_fit
+        stages = simulated_node_stages(
+            plan.state, r3_4xlarge(4),
+            node_seconds=fitted.training_report.node_seconds)
+        bare = plan_scaling_sweep(plan, fitted, [4])
+        paid = plan_scaling_sweep(plan, fitted, [4], overhead_per_stage=0.5)
+        assert _sweep_total(paid, 4) - _sweep_total(bare, 4) == \
+            pytest.approx(0.5 * len(stages), rel=1e-9)
+
+    def test_breakdown_separates_solve_from_featurize(self, text_fit):
+        plan, fitted = text_fit
+        sweep = plan_scaling_sweep(plan, fitted, [4])
+        assert {"Featurization", "Model Solve"} <= set(sweep[4])
+
+    def test_strong_scaling_is_monotone(self, text_fit):
+        plan, fitted = text_fit
+        nodes = [8, 16, 32, 64]
+        sweep = plan_scaling_sweep(plan, fitted, nodes,
+                                   resources=r3_4xlarge(8))
+        totals = [_sweep_total(sweep, w) for w in nodes]
+        assert sorted(sweep) == nodes
         assert all(a >= b for a, b in zip(totals, totals[1:]))
-
-    def test_sweep_requires_sharded_run(self):
-        fitted = optimize(text_pipeline).execute()
-        with pytest.raises(ValueError, match="no simulated stages"):
-            plan_scaling_sweep(fitted, [8, 16])
 
     def test_training_flow_gather_pays_coordination(self):
         """A gather feeding an estimator gets a network-only stage; the
         never-executed inference-path sink gather does not."""
-        from repro.nodes.numeric import VectorCombiner
+        def gather_stages(builder):
+            plan = optimize(builder)
+            report = plan.execute().training_report
+            return [stage for node, stage in simulated_node_stages(
+                        plan.state, r3_4xlarge(8),
+                        node_seconds=report.node_seconds)
+                    if node.kind == g.GATHER]
 
-        def builder(ctx):
-            wl = WORKLOAD
-            data = wl.train_data(ctx)
-            labels = wl.train_label_vectors(ctx)
-            b1 = (Pipeline.identity().and_then(Tokenizer())
-                  .and_then(TermFrequency(lambda c: 1.0))
-                  .and_then(CommonSparseFeatures(100), data))
-            b2 = (Pipeline.identity().and_then(LowerCase())
-                  .and_then(Tokenizer())
-                  .and_then(TermFrequency(lambda c: 1.0))
-                  .and_then(CommonSparseFeatures(50), data))
-            return (Pipeline.gather([b1, b2]).and_then(VectorCombiner())
-                    .and_then(LinearSolver(), data, labels))
-
-        fitted = optimize(builder).execute(
-            backend=ShardedBackend(workers=8, resources=r3_4xlarge(8)))
-        gathers = [s for s in fitted.training_report.simulated_stages
-                   if s.name == "gather"]
+        gathers = gather_stages(gather_then_solve)
         assert len(gathers) == 1
+        assert gathers[0].profile_fn(1).flops == 0.0
         assert gathers[0].profile_fn(1).network == 0.0
         assert gathers[0].profile_fn(8).network > 0.0
-
         # The branching fixture's gather sits on the inference path only
         # and must not be priced.
-        sharded = optimize(branching_pipeline).execute(
-            backend=ShardedBackend(workers=8, resources=r3_4xlarge(8)))
-        assert all(s.name != "gather"
-                   for s in sharded.training_report.simulated_stages)
+        assert gather_stages(branching_pipeline) == []
 
-    def test_apply_batch_shards_from_training_run(self):
-        """workers=None re-partitions inference using the trained count."""
-        backend = ShardedBackend()
-        plan = optimize(text_pipeline, [ShardingPass(workers=8)])
-        fitted = plan.execute(backend=backend)
-        out = fitted.apply_dataset(WORKLOAD.test_data(Context()),
-                                   backend=backend)
-        assert out.num_partitions == 8
-        serial = fitted.apply_dataset(WORKLOAD.test_data(Context()))
-        assert comparable(out.collect()) == comparable(serial.collect())
+    def test_unprofiled_plan_raises(self):
+        plan = Optimizer(passes_for_level("none")).optimize(
+            text_pipeline(Context()))
+        fitted = plan.execute()
+        with pytest.raises(ValueError, match="needs a profiled plan"):
+            plan_scaling_sweep(plan, fitted, [8, 16])
 
 
 class SleepyTransformer(Transformer):
@@ -617,7 +624,7 @@ class TestAutoBackendRecommendation:
         sharding = ShardingPass(workers="auto")
         assert sharding._recommend_backend(1, 0.0) == "local"
         assert sharding._recommend_backend(4, 0.01) == "actors"
-        assert sharding._recommend_backend(4, 0.5) == "pipelined"
+        assert sharding._recommend_backend(4, 0.5) == "local"
 
     def test_hint_mapping_amortizes_iterative_passes(self):
         """Persistent workers pay shard movement once per fit, not once
@@ -628,7 +635,7 @@ class TestAutoBackendRecommendation:
         assert sharding._recommend_backend(4, 0.5, 10) == "actors"
         assert sharding._recommend_backend(4, 0.01, 20) == "actors"
         # Two passes are not enough to amortize 0.5 below the threshold.
-        assert sharding._recommend_backend(4, 0.5, 2) == "pipelined"
+        assert sharding._recommend_backend(4, 0.5, 2) == "local"
         # One worker stays serial no matter how iterative the solver is.
         assert sharding._recommend_backend(1, 0.01, 50) == "local"
         # Non-iterative plans are judged on the unamortized share.
@@ -715,6 +722,77 @@ class TestShardingPass:
         plan = Optimizer(passes).optimize(text_pipeline(Context()),
                                           resources=r3_4xlarge(32))
         assert plan.state.shard_workers == 32
+
+
+class TestStageRulePinned:
+    """``simulated_node_stages`` prices a fixed profile to fixed numbers.
+
+    The profile is overwritten with synthetic per-node seconds and bytes,
+    so the expected values below do not depend on the machine; they were
+    produced by the stage rule as it stood when it served only
+    ``ShardingPass(workers="auto")`` and ``CostModelCalibrator``.
+    """
+
+    #: (label, seconds at w=1, seconds at w=8) per stage, DAG order
+    STAGES = [
+        ("data", 0.25, 0.03125),
+        ("Tokenizer", 0.5, 0.0625),
+        ("TermFrequency", 0.75, 0.09375),
+        ("CommonSparseFeatures", 1.0, 0.509),
+        ("apply(CommonSparseFeatures)", 1.25, 0.15625),
+        ("LowerCase", 1.5, 0.1875),
+        ("Tokenizer", 1.75, 0.21875),
+        ("TermFrequency", 2.0, 0.25),
+        ("CommonSparseFeatures", 2.25, 1.14525),
+        ("apply(CommonSparseFeatures)", 2.5, 0.3125),
+        ("gather", 0.0, 1.056),
+        ("VectorCombiner", 3.0, 0.375),
+        ("labels", 3.25, 0.40625),
+        ("LinearSolver", 3.5, 1.7815),
+        ("Tokenizer", 4.0, 0.5),
+        ("TermFrequency", 4.25, 0.53125),
+        ("apply(CommonSparseFeatures)", 4.5, 0.5625),
+        ("LowerCase", 4.75, 0.59375),
+        ("Tokenizer", 5.0, 0.625),
+        ("TermFrequency", 5.25, 0.65625),
+        ("apply(CommonSparseFeatures)", 5.5, 0.6875),
+        ("gather", 0.0, 2.208),
+        ("VectorCombiner", 6.0, 0.75),
+        ("apply(LinearSolver)", 6.25, 0.78125),
+    ]
+
+    @pytest.fixture
+    def state(self):
+        plan = Optimizer(passes_for_level("full", sample_sizes=(20, 40))) \
+            .optimize(gather_then_solve(Context()),
+                      resources=r3_4xlarge(16))
+        state = plan.state
+        for i, node in enumerate(g.ancestors([state.sink])):
+            entry = state.profile.nodes[node.id]
+            entry.t_seconds = 0.0 if node.kind == g.GATHER else 0.25 * (i + 1)
+            entry.size_bytes = 4e7 * (i + 1)
+        return state
+
+    def test_stage_seconds(self, state):
+        from repro.cluster.simulator import ClusterSimulator
+
+        stages = simulated_node_stages(state, r3_4xlarge(1))
+        assert [n.label for n, _ in stages] == [s[0] for s in self.STAGES]
+        for column, w in ((1, 1), (2, 8)):
+            sim = ClusterSimulator(r3_4xlarge(w), overhead_per_stage=0.0)
+            assert [sim.time_stage(s) for _, s in stages] == pytest.approx(
+                [row[column] for row in self.STAGES], rel=1e-12)
+
+    def test_auto_decision(self, state):
+        sharding = ShardingPass(workers="auto", max_workers=16)
+        state.decisions.append(PassDecision(name=sharding.name))
+        sharding.run(state)
+        details = state.decisions[-1].details
+        assert state.shard_workers == 16
+        assert details["simulated_seconds"] == 12.1205
+        assert details["network_fraction"] == 0.6442
+        # Expensive coordination: serial in-process execution.
+        assert state.shard_backend == "local"
 
 
 class TestExclusiveTimerThreadSafety:

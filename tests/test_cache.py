@@ -121,7 +121,7 @@ class TestPinned:
 class TestThreadSafety:
     def test_concurrent_put_get_keeps_accounting_consistent(self):
         """Regression: concurrent evictions raced entries.pop and drifted
-        the used-bytes accounting (pipelined backend workload)."""
+        the used-bytes accounting (concurrent partition pulls)."""
         import threading
 
         from repro.dataset.cache import CacheManager, LRUPolicy

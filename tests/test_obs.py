@@ -252,6 +252,50 @@ class TestCostModelCalibrator:
         cal.observe("n", 1.0, 0.0)
         assert cal.pairs == []
 
+    def test_report_path_counts_estimator_time_once(self):
+        """``estimator_seconds`` is a view of the timer ``node_seconds``
+        is built from: a joined estimator observes its node seconds, not
+        twice them."""
+        from repro.core import graph as g
+        from repro.core.optimizer import Optimizer, passes_for_level
+        from repro.core.pipeline import Pipeline
+        from repro.dataset import Context
+        from repro.nodes.learning.linear import LinearSolver
+        from repro.nodes.text import (
+            CommonSparseFeatures,
+            TermFrequency,
+            Tokenizer,
+        )
+        from repro.workloads import amazon_reviews
+
+        wl = amazon_reviews(120, 10, vocab_size=200, seed=0)
+        ctx = Context()
+        data = wl.train_data(ctx)
+        pipe = (
+            Pipeline.identity()
+            .and_then(Tokenizer())
+            .and_then(TermFrequency(lambda c: 1.0))
+            .and_then(CommonSparseFeatures(50), data)
+            .and_then(LinearSolver(), data, wl.train_label_vectors(ctx))
+        )
+        plan = Optimizer(passes_for_level("full", sample_sizes=(20, 40))).optimize(
+            pipe
+        )
+        report = plan.execute().training_report
+        calibrator = CostModelCalibrator()
+        assert calibrator.observe_plan(plan, report=report) > 0
+        observed = {label: seconds for label, _, seconds in calibrator.pairs}
+        estimators = [
+            n for n in g.ancestors([plan.state.sink]) if n.kind == g.ESTIMATOR
+        ]
+        assert {n.label for n in estimators} == {
+            "CommonSparseFeatures",
+            "LinearSolver",
+        }
+        for node in estimators:
+            assert node.id in report.estimator_seconds
+            assert observed[node.label] == report.node_seconds[node.id]
+
 
 class TestPlanObservedExplain:
     def _plan(self):

@@ -772,14 +772,6 @@ class TestShardingAutoWorkers:
         with pytest.raises(ValueError, match="max_workers"):
             ShardingPass(workers="auto", max_workers=0)
 
-    def test_sharded_backend_consumes_auto_decision(self):
-        from repro.core.backends import ShardedBackend
-
-        plan = self._plan("auto", max_workers=6)
-        fitted = plan.execute(backend=ShardedBackend())
-        assert (fitted.training_report.simulated_workers
-                == plan.state.shard_workers)
-
 
 class TestSLOController:
     def test_pressure_grows_batch_within_hard_bounds(self):
