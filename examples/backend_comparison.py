@@ -82,7 +82,7 @@ def main():
     for backend in backends:
         plan = build_plan(wl)
         fitted = plan.execute(backend=backend)
-        rows = fitted.apply_dataset(test_data, backend=backend).collect()
+        rows = fitted.apply_dataset(test_data).collect()
         key = [tuple(x.tobytes() for x in row) for row in rows]
         if reference is None:
             reference = key

@@ -23,11 +23,11 @@ multi-process backend, kept as aliases of :class:`ActorBackend` and
 are not a backend: :func:`repro.core.passes.plan_scaling_sweep` prices
 any backend's fit on a simulated cluster.
 
-Selection threads through the public API: ``plan.execute(backend=...)``,
-``Pipeline.fit(backend=...)`` and ``FittedPipeline.apply`` /
-``apply_dataset`` all accept an instance, a registry name from
-:data:`BACKENDS` (``"local" | "process" | "actors"``, plus the
-retired aliases), or ``None`` for the default.
+Backends only train.  Selection threads through the public API:
+``plan.execute(backend=...)`` and ``Pipeline.fit(backend=...)`` accept
+an instance, a registry name from :data:`BACKENDS` (``"local" |
+"process" | "actors"``, plus the retired aliases), or ``None`` for the
+default.
 ``plan.execute(backend="auto")`` additionally honours the backend a
 ``ShardingPass(workers="auto")`` recommended.
 """

@@ -26,9 +26,8 @@ workers *keep* what they compute:
 - one-shot :class:`~repro.core.operators.ShardableEstimator` fits have
   workers compute per-partition sufficient statistics that the parent
   merges in the estimator's own serial reduction order; everything else
-  gathers featurized rows and runs the unmodified serial fit over them;
-- batch inference (:meth:`ActorBackend.apply_batch`) is one unkeyed
-  "collect" wave over the same pool;
+  gathers featurized rows ("collect" waves) and runs the unmodified
+  serial fit over them;
 - partitions ship zero-copy (:mod:`repro.runtime.transport`); worker
   deaths respawn bounded, and restarts / cache hit rates / bytes
   shipped vs. mapped land in the :class:`~repro.core.executor.TrainingReport`.
@@ -64,7 +63,7 @@ from repro.dataset.dataset import Dataset, _StoredPartitions
 from repro.obs import trace as obs_trace
 from repro.runtime import transport
 from repro.runtime.pool import ActorPool, _Msg, shared_actor_pool
-from repro.runtime.worker import DEFAULT_STATE_BUDGET, shard_key
+from repro.runtime.worker import shard_key
 
 if TYPE_CHECKING:
     from repro.core.pipeline import FittedPipeline
@@ -101,58 +100,40 @@ def resolve_workers(plan: Optional["PhysicalPlan"], explicit: Optional[int]) -> 
 
 def _lower_shard_program(
     roots: List[g.OpNode],
-    *,
-    session=None,
-    materialized=None,
-    virtual_sources=None,
-    program_passes=None,
-    dataset_memo=None,
+    session: TrainingSession,
+    materialized: Dict[int, Dataset],
+    dataset_memo: Dict[int, str],
 ):
     """Lower the flow feeding ``roots`` through the shared OpProgram IR.
 
     Returns ``(program, sources)``; any lowering passes registered on
-    the plan (:class:`~repro.core.passes.LoweringPass`) — or passed
-    explicitly via ``program_passes`` for sessionless inference — are
-    applied before the program ships, and ``sources`` is re-filtered to
-    the ops that survived them.  Passing a ``dataset_memo`` dict makes
-    ops carry content-addressed keys, claimed sources keyed by dataset
-    *content* (the fingerprint memo is shared across estimators of one
-    run) — which is what lets workers re-address cached shard state from
-    a later fit; without it the program is unkeyed and caches nothing.
+    the plan (:class:`~repro.core.passes.LoweringPass`) are applied
+    before the program ships, and ``sources`` is re-filtered to the ops
+    that survived them.  Ops carry content-addressed keys, claimed
+    sources keyed by dataset *content* (``dataset_memo`` is shared
+    across estimators of one run) — which is what lets workers
+    re-address cached shard state from a later fit.
     """
-    materialized = materialized or {}
-    virtual_sources = virtual_sources or {}
-    cache_ids = session.cache_ids if session is not None else set()
 
     def source_of(node: g.OpNode) -> Optional[Dataset]:
-        if node.id in virtual_sources:
-            return virtual_sources[node.id]
-        bound = node.kind == g.SOURCE and not node.is_pipeline_input
-        if bound and session is not None:
+        if node.kind == g.SOURCE and not node.is_pipeline_input:
             return session.dataset_of(node)
-        if node.id in materialized and node.id in cache_ids:
+        if node.id in materialized and node.id in session.cache_ids:
             return materialized[node.id]
         return None
 
-    def model_of(est_node: g.OpNode):
-        return session.fitted.get(est_node.id) if session is not None else None
-
-    source_key_of = None
-    if dataset_memo is not None:
-
-        def source_key_of(node: g.OpNode) -> str:
-            fingerprint = prog.dataset_fingerprint(source_of(node), dataset_memo)
-            return prog.op_key("source", None, (fingerprint,))
+    def source_key_of(node: g.OpNode) -> str:
+        fingerprint = prog.dataset_fingerprint(source_of(node), dataset_memo)
+        return prog.op_key("source", None, (fingerprint,))
 
     program, sources = prog.lower_training_program(
         roots,
         source_of=source_of,
-        model_of=model_of,
-        compute_keys=dataset_memo is not None,
+        model_of=lambda est_node: session.fitted.get(est_node.id),
+        compute_keys=True,
         source_key_of=source_key_of,
     )
-    if program_passes is None and session is not None:
-        program_passes = session.plan.state.program_passes
+    program_passes = session.plan.state.program_passes
     if program_passes:
         program = prog.run_program_passes(program, program_passes)
         sources = {nid: ds for nid, ds in sources.items() if nid in program.node_ids}
@@ -177,13 +158,14 @@ class ActorBackend(ExecutionBackend):
     the CPU count); ``workers=1`` degenerates to the serial reference
     execution.  ``task_timeout`` bounds each message round-trip — a
     wedged worker raises instead of hanging the fit; ``max_restarts``
-    bounds respawns per worker; ``state_budget_bytes`` caps each
-    worker's shard-state cache.  ``merge_stats=False`` disables the
-    sufficient-statistics path (one-shot estimators then gather and fit
-    in the parent).  ``start_method`` defaults to ``"spawn"``:
-    fork-safety is not assumed anywhere.  ``reuse_pool=True`` (the
-    default) shares pools per configuration across instances — the
-    cross-fit cache requires the same workers to serve both fits.
+    bounds respawns per worker.  ``reuse_pool=True`` (the default)
+    shares pools per configuration across instances — the cross-fit
+    cache requires the same workers to serve both fits.
+    A message whose array buffers total at least ``shm_threshold``
+    bytes ships them through shared memory.  Workers always start with ``"spawn"``
+    (fork-safety is not assumed anywhere), and each caches up to
+    :data:`~repro.runtime.worker.DEFAULT_STATE_BUDGET` bytes of shard
+    state.
     """
 
     name = "actors"
@@ -192,10 +174,7 @@ class ActorBackend(ExecutionBackend):
         self,
         workers: Optional[int] = None,
         task_timeout: Optional[float] = None,
-        start_method: str = "spawn",
         max_restarts: int = 2,
-        state_budget_bytes: int = DEFAULT_STATE_BUDGET,
-        merge_stats: bool = True,
         reuse_pool: bool = True,
         shm_threshold: int = transport.SHM_THRESHOLD,
     ):
@@ -203,10 +182,7 @@ class ActorBackend(ExecutionBackend):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.task_timeout = task_timeout
-        self.start_method = start_method
         self.max_restarts = max_restarts
-        self.state_budget_bytes = state_budget_bytes
-        self.merge_stats = merge_stats
         self.reuse_pool = reuse_pool
         self.shm_threshold = shm_threshold
         self._private_pool: Optional[ActorPool] = None
@@ -215,12 +191,7 @@ class ActorBackend(ExecutionBackend):
     # Pool lifecycle
     # ------------------------------------------------------------------
     def _pool(self, workers: int) -> ActorPool:
-        config = dict(
-            start_method=self.start_method,
-            task_timeout=self.task_timeout,
-            max_restarts=self.max_restarts,
-            state_budget_bytes=self.state_budget_bytes,
-        )
+        config = dict(task_timeout=self.task_timeout, max_restarts=self.max_restarts)
         if self.reuse_pool:
             return shared_actor_pool(workers, **config)
         if self._private_pool is None:
@@ -287,10 +258,7 @@ class ActorBackend(ExecutionBackend):
         roots = list(node.parents)
         try:
             program, sources = _lower_shard_program(
-                roots,
-                session=session,
-                materialized=materialized,
-                dataset_memo=dataset_memo,
+                roots, session, materialized, dataset_memo
             )
         except UnshippableFlow as exc:
             session.fit_estimator(node)
@@ -303,11 +271,7 @@ class ActorBackend(ExecutionBackend):
             return
 
         iterative_ok = isinstance(op, IterativeShardableEstimator)
-        stats_ok = (
-            self.merge_stats
-            and hasattr(op, "partition_stats")
-            and hasattr(op, "fit_from_stats")
-        )
+        stats_ok = hasattr(op, "partition_stats") and hasattr(op, "fit_from_stats")
         # Only shipping work may fall back: an error raised by the
         # estimator's own math must surface as-is (ship-shaped errors
         # from in-worker fits re-raise identically from the serial
@@ -523,7 +487,7 @@ class ActorBackend(ExecutionBackend):
 
     def _run_wave(
         self,
-        session: Optional[TrainingSession],
+        session: TrainingSession,
         pool: ActorPool,
         program: prog.OpProgram,
         sources,
@@ -549,50 +513,13 @@ class ActorBackend(ExecutionBackend):
             merged["stats"].extend(result.get("stats", []))
         return merged
 
-    def _absorb_times(self, session: Optional[TrainingSession], replies) -> None:
+    def _absorb_times(self, session: TrainingSession, replies) -> None:
         for _result, meta in replies:
-            if session is not None:
-                for node_id, seconds in meta.get("times", {}).items():
-                    session.timer.add(node_id, seconds)
+            for node_id, seconds in meta.get("times", {}).items():
+                session.timer.add(node_id, seconds)
             # Worker span buffers piggyback on reply meta; the recording
             # process name ("repro-actor-N") is the worker attribution.
             obs_trace.absorb(meta.get("spans"))
-
-    # ------------------------------------------------------------------
-    # Inference
-    # ------------------------------------------------------------------
-    def apply_batch(self, fitted: "FittedPipeline", data: Dataset) -> Dataset:
-        """Batch inference with partitions computed in the pool's workers.
-
-        One "collect" wave over an *unkeyed* program: request data is
-        not training state, so nothing is cached worker-side.  Falls
-        back to the serial reference path for single-partition inputs,
-        ``workers=1``, or unshippable pipelines; results are
-        byte-identical either way (same ``apply_partition`` chain over
-        the same partitions).
-        """
-        workers = resolve_workers(None, self.workers)
-        if workers <= 1 or data.num_partitions < 2:
-            return super().apply_batch(fitted, data)
-        try:
-            program, sources = _lower_shard_program(
-                [fitted.sink],
-                virtual_sources={fitted.input_node.id: data},
-                program_passes=getattr(fitted, "program_passes", ()),
-            )
-            if not any(step.kind == prog.TRANSFORM for step in program):
-                return super().apply_batch(fitted, data)
-            out_slots = [("out", program.slot_of(fitted.sink.id))]
-            pool = self._pool(workers)
-            result = self._run_wave(None, pool, program, sources, out_slots, None)
-        except (UnshippableFlow,) + _SHIP_ERRORS:
-            return super().apply_batch(fitted, data)
-        return Dataset(
-            data.ctx,
-            data.num_partitions,
-            _StoredPartitions(result["rows"]["out"]),
-            name=f"{self.name}({data.name})",
-        )
 
     def __repr__(self) -> str:
         return (

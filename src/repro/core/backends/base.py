@@ -1,18 +1,16 @@
 """The ExecutionBackend protocol and the shared training machinery.
 
 A backend owns *how* an optimized :class:`~repro.core.plan.PhysicalPlan`
-turns into a trained :class:`~repro.core.pipeline.FittedPipeline`, and how a
-fitted pipeline is applied to batches of new data.  The plan owns *what* to
-execute (the rewritten DAG, the cache set, the memory budget); backends must
-not change the semantics — every backend trains to identical predictions.
+turns into a trained :class:`~repro.core.pipeline.FittedPipeline`.  The plan
+owns *what* to execute (the rewritten DAG, the cache set, the memory
+budget); backends must not change the semantics — every backend trains to
+identical predictions.  Backends only train: inference is the fitted
+pipeline's own (:meth:`~repro.core.pipeline.FittedPipeline.apply` /
+``apply_dataset``) or the serving tier's.
 
-The protocol is three methods:
-
-- :meth:`ExecutionBackend.execute` — train the plan's DAG, fill the
-  :class:`~repro.core.executor.TrainingReport`, return a ``FittedPipeline``.
-- :meth:`ExecutionBackend.apply_batch` — apply a fitted pipeline to a
-  :class:`~repro.dataset.dataset.Dataset` (batch inference).
-- :meth:`ExecutionBackend.apply_item` — apply a fitted pipeline to one item.
+The protocol is one method, :meth:`ExecutionBackend.execute`: train the
+plan's DAG, fill the :class:`~repro.core.executor.TrainingReport`, return
+a ``FittedPipeline``.
 
 :class:`TrainingSession` holds the depth-first training semantics shared by
 every backend (estimators are pipeline breakers; the plan's caching policy
@@ -43,57 +41,16 @@ if TYPE_CHECKING:
 
 
 class ExecutionBackend:
-    """How a physical plan executes: train the DAG, apply fitted pipelines.
-
-    Subclasses override :meth:`execute` (and optionally the apply methods);
-    the base class provides serial reference implementations of batch and
-    single-item inference so a new backend only has to say how *training*
-    is scheduled.
-    """
+    """How a physical plan trains: subclasses say how :meth:`execute`
+    schedules the estimator fits of a :class:`TrainingSession`."""
 
     #: registry key; also recorded in ``TrainingReport.backend``
     name: str = "backend"
 
-    # ------------------------------------------------------------------
-    # Training
-    # ------------------------------------------------------------------
     def execute(
         self, plan: "PhysicalPlan", ctx: Optional[Context] = None
     ) -> "FittedPipeline":
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Inference
-    # ------------------------------------------------------------------
-    def apply_batch(self, fitted: "FittedPipeline", data: Dataset) -> Dataset:
-        """Apply a fitted pipeline to a dataset (lazy, partition-wise)."""
-        memo: Dict[int, Dataset] = {fitted.input_node.id: data}
-
-        def eval_node(node: g.OpNode) -> Dataset:
-            if node.id in memo:
-                return memo[node.id]
-            if node.kind == g.TRANSFORMER:
-                value = node.op.apply_dataset(eval_node(node.parents[0]))
-            elif node.kind == g.GATHER:
-                parents = [eval_node(p) for p in node.parents]
-                value = g.zip_gather(parents)
-            else:
-                raise ValueError(f"unexpected node kind {node.kind} in fitted pipeline")
-            memo[node.id] = value
-            return value
-
-        return eval_node(fitted.sink)
-
-    def apply_item(self, fitted: "FittedPipeline", item: Any) -> Any:
-        """Apply a fitted pipeline to a single item.
-
-        Runs the pipeline's cached compiled
-        :class:`~repro.serving.compiler.InferencePlan` instead of
-        re-walking the DAG with a fresh closure and memo per request —
-        same operators in the same order, so results are byte-identical
-        to :func:`recursive_apply_item` (the reference semantics).
-        """
-        return fitted.inference_plan().run_item(item)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -177,6 +134,7 @@ class TrainingSession:
         self.report = report
 
         self._exec_start = time.perf_counter()
+        self.owns_ctx = ctx is None
         if ctx is None:
             ctx = Context(cache_budget_bytes=state.mem_budget_bytes)
         if self.use_lru:
@@ -385,9 +343,35 @@ class TrainingSession:
         return g.reachable([self.sink], g.ESTIMATOR)
 
     def run_serial(self) -> None:
-        """Reference schedule: fit every estimator depth-first, in order."""
-        for node in self.estimator_nodes():
-            self.fit_estimator(node)
+        """Reference schedule: fit every estimator depth-first, in order.
+
+        When the session owns its context (``ctx=None``), each cached
+        dataset is released once the last estimator whose training flow
+        reads it has fitted; nothing reads it after that.  A union of
+        independent trials (a :class:`~repro.incremental.SweepPlanner`
+        sweep) thus holds about one trial's cached data at a time, not
+        the whole grid's.
+        """
+        estimators = self.estimator_nodes()
+        last_reader: Dict[int, int] = {}
+        for est in estimators:
+            stack, seen = list(est.parents), set()
+            while stack:
+                node = stack.pop()
+                if node.id in seen:
+                    continue
+                seen.add(node.id)
+                if node.id in self.cache_ids:
+                    last_reader[node.id] = est.id
+                if node.kind != g.ESTIMATOR:
+                    stack.extend(node.parents)
+        for est in estimators:
+            self.fit_estimator(est)
+            if not self.owns_ctx:
+                continue
+            for node_id, reader in last_reader.items():
+                if reader == est.id and node_id in self.env:
+                    self.env[node_id].unpersist()
 
     # ------------------------------------------------------------------
     # Wrap-up

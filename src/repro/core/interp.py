@@ -13,8 +13,9 @@ parent runs it against its mirror of a worker's cache to decide what to
 ship, so parent and worker cannot disagree about what a program reads.
 
 Outside on purpose: ``recursive_apply_item`` (the reference the tests
-compare this module against), ``apply_batch``/``TrainingSession`` (walks
-over lazy datasets, not a lowered program) and operator internals.
+compare this module against), ``FittedPipeline.apply_dataset`` /
+``TrainingSession`` (walks over lazy datasets, not a lowered program)
+and operator internals.
 ``docs/ARCHITECTURE.md`` ("The evaluator") names every caller.
 """
 

@@ -11,7 +11,7 @@ returning a :class:`FittedPipeline` usable on new data.
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.core import graph as g
 from repro.core.operators import (
@@ -248,30 +248,33 @@ class FittedPipeline(Transformer):
                 plan = self._compiled_plan
         return plan
 
-    def apply(self, item: Any, backend=None) -> Any:
-        """Apply to one item; ``backend`` selects the execution backend.
-
-        The default path runs the cached compiled
+    def apply(self, item: Any) -> Any:
+        """Apply to one item through the cached compiled
         :class:`~repro.serving.compiler.InferencePlan` — same operators,
-        same order, same numerics as the recursive walk, without
-        rebuilding the closure and memo per call.
-        """
-        if backend is None:
-            return self.inference_plan().run_item(item)
-        from repro.core.backends import resolve_backend
+        same order, same numerics as the recursive walk
+        (:func:`~repro.core.backends.recursive_apply_item`), without
+        rebuilding the closure and memo per call."""
+        return self.inference_plan().run_item(item)
 
-        return resolve_backend(backend).apply_item(self, item)
+    def apply_dataset(self, data: Dataset) -> Dataset:
+        """Batch inference: the inference DAG as lazy, partition-wise
+        datasets over ``data``."""
+        memo: Dict[int, Dataset] = {self.input_node.id: data}
 
-    def apply_dataset(self, data: Dataset, backend=None) -> Dataset:
-        """Batch inference; ``backend`` selects the execution backend.
+        def eval_node(node: g.OpNode) -> Dataset:
+            if node.id in memo:
+                return memo[node.id]
+            if node.kind == g.TRANSFORMER:
+                value = node.op.apply_dataset(eval_node(node.parents[0]))
+            elif node.kind == g.GATHER:
+                parents = [eval_node(p) for p in node.parents]
+                value = g.zip_gather(parents)
+            else:
+                raise ValueError(f"unexpected node kind {node.kind} in fitted pipeline")
+            memo[node.id] = value
+            return value
 
-        The serial default evaluates the inference DAG lazily; the actor
-        backend runs it as a wave over its worker pool.  Both return
-        identical rows.
-        """
-        from repro.core.backends import resolve_backend
-
-        return resolve_backend(backend).apply_batch(self, data)
+        return eval_node(self.sink)
 
     def __repr__(self) -> str:
         n = len(g.ancestors([self.sink]))

@@ -20,7 +20,10 @@ later decisions read.  An estimator is *not* sample-fitted when
   option's :class:`~repro.cost.model.CostModel` is known, and
 - everything downstream of it is one chain to a sink: each node a weight-1
   transformer or an apply of that estimator, with exactly one consumer,
-  and none of them an estimator, an ``Optimizable`` or a gather.
+  and none of them an estimator, an ``Optimizable`` or a gather.  The
+  chain may also end in a sink ``GATHER`` with no consumer (the union
+  sink of a :class:`~repro.incremental.SweepPlanner` sweep); a gather
+  that feeds anything blocks pruning.
 
 Every node of such a chain is requested at most once under any cache set,
 so its time and size cannot move a materialization choice, and no
@@ -33,6 +36,12 @@ measurements, and ``PipelineProfile.pruned`` lists their node ids:
   fitted linear map's ``d * k * 8`` bytes;
 - each chain node gets ``n`` rows of ``d = k`` (``n`` the full count of
   the data flowing into the chain), ``n * k * 8`` bytes and zero seconds.
+
+A sink gather over a pruned chain is not executed either.  Its entry is
+derived from its parents' entries: zero seconds (what a measured gather
+records), ``n`` the minimum of their counts, their summed size and
+width.  It is not listed in ``pruned``: a sink requested once cannot
+move a decision, measured or not.
 """
 
 from __future__ import annotations
@@ -123,7 +132,8 @@ def _unread_chain(est: g.OpNode, succ: Dict[int, List[g.OpNode]],
     """The nodes below ``est`` if no decision reads them, else ``None``.
 
     They must form one single-consumer chain of weight-1 transformers
-    (not ``Optimizable``) and applies of ``est``, ending at a sink.
+    (not ``Optimizable``) and applies of ``est``, ending at a sink or at
+    a sink gather with no consumer (which is not part of the chain).
     """
     chain: List[g.OpNode] = []
     node = est
@@ -131,6 +141,8 @@ def _unread_chain(est: g.OpNode, succ: Dict[int, List[g.OpNode]],
         if node.id in sink_ids or len(succ[node.id]) != 1:
             return None
         node = succ[node.id][0]
+        if node.kind == g.GATHER and node.id in sink_ids and not succ[node.id]:
+            return chain
         if node.kind == g.APPLY:
             if node.parents[0] is not est:
                 return None
@@ -209,6 +221,9 @@ class _ProfilePass:
             if node.kind == g.ESTIMATOR:
                 self._maybe_select(node)
                 self.full_counts[node.id] = 1.0
+            elif node.kind == g.GATHER:  # a sink gather over a chain
+                self.full_counts[node.id] = min(
+                    self._full_count(p) for p in node.parents)
             else:  # a chain node: an apply's or a transformer's data count
                 data = node.parents[-1]
                 self.full_counts[node.id] = self._full_count(data)
@@ -324,6 +339,9 @@ def profile_pipeline(sinks: List[g.OpNode], resources,
                 if below is not None:
                     chains[node.id] = [node] + below
     skip = {n.id for chain in chains.values() for n in chain}
+    gathers = {s.id for s in sinks if s.kind == g.GATHER
+               and any(p.id in skip for p in s.parents)}
+    skip |= gathers
 
     pass1 = _ProfilePass(n1, resources, select_operators, selected, skip)
     pass1.run(sinks)
@@ -346,6 +364,15 @@ def profile_pipeline(sinks: List[g.OpNode], resources,
         if node.id in estimates:
             profile.nodes[node.id] = estimates[node.id]
             profile.pruned.append(node.id)
+            continue
+        if node.id in gathers:
+            parents = [profile.nodes[p.id] for p in node.parents]
+            n = int(pass2.full_counts[node.id])
+            profile.nodes[node.id] = NodeProfile(
+                node=node, t_seconds=0.0,
+                size_bytes=sum(p.size_bytes for p in parents),
+                stats=DataStats(n=n, d=sum(p.stats.d for p in parents)),
+                weight=node.weight)
             continue
         m1 = pass1.measurements[node.id]
         m2 = pass2.measurements[node.id]

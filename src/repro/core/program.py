@@ -380,7 +380,7 @@ def dataset_fingerprint(ds, memo: Optional[Dict[int, str]] = None) -> str:
     h.update(str(ds.num_partitions).encode())
     for part in ds.iter_partitions():
         h.update(b"\x00")
-        _feed(h, part, set())
+        _feed_rows(h, part)
     digest = h.hexdigest()
     if memo is not None:
         memo[id(ds)] = digest
@@ -391,8 +391,35 @@ def partition_fingerprint(rows: Sequence[Any]) -> str:
     """Content digest of one partition's rows (streaming-refit keying)."""
     h = hashlib.blake2b(digest_size=16)
     h.update(b"partition")
-    _feed(h, list(rows), set())
+    _feed_rows(h, list(rows))
     return h.hexdigest()
+
+
+def _feed_rows(h, part) -> None:
+    """``_feed(h, part, set())``, in one update for uniform array rows.
+
+    When ``part`` is a list of same-dtype, same-shape, non-object
+    ``ndarray`` rows, every row's leaf header (``\\x00``, ``a``, dtype,
+    shape) and bytes are laid out in one structured buffer: byte for
+    byte the stream the generic walk feeds row by row, so digests do not
+    change.  Anything else takes the generic walk.
+    """
+    first = part[0] if type(part) is list and part else None
+    if type(first) is not np.ndarray or first.dtype.hasobject:
+        _feed(h, part, set())
+        return
+    dtype, shape = first.dtype, first.shape
+    for row in part:
+        if type(row) is not np.ndarray or row.dtype != dtype or row.shape != shape:
+            _feed(h, part, set())
+            return
+    head = b"\x00a" + str(dtype).encode() + repr(shape).encode()
+    layout = np.dtype([("head", f"V{len(head)}"), ("row", dtype, shape)])
+    buf = np.empty(len(part), dtype=layout)
+    buf["head"] = np.void(head)
+    buf["row"] = part
+    h.update(b"l" + str(len(part)).encode())
+    h.update(buf.view(np.uint8))
 
 
 def training_keys(

@@ -1,11 +1,11 @@
 """Hyperparameter tuning over pipelines (paper §7 future work).
 
 The paper plans to integrate hyperparameter search with the optimizer
-(citing TuPAQ [56]).  This module provides the basic harness: a grid (or
-random subsample of a grid) over pipeline-builder parameters, fitting one
-pipeline per configuration and scoring it on validation data, with the
-per-configuration optimizer decisions recorded so search results explain
-themselves.
+(citing TuPAQ [56]).  This module is the scoring half: a grid (or random
+subsample of a grid) over pipeline-builder parameters is fitted as one
+deduplicated union by :class:`~repro.incremental.SweepPlanner`, and each
+sliced trial is scored on validation data, with its own optimizer
+decisions recorded so search results explain themselves.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ class TrialResult:
 @dataclass
 class SearchResult:
     trials: List[TrialResult]
-    #: filled by incremental searches: the SweepPlanner's dedup report
-    #: (op counts shared vs executed); None for trial-by-trial runs
+    #: the SweepPlanner's dedup report (op counts shared vs executed)
     sweep_report: Optional[Any] = None
 
     @property
@@ -63,21 +62,21 @@ class GridSearch:
     ``scorer(fitted) -> float`` evaluates it (higher is better).  Set
     ``max_trials`` to randomly subsample large grids (seeded).
 
-    ``backend`` selects the execution backend every trial trains on (an
-    :class:`~repro.core.backends.ExecutionBackend` instance or registry
-    name) — without it each trial silently trains on the default serial
-    backend even when the caller has a tuned one.  ``fit_store`` attaches
-    a :class:`~repro.incremental.FitStore` so repeated searches warm-start
-    from each other's fitted state.
-
-    ``incremental=True`` routes the whole grid through
+    :meth:`run` fits the whole grid once through
     :class:`~repro.incremental.SweepPlanner`: all configurations merge
     into one union program deduplicated by training key, each shared op
-    executes once, and the result carries the planner's
-    ``SweepReport`` (``result.sweep_report``).  Scores are byte-identical
-    to the trial-by-trial path; per-trial ``fit_seconds`` is the union
-    fit amortized evenly (individual attribution is meaningless once the
-    work is shared).
+    executes once, and predictions are byte-identical to fitting every
+    configuration independently.  ``fit_kwargs`` configure that union fit
+    like :meth:`Pipeline.fit` (a ``fit_store`` lets repeated searches
+    warm-start from each other's fitted state); a ``mem_budget_bytes``
+    caps the whole grid, not each trial.  Peak memory is the union's, as
+    described on :class:`~repro.incremental.SweepPlanner`.
+
+    Per-trial ``fit_seconds`` is the union fit amortized evenly over the
+    trials (build, optimize and execute, divided by the trial count):
+    once work is shared, attributing it to one trial is meaningless.
+    ``selections`` are the trial's own, and ``result.sweep_report`` is
+    the planner's :class:`~repro.incremental.SweepReport`.
     """
 
     def __init__(self, builder: Callable[[Dict[str, Any]], Pipeline],
@@ -85,10 +84,7 @@ class GridSearch:
                  grid: Dict[str, Sequence[Any]],
                  max_trials: Optional[int] = None, seed: int = 0,
                  fit_kwargs: Optional[Dict[str, Any]] = None,
-                 keep_pipelines: bool = False,
-                 backend=None,
-                 incremental: bool = False,
-                 fit_store=None):
+                 keep_pipelines: bool = False):
         self.builder = builder
         self.scorer = scorer
         self.grid = grid
@@ -96,9 +92,6 @@ class GridSearch:
         self.seed = seed
         self.fit_kwargs = fit_kwargs or {}
         self.keep_pipelines = keep_pipelines
-        self.backend = backend
-        self.incremental = incremental
-        self.fit_store = fit_store
 
     def configurations(self) -> List[Dict[str, Any]]:
         configs = expand_grid(self.grid)
@@ -107,54 +100,18 @@ class GridSearch:
             configs = rng.sample(configs, self.max_trials)
         return configs
 
-    def _trial_fit_kwargs(self) -> Dict[str, Any]:
-        """fit() kwargs for one trial, with backend/store threaded in.
-
-        Explicit ``fit_kwargs`` entries win, so callers who already pass
-        ``backend=`` there keep their setting.
-        """
-        kwargs = dict(self.fit_kwargs)
-        if self.backend is not None:
-            kwargs.setdefault("backend", self.backend)
-        if self.fit_store is not None:
-            kwargs.setdefault("fit_store", self.fit_store)
-        return kwargs
-
     def run(self) -> SearchResult:
-        if self.incremental:
-            return self._run_incremental()
-        trials: List[TrialResult] = []
-        fit_kwargs = self._trial_fit_kwargs()
-        for params in self.configurations():
-            pipeline = self.builder(params)
-            start = time.perf_counter()
-            fitted = pipeline.fit(**fit_kwargs)
-            fit_seconds = time.perf_counter() - start
-            score = self.scorer(fitted)
-            trials.append(TrialResult(
-                params=params, score=score, fit_seconds=fit_seconds,
-                selections=dict(fitted.training_report.selections
-                                if fitted.training_report else {}),
-                pipeline=fitted if self.keep_pipelines else None))
-        return SearchResult(trials)
-
-    def _run_incremental(self) -> SearchResult:
-        """One union fit for the whole grid; see SweepPlanner."""
         from repro.incremental.sweep import SweepPlanner
 
         configs = self.configurations()
-        planner = SweepPlanner(self.builder, configs,
-                               fit_kwargs=self.fit_kwargs)
         start = time.perf_counter()
-        fitted_trials, sweep_report = planner.run(
-            backend=self.backend, fit_store=self.fit_store)
-        per_trial = (time.perf_counter() - start) / max(len(configs), 1)
-        trials: List[TrialResult] = []
-        for params, fitted in zip(configs, fitted_trials):
-            score = self.scorer(fitted)
-            trials.append(TrialResult(
-                params=params, score=score, fit_seconds=per_trial,
-                selections=dict(fitted.training_report.selections
-                                if fitted.training_report else {}),
-                pipeline=fitted if self.keep_pipelines else None))
-        return SearchResult(trials, sweep_report=sweep_report)
+        fitted_trials, report = SweepPlanner(
+            self.builder, configs, fit_kwargs=self.fit_kwargs).run()
+        per_trial = (time.perf_counter() - start) / len(configs)
+        trials = [
+            TrialResult(params=params, score=self.scorer(fitted),
+                        fit_seconds=per_trial, selections=selections,
+                        pipeline=fitted if self.keep_pipelines else None)
+            for params, fitted, selections in zip(
+                configs, fitted_trials, report.selections)]
+        return SearchResult(trials, sweep_report=report)

@@ -12,7 +12,8 @@ three consumers:
   prefix of a modified pipeline, re-fit only downstream of the change.
 - :class:`SweepPlanner` — deduped hyperparameter sweeps: merge a grid's
   candidate DAGs into one union program by key, execute each shared op
-  once (``GridSearch(incremental=True)`` routes through it).
+  once (:class:`~repro.core.tuning.GridSearch` scores the trials it
+  slices out).
 - streaming refit rides inside :func:`refit`: shardable estimators merge
   stored per-partition statistics with statistics of appended partitions
   instead of replaying old data (see

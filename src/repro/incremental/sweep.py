@@ -24,8 +24,7 @@ fit per trial — with predictions byte-identical to fitting every
 configuration independently, because the union executes the identical
 operators over the identical data and merging was *by content key*.
 
-``GridSearch(incremental=True)`` (:mod:`repro.core.tuning`) routes
-through this planner.
+:class:`~repro.core.tuning.GridSearch` is a scorer over this planner.
 """
 
 from __future__ import annotations
@@ -52,6 +51,10 @@ class SweepReport:
     unique_ops: int = 0
     #: wall-clock seconds of the single union fit (optimize + execute)
     fit_seconds: float = 0.0
+    #: per trial, in trial order: the operator selections (estimator node
+    #: id in the optimized union -> physical operator) of the estimators
+    #: that trial's sink depends on
+    selections: List[Dict[int, str]] = field(default_factory=list)
 
     @property
     def shared_ops(self) -> int:
@@ -76,8 +79,14 @@ class SweepPlanner:
     ``core/serde.py`` caveat).
 
     ``fit_kwargs`` configure the single union fit exactly like
-    :meth:`Pipeline.fit`; pass ``backend=`` / ``fit_store=`` to
-    :meth:`run` (a store makes the sweep *also* warm across calls).
+    :meth:`Pipeline.fit` (a ``fit_store`` makes the sweep *also* warm
+    across calls).  They apply to the union as a whole, so a
+    ``mem_budget_bytes`` caps the whole union, not each trial.  On the
+    serial schedule (:meth:`~repro.core.backends.TrainingSession.run_serial`)
+    each trial's cached data is released once its estimators have
+    fitted, so peak memory stays near the largest trial's; a multi-worker
+    actor fit keeps every trial's until the union fit ends.  Every
+    trial's fitted operators stay alive until :meth:`run` returns.
     """
 
     def __init__(
@@ -107,9 +116,14 @@ class SweepPlanner:
         union_input = g.pipeline_input()
         canon: Dict[str, g.OpNode] = {prog.INPUT_KEY: union_input}
         trial_sinks: List[g.OpNode] = []
+        # The memo is keyed by id(dataset): every built pipeline (and so
+        # every dataset it binds) must outlive the loop, or a later
+        # dataset could reuse a freed id and inherit its digest.
+        built: List[Pipeline] = []
         total_ops = 0
         for params in self.configs:
             pipeline = self.builder(params)
+            built.append(pipeline)
             keys = prog.training_keys([pipeline.sink], dataset_memo)
             total_ops += len(set(keys.values()))
             for node in g.reachable([pipeline.sink]):
@@ -130,28 +144,32 @@ class SweepPlanner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self, backend=None, fit_store=None, ctx=None
-    ) -> Tuple[List[FittedPipeline], SweepReport]:
+    def run(self) -> Tuple[List[FittedPipeline], SweepReport]:
         """Fit the union once; return one fitted pipeline per trial.
 
         Every backend works — shared ops fit exactly once regardless of
         scheduling, because they are one node in the union DAG.  The
         per-trial pipelines share fitted operator objects and all carry
-        the union fit's :class:`~repro.core.executor.TrainingReport`.
+        the union fit's :class:`~repro.core.executor.TrainingReport`;
+        each trial's own operator selections are in
+        ``SweepReport.selections``.
         """
+        from repro.core.executor import plan_pipeline
+
         union, report = self.union_pipeline()
         kwargs = dict(self.fit_kwargs)
-        if backend is not None:
-            kwargs["backend"] = backend
-        if fit_store is not None:
-            kwargs["fit_store"] = fit_store
-        if ctx is not None:
-            kwargs["ctx"] = ctx
-        fitted = union.fit(**kwargs)
+        execute = {
+            k: kwargs.pop(k) for k in ("ctx", "backend", "fit_store") if k in kwargs
+        }
+        plan = plan_pipeline(union, **kwargs)
+        fitted = plan.execute(**execute)
+        report.fit_seconds = fitted.training_report.total_seconds
+        selections = plan.selections
+        report.selections = [
+            {n.id: selections[n.id] for n in g.ancestors([s]) if n.id in selections}
+            for s in plan.sink.parents
+        ]
         training_report = fitted.training_report
-        if training_report is not None:
-            report.fit_seconds = training_report.total_seconds
         trials = [
             FittedPipeline(
                 fitted.input_node,

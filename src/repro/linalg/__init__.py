@@ -1,11 +1,10 @@
 """Distributed-style linear algebra over :class:`~repro.dataset.Dataset`.
 
-Row-partitioned matrices with the communication-avoiding primitives the
-KeystoneML solvers need: Gram matrices and cross-products via aggregation
-trees, and TSQR (tall-skinny QR) factorization.
+TSQR (tall-skinny QR) factorization of row-partitioned matrices via an
+aggregation tree — the communication-avoiding primitive behind the
+KeystoneML QR solvers.
 """
 
-from repro.linalg.rowmatrix import RowMatrix
 from repro.linalg.tsqr import tsqr_r, tsqr_solve
 
-__all__ = ["RowMatrix", "tsqr_r", "tsqr_solve"]
+__all__ = ["tsqr_r", "tsqr_solve"]

@@ -52,11 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import trace as obs_trace
-from repro.runtime.worker import (
-    DEFAULT_STATE_BUDGET,
-    MissingShardState,
-    actor_main,
-)
+from repro.runtime.worker import MissingShardState, actor_main
 
 
 class _WorkerDied(Exception):
@@ -85,16 +81,10 @@ class _Actor:
     """One worker process plus the parent's mirror of its state."""
 
     def __init__(
-        self,
-        index: int,
-        ctx,
-        state_budget_bytes: int,
-        main: Callable = actor_main,
-        name: str = "repro-actor",
+        self, index: int, ctx, main: Callable = actor_main, name: str = "repro-actor"
     ):
         self.index = index
         self._ctx = ctx
-        self._budget = state_budget_bytes
         self._main = main
         self._name = name
         #: serializes per-actor request/reply cycles issued via call()
@@ -113,7 +103,7 @@ class _Actor:
         parent_conn, child_conn = self._ctx.Pipe()
         self.proc = self._ctx.Process(
             target=self._main,
-            args=(child_conn, self._budget),
+            args=(child_conn,),
             name=f"{self._name}-{self.index}",
             daemon=True,
         )
@@ -143,10 +133,8 @@ class ActorPool:
         self,
         workers: int,
         *,
-        start_method: str = "spawn",
         task_timeout: Optional[float] = None,
         max_restarts: int = 2,
-        state_budget_bytes: int = DEFAULT_STATE_BUDGET,
         main: Callable = actor_main,
         name: str = "repro-actor",
     ):
@@ -162,11 +150,9 @@ class ActorPool:
             "shipped_bytes": 0,
             "mapped_bytes": 0,
         }
-        ctx = multiprocessing.get_context(start_method)
-        self.actors = [
-            _Actor(i, ctx, state_budget_bytes, main=main, name=name)
-            for i in range(workers)
-        ]
+        # Always spawn: fork-safety is not assumed anywhere.
+        ctx = multiprocessing.get_context("spawn")
+        self.actors = [_Actor(i, ctx, main=main, name=name) for i in range(workers)]
         self._lock = threading.Lock()
         # call() runs concurrently across actors; counter increments in
         # _finish must not race (dict += is not atomic).
@@ -423,23 +409,14 @@ _POOLS: Dict[Tuple, ActorPool] = {}
 
 
 def shared_actor_pool(
-    workers: int,
-    *,
-    start_method: str = "spawn",
-    task_timeout: Optional[float] = None,
-    max_restarts: int = 2,
-    state_budget_bytes: int = DEFAULT_STATE_BUDGET,
+    workers: int, *, task_timeout: Optional[float] = None, max_restarts: int = 2
 ) -> ActorPool:
-    key = (start_method, workers, task_timeout, max_restarts, state_budget_bytes)
+    key = (workers, task_timeout, max_restarts)
     with _POOL_LOCK:
         pool = _POOLS.get(key)
         if pool is None:
             pool = ActorPool(
-                workers,
-                start_method=start_method,
-                task_timeout=task_timeout,
-                max_restarts=max_restarts,
-                state_budget_bytes=state_budget_bytes,
+                workers, task_timeout=task_timeout, max_restarts=max_restarts
             )
             _POOLS[key] = pool
         return pool

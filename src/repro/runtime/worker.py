@@ -222,7 +222,7 @@ def _run_task(
     return result, times
 
 
-def actor_main(conn, state_budget_bytes: int = DEFAULT_STATE_BUDGET) -> None:
+def actor_main(conn) -> None:
     """Actor process entry point (module-level, spawn-safe).
 
     Serves the message protocol until shutdown or pipe close.  Shared
@@ -232,7 +232,7 @@ def actor_main(conn, state_budget_bytes: int = DEFAULT_STATE_BUDGET) -> None:
     :mod:`repro.runtime.transport`).
     """
     segments: List[Any] = []
-    _serve(conn, ShardStateCache(state_budget_bytes), segments)
+    _serve(conn, ShardStateCache(), segments)
     # Every row that can view a segment (cache, staging, the last
     # message) lived in _serve's frame and died with it, so the mappings
     # close cleanly here; left to SharedMemory.__del__ at exit they print

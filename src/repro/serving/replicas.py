@@ -54,12 +54,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.runtime.pool import ActorPool, _Msg
 
 
-def replica_main(conn, state_budget_bytes: int = 0) -> None:
+def replica_main(conn) -> None:
     """Entry point of one serving replica process (spawn-safe).
 
-    ``state_budget_bytes`` is accepted for signature compatibility with
-    the pool's spawn arguments; replica memory is bounded by the loaded
-    plans, not a shard cache.
+    Replica memory is bounded by the loaded plans, not a shard cache.
     """
     # Imports happen inside the worker so a spawn start method pays them
     # once per process, after the interpreter is up.
@@ -121,7 +119,6 @@ class ReplicaSet:
         self,
         replicas: int,
         *,
-        start_method: str = "spawn",
         task_timeout: Optional[float] = None,
         max_restarts: int = 2,
         name: str = "serving",
@@ -131,7 +128,6 @@ class ReplicaSet:
         self.replicas = replicas
         self.pool = ActorPool(
             replicas,
-            start_method=start_method,
             task_timeout=task_timeout,
             max_restarts=max_restarts,
             main=replica_main,

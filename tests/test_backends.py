@@ -156,17 +156,15 @@ class TestBackendEquivalence:
         builder = text_pipeline if shape == "text" else branching_pipeline
         backend = make_backend()
         fitted = optimize(builder).execute(backend=backend)
-        rows = fitted.apply_dataset(WORKLOAD.test_data(Context()),
-                                    backend=backend).collect()
+        rows = fitted.apply_dataset(WORKLOAD.test_data(Context())).collect()
         assert comparable(rows) == reference[shape]
 
     @pytest.mark.parametrize("make_backend", ALL_BACKENDS)
-    def test_single_item_apply_accepts_backend(self, make_backend):
-        fitted = optimize(text_pipeline).execute()
+    def test_single_item_apply_matches_local(self, make_backend):
         doc = "great product love it"
-        expected = comparable([fitted.apply(doc)])
-        got = comparable([fitted.apply(doc, backend=make_backend())])
-        assert got == expected
+        expected = comparable([optimize(text_pipeline).execute().apply(doc)])
+        fitted = optimize(text_pipeline).execute(backend=make_backend())
+        assert comparable([fitted.apply(doc)]) == expected
 
     @pytest.mark.parametrize("make_backend", ALL_BACKENDS)
     def test_estimator_times_attributed(self, make_backend):
@@ -236,8 +234,7 @@ class TestTracingTransparency:
         try:
             backend = make_backend()
             fitted = optimize(text_pipeline).execute(backend=backend)
-            rows = fitted.apply_dataset(WORKLOAD.test_data(Context()),
-                                        backend=backend).collect()
+            rows = fitted.apply_dataset(WORKLOAD.test_data(Context())).collect()
         finally:
             obs_trace.disable()
         assert comparable(rows) == untraced_reference
@@ -430,7 +427,8 @@ class TestActorBackend:
                 if not k.startswith("__")] == ["name"]
         assert shutdown_worker_pools is shutdown_actor_pools
         options = inspect.signature(ProcessPoolBackend).parameters
-        assert len(options) == 8
+        assert list(options) == ["workers", "task_timeout", "max_restarts",
+                                 "reuse_pool", "shm_threshold"]
 
     def test_invalid_workers(self, backend_name):
         with pytest.raises(ValueError, match="workers"):
@@ -465,8 +463,8 @@ class TestActorBackend:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_registry_workload_parity(self, name, backend_name):
         """Every registry workload — including the iterative-solver
-        heads — trains byte-identically in worker processes, and batch
-        inference through the same pool matches too."""
+        heads — trains byte-identically in worker processes, item by
+        item and in batch."""
         pipe, items = SCENARIOS[name](Context())
         reference = pipe.fit(level="none")
         expected = comparable([reference.apply(x) for x in items])
@@ -479,31 +477,8 @@ class TestActorBackend:
         assert report.process_workers == 2
         assert not report.process_fallback, report.process_fallback
         assert comparable([fitted.apply(x) for x in items]) == expected
-        batch = fitted.apply_dataset(
-            Context().parallelize(items, 4), backend=backend)
+        batch = fitted.apply_dataset(Context().parallelize(items, 4))
         assert comparable(batch.collect()) == expected
-
-    def test_apply_batch_runs_in_the_pool(self, backend_name):
-        """``apply_dataset(backend=...)`` is a wave over the actor pool
-        (it used to fall through to the serial parent path on
-        ``"actors"``), unkeyed: inference rows never enter the workers'
-        shard-state caches."""
-        with BACKENDS[backend_name](workers=2, task_timeout=PROCESS_TIMEOUT,
-                                    reuse_pool=False) as backend:
-            fitted = optimize(text_pipeline).execute(backend=backend)
-            pool = backend._private_pool
-            before = dict(pool.counters)
-            holds = [set(actor.holds) for actor in pool.actors]
-            out = fitted.apply_dataset(WORKLOAD.test_data(Context()),
-                                       backend=backend)
-            rows = comparable(out.collect())
-            assert out.name.startswith(f"{backend_name}(")
-            assert pool.counters["shipped_bytes"] > before["shipped_bytes"]
-            assert pool.counters["hits"] == before["hits"]
-            assert pool.counters["misses"] == before["misses"]
-            assert [set(actor.holds) for actor in pool.actors] == holds
-        serial = fitted.apply_dataset(WORKLOAD.test_data(Context()))
-        assert rows == comparable(serial.collect())
 
     def test_stat_merge_and_gather_paths_both_used(self, backend_name):
         """The text pipeline exercises both merge strategies: frequency
@@ -515,20 +490,6 @@ class TestActorBackend:
         assert "CommonSparseFeatures" in report.process_stat_merged
         assert "LinearSolver" in report.process_gathered
         assert not report.process_fallback
-
-    def test_merge_stats_disabled_still_identical(self, backend_name):
-        backend = BACKENDS[backend_name](workers=2, merge_stats=False,
-                                         task_timeout=PROCESS_TIMEOUT)
-        fitted = optimize(text_pipeline).execute(backend=backend)
-        report = fitted.training_report
-        assert not report.process_stat_merged
-        assert "CommonSparseFeatures" in report.process_gathered
-        reference = optimize(text_pipeline).execute()
-        got = comparable(fitted.apply_dataset(
-            WORKLOAD.test_data(Context())).collect())
-        want = comparable(reference.apply_dataset(
-            WORKLOAD.test_data(Context())).collect())
-        assert got == want
 
     @pytest.mark.parametrize("name", ["timit_kmeans", "timit_gmm",
                                       "timit_logistic"])

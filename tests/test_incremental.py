@@ -8,7 +8,9 @@ every warm, deduped, or streaming fit must produce predictions
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.core.pipeline import Pipeline
 from repro.core.tuning import GridSearch
 from repro.dataset.context import Context
 from repro.incremental import FitStore, SweepPlanner, diff_pipelines, refit
+from repro.nodes.learning.random_features import CosineRandomFeatures
 from repro.nodes.numeric import StandardScaler
 from repro.pipelines.amazon import amazon_pipeline
 from repro.workloads import amazon_reviews
@@ -233,6 +236,55 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepPlanner(lambda p: None, []).union_pipeline()
 
+    def test_built_datasets_outlive_the_union_build(self):
+        """The fingerprint memo is keyed by ``id(dataset)``: a dataset
+        freed mid-build could hand its id, and so its digest, to a later
+        one.  Every dataset a builder made stays alive until the union
+        is built."""
+        refs, dead = [], []
+
+        def builder(params):
+            gc.collect()
+            dead.append(sum(ref() is None for ref in refs))
+            ctx = Context()
+            data = ctx.parallelize(VECTORS[:20], 2)
+            refs.append(weakref.ref(data))
+            return Pipeline.identity().and_then(StandardScaler(), data)
+
+        SweepPlanner(builder, [{"i": i} for i in range(5)]).union_pipeline()
+        assert dead == [0] * 5
+
+    def test_union_releases_each_trials_cached_data(self, monkeypatch):
+        """A serial union fit drops a trial's cached features once its
+        estimator has fitted, so no later trial's fit sees them."""
+        widths = []
+        fit = StandardScaler.fit
+
+        def spy(self, data, labels=None):
+            model = fit(self, data)
+            entries = list(data.ctx.cache.entries.values())
+            widths.append({len(e.value[0]) for e in entries if e.value})
+            return model
+
+        monkeypatch.setattr(StandardScaler, "fit", spy)
+        ctx = Context()
+        data = ctx.parallelize(VECTORS, 4)
+
+        def builder(params):
+            return (
+                Pipeline.identity()
+                .and_then(CosineRandomFeatures(params["d"], seed=0), data)
+                .and_then(StandardScaler(), data)
+            )
+
+        configs = [{"d": d} for d in (5, 6, 7)]
+        SweepPlanner(
+            builder,
+            configs,
+            fit_kwargs={"cache_strategy": "all", "sample_sizes": (10, 20)},
+        ).run()
+        assert widths[-3:] == [{3, 5}, {3, 6}, {3, 7}]
+
     def test_grid_search_incremental_matches_plain(self):
         ctx = Context()
         grid = {"l2": list(L2_GRID)}
@@ -243,13 +295,11 @@ class TestSweep:
         def scorer(fitted):
             return accuracy(fitted, ctx)
 
-        plain = GridSearch(builder, scorer, grid).run()
-        inc = GridSearch(builder, scorer, grid, incremental=True).run()
-        assert [t.score for t in inc.trials] == [t.score for t in plain.trials]
-        assert inc.best.params == plain.best.params
-        assert inc.sweep_report is not None
-        assert inc.sweep_report.unique_ops < inc.sweep_report.total_ops
-        assert plain.sweep_report is None
+        search = GridSearch(builder, scorer, grid)
+        independent = [scorer(builder(p).fit()) for p in search.configurations()]
+        result = search.run()
+        assert [t.score for t in result.trials] == independent
+        assert result.sweep_report.unique_ops < result.sweep_report.total_ops
 
     def test_grid_search_threads_backend_and_store(self):
         ctx = Context()
@@ -269,17 +319,16 @@ class TestSweep:
             lambda p: build_text(ctx, l2_reg=p["l2"]),
             lambda fitted: accuracy(fitted, ctx),
             grid,
-            backend=spy,
-            fit_store=store,
+            fit_kwargs={"backend": spy, "fit_store": store},
         )
         result = search.run()
-        assert spy.executions == 2
+        assert spy.executions == 1
         assert len(store) > 0
         rerun = GridSearch(
             lambda p: build_text(ctx, l2_reg=p["l2"]),
             lambda fitted: accuracy(fitted, ctx),
             grid,
-            fit_store=store,
+            fit_kwargs={"fit_store": store},
         ).run()
         assert [t.score for t in rerun.trials] == [t.score for t in result.trials]
 

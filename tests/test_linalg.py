@@ -1,15 +1,9 @@
-"""Tests for TSQR and the row-partitioned matrix."""
+"""Tests for TSQR."""
 
 import numpy as np
 import pytest
 
-from repro.dataset import Context
-from repro.linalg import RowMatrix, tsqr_r, tsqr_solve
-
-
-@pytest.fixture
-def ctx():
-    return Context(default_partitions=4)
+from repro.linalg import tsqr_r, tsqr_solve
 
 
 def _random_blocks(rng, n_blocks, rows, cols):
@@ -71,73 +65,3 @@ class TestTSQR:
     def test_solve_block_mismatch(self):
         with pytest.raises(ValueError, match="matching block"):
             tsqr_solve([np.eye(2)], [])
-
-
-class TestRowMatrix:
-    def _matrix(self, ctx, rng, n=40, d=6, partitions=4):
-        rows = [rng.standard_normal(d) for _ in range(n)]
-        return RowMatrix(ctx.parallelize(rows, partitions)), np.vstack(rows)
-
-    def test_shape_accessors(self, ctx):
-        rng = np.random.default_rng(0)
-        rm, dense = self._matrix(ctx, rng)
-        assert rm.num_cols == 6
-        assert rm.num_rows() == 40
-
-    def test_to_dense(self, ctx):
-        rng = np.random.default_rng(1)
-        rm, dense = self._matrix(ctx, rng)
-        np.testing.assert_allclose(rm.to_dense(), dense)
-
-    def test_gram(self, ctx):
-        rng = np.random.default_rng(2)
-        rm, dense = self._matrix(ctx, rng)
-        np.testing.assert_allclose(rm.gram(), dense.T @ dense, atol=1e-8)
-
-    def test_t_times(self, ctx):
-        rng = np.random.default_rng(3)
-        rows_a = [rng.standard_normal(5) for _ in range(30)]
-        a_ds = ctx.parallelize(rows_a, 3)
-        b_ds = a_ds.map(lambda r: r * 2 + 1)
-        a = np.vstack(rows_a)
-        b = a * 2 + 1
-        result = RowMatrix(a_ds).t_times(RowMatrix(b_ds))
-        np.testing.assert_allclose(result, a.T @ b, atol=1e-8)
-
-    def test_times(self, ctx):
-        rng = np.random.default_rng(4)
-        rm, dense = self._matrix(ctx, rng)
-        x = rng.standard_normal((6, 2))
-        out = np.vstack(rm.times(x).collect())
-        np.testing.assert_allclose(out, dense @ x, atol=1e-10)
-
-    def test_qr_r_gram(self, ctx):
-        rng = np.random.default_rng(5)
-        rm, dense = self._matrix(ctx, rng)
-        r = rm.qr_r()
-        np.testing.assert_allclose(r.T @ r, dense.T @ dense, atol=1e-8)
-
-    def test_solve_least_squares(self, ctx):
-        rng = np.random.default_rng(6)
-        rm, dense = self._matrix(ctx, rng, n=60, d=5)
-        x_true = rng.standard_normal((5, 2))
-        labels_rows = list(dense @ x_true)
-        labels = RowMatrix(ctx.parallelize(labels_rows, 4))
-        x = rm.solve_least_squares(labels)
-        np.testing.assert_allclose(x, x_true, atol=1e-6)
-
-    def test_column_means(self, ctx):
-        rng = np.random.default_rng(7)
-        rm, dense = self._matrix(ctx, rng)
-        np.testing.assert_allclose(rm.column_means(), dense.mean(axis=0),
-                                   atol=1e-10)
-
-    def test_sparse_rows(self, ctx):
-        import scipy.sparse as sp
-
-        rows = [sp.random(1, 20, density=0.3, format="csr",
-                          random_state=i) for i in range(15)]
-        rm = RowMatrix(ctx.parallelize(rows, 3))
-        dense = np.vstack([r.toarray() for r in rows])
-        np.testing.assert_allclose(rm.gram(), dense.T @ dense, atol=1e-8)
-        assert rm.num_cols == 20

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from workload_scenarios import SCENARIOS, comparable
+from workload_scenarios import SCENARIOS, _vector_pipeline, comparable
 
 from repro.cluster.resources import local_machine
 from repro.core import graph as g
@@ -24,6 +24,7 @@ from repro.cost.model import CostModel
 from repro.cost.profile import CostProfile
 from repro.dataset import Context
 from repro.dataset.sizing import estimate_size
+from repro.incremental import SweepPlanner
 from repro.nodes.learning.linear import LinearSolver
 from repro.nodes.learning.pca import PCAEstimator
 from repro.nodes.numeric import MaxClassifier, StandardScaler, VectorCombiner
@@ -220,11 +221,21 @@ def _registry_case(name):
     return case
 
 
-#: name -> ctx -> (pipeline, test items): every cross-suite scenario plus
-#: the two registry-size pipelines pinned above
+def _sweep_case(ctx):
+    """Two random-feature widths merged into one SweepPlanner union: each
+    solver's chain ends at the union's sink gather."""
+    wl = timit_frames(100, 16, dim=24, num_classes=4, seed=0)
+    planner = SweepPlanner(lambda p: _vector_pipeline(ctx, wl, p["features"]),
+                           [{"features": 16}, {"features": 32}])
+    return planner.union_pipeline()[0], wl.test_items
+
+
+#: name -> ctx -> (pipeline, test items): every cross-suite scenario, the
+#: two registry-size pipelines pinned above and a sweep union
 DECISION_CASES = dict(SCENARIOS)
 DECISION_CASES.update({f"registry_{name}": _registry_case(name)
                        for name in TestRegistryDecisions.CASES})
+DECISION_CASES["sweep_union"] = _sweep_case
 
 
 def _no_pruning(monkeypatch):
@@ -368,6 +379,35 @@ class TestDecisionDrivenPruning:
             assert entry.t_seconds == 0.0
             assert entry.stats.d == k
             assert entry.size_bytes == entry.stats.n * k * 8
+
+    def test_sweep_union_prunes_like_independent_fits(self):
+        """The union's sink gather ends each trial's chain: the union
+        prunes every entry the independent fits prune, and the gather's
+        own entry is derived from its parents'."""
+        ctx = Context()
+        wl = timit_frames(100, 16, dim=24, num_classes=4, seed=0)
+        widths = (16, 32)
+        union = Optimizer().optimize(_sweep_case(ctx)[0])
+        independent = [Optimizer().optimize(_vector_pipeline(ctx, wl, w))
+                       for w in widths]
+
+        def labels(plan):
+            nodes = plan.profile.nodes
+            return sorted(nodes[nid].node.label for nid in plan.profile.pruned)
+
+        assert labels(union) == sorted(
+            label for plan in independent for label in labels(plan))
+        gather = union.profile.nodes[union.sink.id]
+        parents = [union.profile.nodes[p.id] for p in union.sink.parents]
+        assert union.sink.id not in union.profile.pruned
+        assert gather.t_seconds == 0.0
+        assert gather.stats.n == min(p.stats.n for p in parents)
+        assert gather.size_bytes == sum(p.size_bytes for p in parents)
+
+    def test_gather_with_a_consumer_blocks_pruning(self):
+        pipe, _ = _sweep_case(Context())
+        plan = Optimizer().optimize(pipe.and_then(VectorCombiner()))
+        assert plan.profile.pruned == []
 
     def test_pipe_level_prunes_nothing(self):
         plan = Optimizer(passes_for_level("pipe")).optimize(

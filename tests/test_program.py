@@ -16,6 +16,7 @@ The contracts the unified lowering must hold:
 """
 
 import ast
+import hashlib
 import pathlib
 import pickle
 
@@ -24,6 +25,7 @@ import pytest
 
 import repro
 from repro.core import graph as g
+from repro.core import program
 from repro.core.optimizer import Optimizer, passes_for_level
 from repro.core.passes import LoweringPass
 from repro.core.pipeline import Pipeline
@@ -38,6 +40,7 @@ from repro.core.program import (
     ProgramPass,
     UnshippableFlow,
     VectorizePass,
+    dataset_fingerprint,
     lower_inference_program,
     lower_training_program,
     op_key,
@@ -187,8 +190,8 @@ class TestStructuralFingerprint:
             return TermFrequency(lambda c: 1.0)
 
         # One factory, independent builds: equal keys across processes
-        # of one codebase — the contract GridSearch(incremental=True)
-        # and refit() rely on.
+        # of one codebase — the contract SweepPlanner (and so
+        # GridSearch) and refit() rely on.
         assert structural_fingerprint(factory()) == structural_fingerprint(factory())
         # Bare functions (no serde packing) hash by code object, which
         # excludes location: identical text on different lines agrees.
@@ -211,6 +214,68 @@ class TestStructuralFingerprint:
         restored = pickle.loads(pickle.dumps(first))
         assert restored.weighting is unit_weighting()
         assert restored.apply(["a", "a", "b"]) == {"a": 1.0, "b": 1.0}
+
+
+def _generic_fingerprint(ds):
+    """``dataset_fingerprint`` with every partition through the generic walk."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(b"dataset")
+    h.update(str(ds.num_partitions).encode())
+    for part in ds.iter_partitions():
+        h.update(b"\x00")
+        program._feed(h, part, set())
+    return h.hexdigest()
+
+
+_RNG = np.random.default_rng(0)
+
+#: name -> rows; the uniform ones take the one-update path
+_UNIFORM_ROWS = {
+    "float64": [_RNG.standard_normal(5) for _ in range(7)],
+    "float32": [_RNG.standard_normal(5).astype(np.float32) for _ in range(7)],
+    "int": [np.arange(i, i + 4) for i in range(7)],
+    "2d": [_RNG.standard_normal((3, 2)) for _ in range(7)],
+    "non_contiguous": [_RNG.standard_normal((4, 6))[:, 1] for _ in range(7)],
+}
+_MIXED_ROWS = {
+    "shapes": [np.zeros(3), np.zeros(4), np.zeros(3)],
+    "dtypes": [np.zeros(3), np.zeros(3, np.float32), np.zeros(3)],
+    "objects": [np.array([1, "a"], dtype=object) for _ in range(3)],
+    "not_arrays": [np.zeros(3), [0.0, 0.0, 0.0], np.zeros(3)],
+}
+
+
+class TestDatasetFingerprint:
+    """Uniform array partitions hash in one update, to the same digest."""
+
+    def _fingerprint(self, monkeypatch, ds):
+        """Digest of ``ds`` and how many array rows the generic walk fed."""
+        rows = []
+        feed = program._feed
+
+        def spy(h, value, memo):
+            if isinstance(value, np.ndarray):
+                rows.append(value)
+            feed(h, value, memo)
+
+        monkeypatch.setattr(program, "_feed", spy)
+        return dataset_fingerprint(ds), len(rows)
+
+    @pytest.mark.parametrize("name", sorted(_UNIFORM_ROWS))
+    @pytest.mark.parametrize("partitions", [1, 3, 10])
+    def test_uniform_rows_match_generic_walk(self, name, partitions, monkeypatch):
+        # Ten partitions over seven rows leaves three empty.
+        ds = Context().parallelize(_UNIFORM_ROWS[name], partitions)
+        expected = _generic_fingerprint(ds)
+        assert self._fingerprint(monkeypatch, ds) == (expected, 0)
+
+    @pytest.mark.parametrize("name", sorted(_MIXED_ROWS))
+    def test_mixed_rows_take_generic_walk(self, name, monkeypatch):
+        ds = Context().parallelize(_MIXED_ROWS[name], 1)
+        expected = _generic_fingerprint(ds)
+        digest, walked = self._fingerprint(monkeypatch, ds)
+        assert digest == expected
+        assert walked > 0
 
 
 class TestContentAddressedLowering:

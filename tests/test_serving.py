@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core import graph as g
-from repro.core.backends import LocalBackend, recursive_apply_item
+from repro.core.backends import recursive_apply_item
 from repro.core.materialization import (
     MaterializationProblem,
     greedy_cache_set,
@@ -261,10 +261,9 @@ class TestInferencePlanCompiler:
         revived.__setstate__(state)
         assert comparable([revived.apply(items[0])]) == [expected[0]]
 
-    def test_apply_with_backend_matches_default(self):
+    def test_apply_matches_recursive_reference(self):
         fitted, items, expected = fitted_scenario("voc")
-        got = comparable([fitted.apply(x, backend=LocalBackend())
-                          for x in items])
+        got = comparable([recursive_apply_item(fitted, x) for x in items])
         assert got == expected
 
     def test_rejects_unbound_source(self):

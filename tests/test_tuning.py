@@ -10,7 +10,7 @@ from repro.evaluation import accuracy
 from repro.nodes.learning.linear import LinearSolver
 from repro.nodes.learning.random_features import CosineRandomFeatures
 from repro.nodes.numeric import MaxClassifier
-from repro.workloads import dense_vectors
+from repro.workloads import dense_vectors, timit_frames
 
 
 class TestExpandGrid:
@@ -117,3 +117,31 @@ class TestGridSearch:
                             fit_kwargs={"level": "none"},
                             keep_pipelines=True)
         assert search.run().trials[0].pipeline is not None
+
+    def test_each_trial_reports_its_own_selections(self):
+        """A narrow and a wide featurization select different solvers;
+        each trial reports the one its independent fit selects, not the
+        union's."""
+        wl = timit_frames(800, 10, dim=64, num_classes=8, seed=0)
+
+        def builder(params):
+            ctx = Context()
+            data = wl.train_data(ctx)
+            labels = wl.train_label_vectors(ctx)
+            return (Pipeline.identity()
+                    .and_then(CosineRandomFeatures(
+                        params["num_features"], gamma=0.02, seed=0), data)
+                    .and_then(LinearSolver(), data, labels))
+
+        fit_kwargs = {"sample_sizes": (40, 80)}
+        search = GridSearch(builder, lambda f: 0.0,
+                            grid={"num_features": [32, 2048]},
+                            fit_kwargs=fit_kwargs)
+        result = search.run()
+        names = [sorted(t.selections.values()) for t in result.trials]
+        independent = [
+            sorted(builder(p).fit(**fit_kwargs)
+                   .training_report.selections.values())
+            for p in search.configurations()]
+        assert names == independent
+        assert names[0] != names[1]

@@ -9,11 +9,12 @@ Three gates, all cheap enough for every CI run:
 2. Every relative markdown link in README.md and docs/*.md must resolve
    to an existing file (anchors and absolute http(s)/mailto links are
    skipped), so refactors cannot silently strand the docs.
-3. The knob tables of docs/SERVING.md match the code: every backticked
-   name in the first column of the ``ModelServer(...)`` and
-   ``register(...)`` tables is a parameter of the matching signature,
-   and every parameter has a row — so a deleted knob cannot leave a
-   stale row, and a new one cannot go undocumented.
+3. The knob tables match the code: every backticked name in the first
+   column of the ``ModelServer(...)`` and ``register(...)`` tables of
+   docs/SERVING.md and of the ``ActorBackend(...)`` table of
+   docs/ARCHITECTURE.md is a parameter of the matching signature, and
+   every parameter has a row — so a deleted knob cannot leave a stale
+   row, and a new one cannot go undocumented.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
@@ -23,6 +24,9 @@ import re
 import sys
 from pathlib import Path
 
+from repro.core.backends import ActorBackend
+from repro.serving import ModelServer
+
 REPO = Path(__file__).resolve().parent.parent
 
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
@@ -31,10 +35,11 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN_RE = re.compile(r"`[^`]*`")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
-# (heading that opens the table's section, ModelServer method it documents)
+# (doc, heading that opens the table's section, callable it documents)
 KNOB_TABLES = (
-    ("## `ModelServer(...)`", "__init__"),
-    ("## `register(...)`", "register"),
+    ("docs/SERVING.md", "## `ModelServer(...)`", ModelServer.__init__),
+    ("docs/SERVING.md", "## `register(...)`", ModelServer.register),
+    ("docs/ARCHITECTURE.md", "### `ActorBackend(...)`", ActorBackend),
 )
 NAME_RE = re.compile(r"`(\w+)`")
 
@@ -98,21 +103,18 @@ def table_names(text: str, heading: str) -> list:
 
 
 def check_knob_tables(errors: list) -> int:
-    from repro.serving import ModelServer
-
-    path = REPO / "docs" / "SERVING.md"
-    text = path.read_text()
     count = 0
-    for heading, method in KNOB_TABLES:
-        where = f"{path.relative_to(REPO)} {heading.lstrip('# ')} table"
+    for doc, heading, target_fn in KNOB_TABLES:
+        text = (REPO / doc).read_text()
+        where = f"{doc} {heading.lstrip('# ')} table"
         if heading not in text:
             errors.append(f"{where}: heading not found")
             continue
         rows = table_names(text, heading)
-        signature = inspect.signature(getattr(ModelServer, method))
+        signature = inspect.signature(target_fn)
         params = [p for p in signature.parameters if p != "self"]
         count += len(params)
-        target = f"ModelServer.{method}"
+        target = target_fn.__qualname__
         errors += [
             f"{where}: row `{n}` is not a parameter of {target}"
             for n in rows
@@ -138,7 +140,7 @@ def main() -> int:
     links = sum(check_links(p, errors) for p in doc_files)
     print(f"checked {links} relative links across {len(doc_files)} files")
     knobs = check_knob_tables(errors)
-    print(f"checked {knobs} serving knobs against docs/SERVING.md")
+    print(f"checked {knobs} knobs against their docs tables")
     for err in errors:
         print(f"  FAIL {err}")
 
