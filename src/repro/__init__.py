@@ -76,14 +76,12 @@ from repro.core import (
     FusionPass,
     LabelEstimator,
     LocalBackend,
-    LoweringPass,
     MaterializationPass,
     OperatorSelectionPass,
     Optimizer,
     OpProgram,
     Pass,
     PhysicalPlan,
-    ProgramPass,
     Pipeline,
     ProcessPoolBackend,
     ProfilingPass,
@@ -111,7 +109,6 @@ __all__ = [
     "InferencePlan",
     "LabelEstimator",
     "LocalBackend",
-    "LoweringPass",
     "MaterializationPass",
     "ModelServer",
     "OperatorSelectionPass",
@@ -119,7 +116,6 @@ __all__ = [
     "OpProgram",
     "Pass",
     "PhysicalPlan",
-    "ProgramPass",
     "Pipeline",
     "ProcessPoolBackend",
     "ProfilingPass",

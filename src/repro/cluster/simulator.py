@@ -96,23 +96,6 @@ class ClusterSimulator:
         return out
 
 
-def amortized_profile(profile: CostProfile, passes: int) -> CostProfile:
-    """Per-pass cost of a stage on a *persistent-worker* runtime.
-
-    A stateless runtime re-pays a stage's data movement on every pass of
-    an iterative workload (each pass re-ships the shard and relaunches
-    its tasks); persistent workers (:mod:`repro.runtime`) ship once and
-    keep the shard resident, so over ``passes`` passes the network and
-    task-launch terms amortize to ``1/passes`` of their stateless cost
-    while compute is still paid in full every pass.
-    """
-    if passes <= 1:
-        return profile
-    return CostProfile(flops=profile.flops, bytes=profile.bytes,
-                       network=profile.network / passes,
-                       tasks=profile.tasks / passes)
-
-
 def scaling_sweep(stages: List[SimulatedStage],
                   base: ResourceDescriptor,
                   node_counts: List[int],

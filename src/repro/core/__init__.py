@@ -35,10 +35,8 @@ from repro.core.executor import (
 )
 from repro.core.plan import PassDecision, PhysicalPlan, PlanState
 from repro.core.program import (
-    DeadOpElimination,
     Op,
     OpProgram,
-    ProgramPass,
     lower_inference_program,
     lower_training_program,
     structural_fingerprint,
@@ -46,7 +44,6 @@ from repro.core.program import (
 from repro.core.passes import (
     CSEPass,
     FusionPass,
-    LoweringPass,
     MaterializationPass,
     OperatorSelectionPass,
     Pass,
@@ -85,11 +82,8 @@ __all__ = [
     "LEVEL_FULL",
     "LEVEL_NONE",
     "LEVEL_PIPE",
-    "LoweringPass",
-    "DeadOpElimination",
     "Op",
     "OpProgram",
-    "ProgramPass",
     "lower_inference_program",
     "lower_training_program",
     "structural_fingerprint",

@@ -28,8 +28,6 @@ Backends only train.  Selection threads through the public API:
 an instance, a registry name from :data:`BACKENDS` (``"local" |
 "process" | "actors"``, plus the retired aliases), or ``None`` for the
 default.
-``plan.execute(backend="auto")`` additionally honours the backend a
-``ShardingPass(workers="auto")`` recommended.
 """
 
 from repro.core.backends.actors import ActorBackend, ProcessPoolBackend

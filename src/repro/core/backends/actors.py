@@ -106,13 +106,11 @@ def _lower_shard_program(
 ):
     """Lower the flow feeding ``roots`` through the shared OpProgram IR.
 
-    Returns ``(program, sources)``; any lowering passes registered on
-    the plan (:class:`~repro.core.passes.LoweringPass`) are applied
-    before the program ships, and ``sources`` is re-filtered to the ops
-    that survived them.  Ops carry content-addressed keys, claimed
-    sources keyed by dataset *content* (``dataset_memo`` is shared
-    across estimators of one run) — which is what lets workers
-    re-address cached shard state from a later fit.
+    Returns ``(program, sources)``: the flow's live ops only, so an
+    upstream estimator's training flow never ships.  Ops carry
+    content-addressed keys, claimed sources keyed by dataset *content*
+    (``dataset_memo`` is shared across estimators of one run) — which
+    is what lets workers re-address cached shard state from a later fit.
     """
 
     def source_of(node: g.OpNode) -> Optional[Dataset]:
@@ -126,18 +124,13 @@ def _lower_shard_program(
         fingerprint = prog.dataset_fingerprint(source_of(node), dataset_memo)
         return prog.op_key("source", None, (fingerprint,))
 
-    program, sources = prog.lower_training_program(
+    return prog.lower_training_program(
         roots,
         source_of=source_of,
         model_of=lambda est_node: session.fitted.get(est_node.id),
         compute_keys=True,
         source_key_of=source_key_of,
     )
-    program_passes = session.plan.state.program_passes
-    if program_passes:
-        program = prog.run_program_passes(program, program_passes)
-        sources = {nid: ds for nid, ds in sources.items() if nid in program.node_ids}
-    return program, sources
 
 
 def _make_pass_builder(task_id: int, payload):

@@ -424,5 +424,4 @@ class TrainingSession:
             new_input,
             inference_sink,
             training_report=report,
-            program_passes=state.program_passes,
         )

@@ -20,7 +20,9 @@ substitution performed by the optimizer (``node.op`` swap).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 _node_ids = itertools.count(1)
 
@@ -82,9 +84,13 @@ def source(dataset, label: str = "data") -> OpNode:
 # Traversal utilities
 # ----------------------------------------------------------------------
 
-def ancestors(sinks: Iterable[OpNode]) -> List[OpNode]:
+def ancestors(
+    sinks: Iterable[OpNode],
+    parents_of: Optional[Callable[[OpNode], Sequence[OpNode]]] = None,
+) -> List[OpNode]:
     """All nodes reachable from ``sinks`` (inclusive), topologically sorted
-    parents-first."""
+    parents-first.  ``parents_of`` narrows the edges the walk follows
+    (default: every parent)."""
     order: List[OpNode] = []
     seen: Set[int] = set()
 
@@ -92,7 +98,7 @@ def ancestors(sinks: Iterable[OpNode]) -> List[OpNode]:
         if node.id in seen:
             return
         seen.add(node.id)
-        for p in node.parents:
+        for p in (node.parents if parents_of is None else parents_of(node)):
             visit(p)
         order.append(node)
 
@@ -106,10 +112,10 @@ def reachable(sinks: Iterable[OpNode],
     """Reachable nodes parents-first, optionally filtered to one kind.
 
     The single topological walk behind every DAG consumer that used to
-    keep a private copy: program lowering (:mod:`repro.core.program`,
-    feeding both the serving compiler and the actor backend's shard
-    programs) iterates the unfiltered order, and the training session's
-    estimator schedule / source rooting use the kind filter.
+    keep a private copy: :func:`repro.core.program.training_keys`
+    iterates the unfiltered order, and the training session's estimator
+    schedule / source rooting use the kind filter.  Program lowering
+    walks only live edges (:func:`ancestors` with ``parents_of``).
     """
     order = ancestors(sinks)
     if kind is None:

@@ -4,8 +4,8 @@ The interpreter executes a lowered :class:`~repro.core.program.OpProgram`
 op by op, batch by batch, through Python-level ``apply_partition`` calls.
 That per-op dispatch (and, for text, the per-item ``csr_matrix``
 construction) dominates serving cost long before BLAS does.  This module
-is the second lowering target behind the :class:`ProgramPass` hook
-(ROADMAP open item 1): ``VectorizePass`` groups runs of fusable
+is the serving compiler's second lowering target: ``VectorizePass``
+(:mod:`repro.core.program`) groups runs of fusable
 transform ops — gathered branches included — into a single
 :class:`KernelStage` whose ``apply_partition`` executes the whole
 micro-batch as a handful of numpy calls over one columnar block.

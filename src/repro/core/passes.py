@@ -190,43 +190,6 @@ class MaterializationPass(Pass):
                 f"mem_budget_bytes={self.mem_budget_bytes})")
 
 
-class LoweringPass(Pass):
-    """Register :class:`~repro.core.program.ProgramPass` rewrites.
-
-    The optimizer's passes rewrite the *DAG*; lowering passes rewrite the
-    flat :class:`~repro.core.program.OpProgram` the DAG lowers into —
-    after CSE/fusion decisions are already baked in.  This pass only
-    records the list on the :class:`~repro.core.plan.PlanState` (the
-    handoff point); the rewrites run wherever the plan is lowered: the
-    serving compiler (via the fitted pipeline) and the actor backend's
-    shard programs.  Defaults to dead-op elimination, the reference
-    program rewrite.
-
-    Rewrites nothing at the DAG level, so it can run anywhere in the
-    pass list.
-    """
-
-    def __init__(self, program_passes: Optional[list] = None):
-        from repro.core.program import DeadOpElimination, ProgramPass
-
-        if program_passes is None:
-            program_passes = [DeadOpElimination()]
-        for p in program_passes:
-            if not isinstance(p, ProgramPass):
-                raise TypeError(
-                    f"expected ProgramPass instances, got {type(p).__name__}")
-        self.program_passes = list(program_passes)
-
-    def run(self, state: PlanState) -> None:
-        state.program_passes = list(self.program_passes)
-        state.annotate(
-            program_passes=[p.name for p in self.program_passes])
-
-    def __repr__(self) -> str:
-        names = [p.name for p in self.program_passes]
-        return f"{self.name}(program_passes={names})"
-
-
 #: stage categories of the Figure 12 breakdown; every other node is
 #: featurization
 _STAGE_CATEGORIES = {g.ESTIMATOR: "Model Solve", g.SOURCE: "Loading"}
@@ -356,12 +319,6 @@ class ShardingPass(Pass):
     DATA_PARALLEL = "data-parallel"
     COORDINATED = "coordinated"
     AUTO = "auto"
-    #: in auto mode, recommend the multi-process actor runtime when the
-    #: simulated network (coordination) share of total time — amortized
-    #: over the passes of an iterative solver — is below this fraction:
-    #: cheap coordination means worker-process shards pay off; above it
-    #: serial in-process execution (no IPC) is the better real execution
-    PROCESS_NETWORK_FRACTION = 0.15
 
     def __init__(self, workers: Optional[Union[int, str]] = None,
                  max_workers: Optional[int] = None,
@@ -408,16 +365,11 @@ class ShardingPass(Pass):
         if self.workers == self.AUTO:
             workers, simulated, network_fraction = \
                 self._choose_workers(state)
-            iterative_passes = self._iterative_passes(state)
-            state.shard_backend = self._recommend_backend(
-                workers, network_fraction, iterative_passes)
             state.annotate(auto=True,
                            budget=self.max_workers
                            or state.resources.num_nodes,
                            simulated_seconds=round(simulated, 4),
-                           network_fraction=round(network_fraction, 4),
-                           iterative_passes=iterative_passes,
-                           recommended_backend=state.shard_backend)
+                           network_fraction=round(network_fraction, 4))
         else:
             workers = self.workers or state.resources.num_nodes
         state.shard_workers = workers
@@ -428,49 +380,6 @@ class ShardingPass(Pass):
                               if r == self.DATA_PARALLEL),
             coordinated=sorted(set(coordinated)))
 
-    def _recommend_backend(self, workers: int, network_fraction: float,
-                           iterative_passes: int = 1) -> str:
-        """Map the auto decision onto a *real* execution backend.
-
-        One worker: serial.  Otherwise the network share decides: cheap
-        coordination means worker processes (featurization dominates,
-        shards independent); expensive coordination stays serial and
-        in-process.  Persistent actors pay the shard movement
-        once per fit, not once per pass, so for an iterative workload
-        the share is judged *amortized* over the passes
-        (:func:`~repro.cluster.simulator.amortized_profile`).
-        """
-        from repro.cluster.simulator import amortized_profile
-        from repro.cost.profile import CostProfile
-
-        if workers <= 1:
-            return "local"
-        if iterative_passes > 1:
-            network_fraction = amortized_profile(
-                CostProfile(network=network_fraction),
-                iterative_passes).network
-        if network_fraction <= self.PROCESS_NETWORK_FRACTION:
-            return "actors"
-        return "local"
-
-    @staticmethod
-    def _iterative_passes(state: PlanState) -> int:
-        """Most passes any pass-based solver makes over its input.
-
-        Counts only :class:`~repro.core.operators.
-        IterativeShardableEstimator` heads — the solvers the actor
-        runtime actually iterates in-worker; other iterative operators
-        re-featurize regardless of runtime, so they do not amortize.
-        """
-        from repro.core.operators import IterativeShardableEstimator
-
-        passes = 1
-        for node in g.ancestors([state.sink]):
-            if (not node.is_pipeline_input
-                    and isinstance(node.op, IterativeShardableEstimator)):
-                passes = max(passes, int(getattr(node.op, "weight", 1)))
-        return passes
-
     def _choose_workers(self, state: PlanState) -> Tuple[int, float, float]:
         """Minimize simulated seconds over worker counts in the budget.
 
@@ -480,7 +389,7 @@ class ShardingPass(Pass):
         profiled output bytes through a ``log2 w`` aggregation tree.
         Ties break toward fewer workers (cheapest cluster that achieves
         the optimum).  Also returns the network share of the optimum's
-        simulated time, which drives the backend recommendation.
+        simulated time.
         """
         from repro.cluster.simulator import ClusterSimulator
 

@@ -196,15 +196,10 @@ class FittedPipeline(Transformer):
     """
 
     def __init__(self, input_node: g.OpNode, sink: g.OpNode,
-                 training_report: Optional["TrainingReport"] = None,
-                 program_passes: Sequence[Any] = ()):
+                 training_report: Optional["TrainingReport"] = None):
         self.input_node = input_node
         self.sink = sink
         self.training_report = training_report
-        #: OpProgram rewrites (repro.core.program.ProgramPass) the
-        #: optimizer's LoweringPass registered on the plan; applied by
-        #: compile_inference_plan when this pipeline is lowered
-        self.program_passes = list(program_passes)
         self._compiled_plan = None
         self._compile_lock = threading.Lock()
 
@@ -218,11 +213,9 @@ class FittedPipeline(Transformer):
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Pickles written before the compiled-plan cache (or the
-        # lowering-pass list) existed carry neither attribute; default
-        # them instead of crashing on apply.
+        # Pickles written before the compiled-plan cache existed lack
+        # the attribute; default it instead of crashing on apply.
         self.__dict__.setdefault("_compiled_plan", None)
-        self.__dict__.setdefault("program_passes", [])
         self._compile_lock = threading.Lock()
 
     def inference_plan(self):

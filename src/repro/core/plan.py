@@ -70,16 +70,6 @@ class PlanState:
     shard_workers: Optional[int] = None
     #: node id -> "data-parallel" | "coordinated" (see ShardingPass)
     shard_roles: Dict[int, str] = field(default_factory=dict)
-    #: execution backend recommended by ShardingPass(workers="auto"):
-    #: "actors" when the simulated coordination cost is low enough for
-    #: multi-process shards to pay off, "local" when coordination
-    #: dominates or at one worker (None: no recommendation)
-    shard_backend: Optional[str] = None
-    #: OpProgram-level rewrites registered by LoweringPass; applied by
-    #: every consumer that lowers this plan's DAG to the flat IR (the
-    #: serving compiler via FittedPipeline, the actor backend's shard
-    #: programs) — see repro.core.program.ProgramPass
-    program_passes: List[Any] = field(default_factory=list)
     #: FitStore (repro.incremental) attached for this execution: the
     #: training session splices stored fitted state by training key and
     #: stores new fits back (None: cold fit, no reuse)
@@ -217,12 +207,8 @@ class PhysicalPlan:
             roles = self.state.shard_roles
             dp = sum(1 for r in roles.values() if r == "data-parallel")
             coord = sum(1 for r in roles.values() if r == "coordinated")
-            sharding = (f"  sharding: {self.state.shard_workers} workers "
-                        f"({dp} data-parallel, {coord} coordinated nodes)")
-            if self.state.shard_backend is not None:
-                sharding += (", recommended backend: "
-                             f"{self.state.shard_backend}")
-            lines.append(sharding)
+            lines.append(f"  sharding: {self.state.shard_workers} workers "
+                         f"({dp} data-parallel, {coord} coordinated nodes)")
         runtime = self.estimated_runtime_seconds()
         if runtime is not None:
             cache_bytes = self.estimated_cache_bytes()
@@ -264,11 +250,8 @@ class PhysicalPlan:
         ``backend`` selects the execution strategy — ``None`` (serial
         :class:`~repro.core.backends.LocalBackend`), a name from
         :data:`repro.core.backends.BACKENDS`, an
-        :class:`~repro.core.backends.ExecutionBackend` instance, or
-        ``"auto"`` to honour the backend a
-        :class:`~repro.core.passes.ShardingPass` with ``workers="auto"``
-        recommended for this plan (serial when no recommendation was
-        recorded).  Every backend honours the plan's caching policy and
+        :class:`~repro.core.backends.ExecutionBackend` instance.  Every
+        backend honours the plan's caching policy and
         trains to identical predictions; the returned pipeline carries a
         :class:`~repro.core.executor.TrainingReport` combining the
         optimizer's decisions with measured execution times.
@@ -282,6 +265,4 @@ class PhysicalPlan:
 
         if fit_store is not None:
             self.state.fit_store = fit_store
-        if backend == "auto":
-            backend = self.state.shard_backend or "local"
         return resolve_backend(backend).execute(self, ctx)

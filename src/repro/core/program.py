@@ -22,12 +22,12 @@ ids (those are per-process counters) and object identity; an operator
 whose state cannot be walked gets a never-repeating key — degrading to
 "no sharing", never to a false cache hit.
 
-Lowered programs can be rewritten before execution by
-:class:`ProgramPass` objects (e.g. :class:`DeadOpElimination`).  The
-optimizer hands them over via
-:class:`~repro.core.passes.LoweringPass`, which records the pass list on
-the :class:`~repro.core.plan.PlanState`; both the serving compiler and
-the actor backend apply them after lowering.
+Lowering emits only live ops: the walk starts at the roots and stops
+at claimed sources and at estimators, so a program never carries an
+upstream estimator's training flow.  One per-kind rule,
+:func:`node_key`, keys every node of every walk — training keys,
+per-partition flow keys and lowered ops alike.  The serving compiler
+may additionally group kernel-capable runs with :class:`VectorizePass`.
 """
 
 from __future__ import annotations
@@ -422,6 +422,63 @@ def _feed_rows(h, part) -> None:
     h.update(buf.view(np.uint8))
 
 
+def _flow_parents(node: g.OpNode) -> Sequence[g.OpNode]:
+    """The parents whose values a node's op reads.
+
+    An apply node reads only its data parent: its estimator parent
+    enters as the fitted model, so the estimator's training flow is not
+    part of the apply's flow.
+    """
+    return node.parents[1:] if node.kind == g.APPLY else node.parents
+
+
+def _fitted_model(node: g.OpNode, model_of: Optional[Callable[[g.OpNode], Any]]):
+    model = model_of(node.parents[0]) if model_of is not None else None
+    if model is None:
+        raise RuntimeError(
+            f"apply node {node.label!r} references an unfitted "
+            "estimator; estimators must be scheduled in "
+            "dependency order"
+        )
+    return model
+
+
+def node_key(
+    node: g.OpNode,
+    keys: Dict[int, str],
+    source_key: Callable[[g.OpNode], str],
+    model_of: Optional[Callable[[g.OpNode], Any]] = None,
+) -> str:
+    """The one per-kind content-key rule behind every key walk.
+
+    ``keys`` already holds the keys of the node's parents (every walk
+    emits parents first).  ``source_key`` keys a bound source: by
+    dataset content (:func:`training_keys`), by one partition's rows
+    (:func:`partition_flow_keys`) or as the lowering claims it.  With
+    ``model_of``, an apply node keys as a transform by its *fitted*
+    model, which is what a lowered op computes; without it, the apply
+    folds its estimator's key, so keys exist before anything is fitted.
+    """
+    kind = node.kind
+    if node.is_pipeline_input:
+        return INPUT_KEY
+    if kind == g.SOURCE:
+        return source_key(node)
+    if kind == g.TRANSFORMER:
+        return op_key(TRANSFORM, node.op, (keys[node.parents[0].id],))
+    if kind == g.APPLY and model_of is not None:
+        model = _fitted_model(node, model_of)
+        return op_key(TRANSFORM, model, (keys[node.parents[1].id],))
+    parent_keys = tuple(keys[p.id] for p in node.parents)
+    if kind == g.APPLY:
+        return op_key("apply", None, parent_keys)
+    if kind == g.ESTIMATOR:
+        return op_key("estimator", node.op, parent_keys)
+    if kind == g.GATHER:
+        return op_key(GATHER, None, parent_keys)
+    raise ValueError(f"cannot key node kind {kind!r}")
+
+
 def training_keys(
     roots: Sequence[g.OpNode],
     dataset_memo: Optional[Dict[int, str]] = None,
@@ -438,23 +495,14 @@ def training_keys(
     pipelines over equal data produce equal keys — the property warm
     retrain and sweep deduplication splice by.
     """
+
+    def source_key(node: g.OpNode) -> str:
+        fingerprint = dataset_fingerprint(node.op, dataset_memo)
+        return op_key("source", None, (fingerprint,))
+
     keys: Dict[int, str] = {}
     for node in g.reachable(roots):
-        if node.is_pipeline_input:
-            key = INPUT_KEY
-        elif node.kind == g.SOURCE:
-            key = op_key("source", None, (dataset_fingerprint(node.op, dataset_memo),))
-        elif node.kind == g.TRANSFORMER:
-            key = op_key(TRANSFORM, node.op, (keys[node.parents[0].id],))
-        elif node.kind == g.ESTIMATOR:
-            key = op_key("estimator", node.op, tuple(keys[p.id] for p in node.parents))
-        elif node.kind == g.APPLY:
-            key = op_key("apply", None, tuple(keys[p.id] for p in node.parents))
-        elif node.kind == g.GATHER:
-            key = op_key(GATHER, None, tuple(keys[p.id] for p in node.parents))
-        else:
-            raise ValueError(f"cannot key node kind {node.kind!r}")
-        keys[node.id] = key
+        keys[node.id] = node_key(node, keys, source_key)
     return keys
 
 
@@ -466,44 +514,28 @@ def partition_flow_keys(
 ) -> Dict[int, str]:
     """Per-partition content keys of a training flow (streaming refit).
 
-    The partition-``index`` slice of :func:`training_keys`: sources hash
-    one partition's rows instead of the whole dataset, and apply nodes
-    hash the *fitted* upstream model (resolved via ``model_of``) — so a
-    stored per-partition sufficient statistic is reusable iff the
-    partition bytes, the transformation chain, and every upstream fitted
-    model are all unchanged.  Appending partitions to a source leaves the
-    existing partitions' keys intact, which is what lets a refit merge
-    new statistics without replaying old data.  Raises
-    :class:`UnshippableFlow` for flows that cannot be keyed partition-wise
-    (an unbound pipeline input) and ``IndexError`` when a source has no
-    partition ``index``.
+    The partition-``index`` slice of :func:`training_keys` over the
+    flow's live nodes: sources hash one partition's rows instead of the
+    whole dataset, and apply nodes hash the *fitted* upstream model
+    (resolved via ``model_of``) — so a stored per-partition sufficient
+    statistic is reusable iff the partition bytes, the transformation
+    chain, and every upstream fitted model are all unchanged.  Appending
+    partitions to a source leaves the existing partitions' keys intact,
+    which is what lets a refit merge new statistics without replaying
+    old data.  Raises :class:`UnshippableFlow` for flows that cannot be
+    keyed partition-wise (an unbound pipeline input) and ``IndexError``
+    when a source has no partition ``index``.
     """
+
+    def source_key(node: g.OpNode) -> str:
+        fingerprint = partition_fingerprint(node.op.partition(index))
+        return op_key("part", None, (fingerprint,))
+
     keys: Dict[int, str] = {}
-    for node in g.reachable(roots):
-        if node.kind == g.ESTIMATOR:
-            continue  # referenced only through apply nodes
+    for node in g.ancestors(roots, _flow_parents):
         if node.is_pipeline_input:
             raise UnshippableFlow("flow reached the unbound pipeline input")
-        if node.kind == g.SOURCE:
-            key = op_key(
-                "part", None, (partition_fingerprint(node.op.partition(index)),)
-            )
-        elif node.kind == g.TRANSFORMER:
-            key = op_key(TRANSFORM, node.op, (keys[node.parents[0].id],))
-        elif node.kind == g.APPLY:
-            model = model_of(node.parents[0])
-            if model is None:
-                raise RuntimeError(
-                    f"apply node {node.label!r} references an unfitted "
-                    "estimator; estimators must be scheduled in "
-                    "dependency order"
-                )
-            key = op_key(TRANSFORM, model, (keys[node.parents[1].id],))
-        elif node.kind == g.GATHER:
-            key = op_key(GATHER, None, tuple(keys[p.id] for p in node.parents))
-        else:
-            raise UnshippableFlow(f"cannot key node kind {node.kind}")
-        keys[node.id] = key
+        keys[node.id] = node_key(node, keys, source_key, model_of)
     return keys
 
 
@@ -548,9 +580,9 @@ def stage_lines(op: Op) -> List[str]:
 class OpProgram:
     """A flat, topologically-ordered program lowered from an operator DAG.
 
-    Immutable by convention: passes return rewritten copies.  Plain data
-    all the way down, so programs pickle (the actor backend ships them
-    to spawn workers verbatim).
+    Immutable by convention: :class:`VectorizePass` returns a rewritten
+    copy.  Plain data all the way down, so programs pickle (the actor
+    backend ships them to spawn workers verbatim).
     """
 
     def __init__(
@@ -607,44 +639,6 @@ class OpProgram:
             lines.extend(stage_lines(op))
         return "\n".join(lines)
 
-    def without_dead_ops(self) -> "OpProgram":
-        """Drop ops not reachable from the roots; renumber slots densely.
-
-        The reference :class:`ProgramPass` rewrite: lowering a sub-flow
-        of a larger program (or a pass that redirects parents) leaves
-        unreachable slots behind, which would still be computed per
-        request.  Returns ``self`` when nothing is dead.
-        """
-        live = set(self.root_slots)
-        for op in reversed(self.ops):
-            if op.slot in live:
-                live.update(op.parents)
-        if len(live) == len(self.ops):
-            return self
-        remap: Dict[int, int] = {}
-        new_ops: List[Op] = []
-        for op in self.ops:
-            if op.slot not in live:
-                continue
-            slot = len(new_ops)
-            remap[op.slot] = slot
-            new_ops.append(
-                Op(
-                    slot,
-                    op.node_id,
-                    op.kind,
-                    op.op,
-                    tuple(remap[p] for p in op.parents),
-                    op.label,
-                    op.key,
-                )
-            )
-        return OpProgram(
-            new_ops,
-            input_slot=remap.get(self.input_slot),
-            root_slots=tuple(remap[s] for s in self.root_slots),
-        )
-
     def __repr__(self) -> str:
         return (
             f"OpProgram(ops={len(self.ops)}, input_slot={self.input_slot}, "
@@ -666,52 +660,43 @@ def _lower(
     compute_keys: bool = True,
     source_key_of: Optional[Callable[[g.OpNode], str]] = None,
 ) -> Tuple[OpProgram, Dict[int, Any]]:
-    """The one topological lowering walk behind both program flavours.
+    """The one lowering walk behind both program flavours.
 
-    Every reachable non-estimator node becomes one op reading parent
-    values from earlier slots; content-addressed keys are folded up as
-    the walk emits.  ``source_of`` may claim any node as an externally
-    fed source (bound training data, a materialized intermediate, the
-    virtual source standing in for apply-time input); ``model_of``
-    resolves an apply node's estimator parent to its fitted transformer.
-    ``compute_keys=False`` skips key hashing (training programs: nothing
-    in the shard path reads keys, and hashing every fitted model's full
-    state per wave is not free) — ops then carry empty keys.
-    ``source_key_of`` overrides the per-node-identity :func:`_source_key`
-    for claimed sources — the actor runtime passes dataset-content keys
-    here so a shard cached for one fit is addressable from the next.
+    Emits only live ops: the walk goes back from the roots and stops at
+    claimed sources and at estimators.  ``source_of`` may claim any node
+    as an externally fed source (bound training data, a materialized
+    intermediate); ``model_of`` resolves an apply node's estimator
+    parent to its fitted transformer, which is all the apply reads — so
+    an estimator's training flow never enters the program.  Every live
+    node becomes one op reading parent values from earlier slots, keyed
+    by :func:`node_key` as the walk emits.  ``compute_keys=False`` skips
+    key hashing; ops then carry empty keys.  ``source_key_of`` overrides
+    the per-node-identity :func:`_source_key` for claimed sources — the
+    actor runtime passes dataset-content keys here so a shard cached for
+    one fit is addressable from the next.
     """
     ops: List[Op] = []
     slots: Dict[int, int] = {}
     keys: Dict[int, str] = {}
     sources: Dict[int, Any] = {}
     input_slot: Optional[int] = None
+    source_key = source_key_of or _source_key
 
-    def emit(node: g.OpNode, kind: str, op: Any, parents, key) -> None:
-        slot = len(ops)
-        if not compute_keys:
-            key = ""
-        elif callable(key):
-            key = key()
-        ops.append(Op(slot, node.id, kind, op, tuple(parents), node.label, key))
-        slots[node.id] = slot
-        keys[node.id] = key
-
-    for node in g.reachable(roots):
-        if node.kind == g.ESTIMATOR:
-            continue  # pipeline breakers: consumed at fit time, never flow
+    def live_parents(node: g.OpNode) -> Sequence[g.OpNode]:
         ds = source_of(node) if source_of is not None else None
-        if ds is not None:
-            if source_key_of is not None:
-                emit(node, SOURCE, None, (), lambda n=node: source_key_of(n))
-            else:
-                emit(node, SOURCE, None, (), _source_key(node))
-            sources[node.id] = ds
+        if ds is None:
+            return _flow_parents(node)
+        sources[node.id] = ds
+        return ()
+
+    for node in g.ancestors(roots, live_parents):
+        if node.id in sources:
+            kind, op = SOURCE, None
         elif node.is_pipeline_input:
             if not inference:
                 raise UnshippableFlow("flow reached the unbound pipeline input")
             input_slot = len(ops)
-            emit(node, INPUT, None, (), INPUT_KEY)
+            kind, op = INPUT, None
         elif node.kind == g.SOURCE:
             if inference:
                 raise ValueError(
@@ -720,50 +705,37 @@ def _lower(
                 )
             raise UnshippableFlow("flow reached a source with no dataset resolver")
         elif node.kind == g.TRANSFORMER:
-            parent = node.parents[0]
-            emit(
-                node,
-                TRANSFORM,
-                node.op,
-                (slots[parent.id],),
-                lambda n=node, p=parent: op_key(
-                    TRANSFORM, n.op, (keys[p.id],)
-                ),
-            )
+            kind, op = TRANSFORM, node.op
         elif node.kind == g.APPLY:
-            model = model_of(node.parents[0]) if model_of is not None else None
-            if model is None:
-                raise RuntimeError(
-                    f"apply node {node.label!r} references an unfitted "
-                    "estimator; estimators must be scheduled in "
-                    "dependency order"
-                )
-            parent = node.parents[1]
-            emit(
-                node,
-                TRANSFORM,
-                model,
-                (slots[parent.id],),
-                lambda m=model, p=parent: op_key(
-                    TRANSFORM, m, (keys[p.id],)
-                ),
-            )
+            kind, op = TRANSFORM, _fitted_model(node, model_of)
         elif node.kind == g.GATHER:
-            emit(
-                node,
-                GATHER,
-                None,
-                tuple(slots[p.id] for p in node.parents),
-                lambda n=node: op_key(
-                    GATHER, None, tuple(keys[p.id] for p in n.parents)
-                ),
-            )
+            kind, op = GATHER, None
         elif inference:
             raise ValueError(
                 f"cannot compile node kind {node.kind!r} into an inference plan"
             )
         else:
             raise UnshippableFlow(f"cannot ship node kind {node.kind}")
+        if not compute_keys:
+            key = ""
+        elif kind == SOURCE:
+            key = source_key(node)
+        else:
+            key = node_key(node, keys, source_key, model_of)
+        parents = () if kind == SOURCE else _flow_parents(node)
+        slots[node.id] = len(ops)
+        keys[node.id] = key
+        ops.append(
+            Op(
+                len(ops),
+                node.id,
+                kind,
+                op,
+                tuple(slots[p.id] for p in parents),
+                node.label,
+                key,
+            )
+        )
 
     program = OpProgram(
         ops,
@@ -797,8 +769,9 @@ def lower_training_program(
 ) -> Tuple[OpProgram, Dict[int, Any]]:
     """Lower a training flow into a shippable ``(program, sources)`` pair.
 
-    ``sources`` maps source-op node ids to the parent-side datasets that
-    feed them partition by partition.  Raises :class:`UnshippableFlow`
+    The program holds the flow's live ops only (see :func:`_lower`), and
+    ``sources`` maps its source-op node ids to the parent-side datasets
+    that feed them partition by partition.  Raises :class:`UnshippableFlow`
     when the flow cannot run inside a worker process.  Content keys are
     skipped by default — the shard path never reads them, and hashing
     every fitted model's state per wave is wasted work; pass
@@ -815,46 +788,9 @@ def lower_training_program(
     )
 
 
-def run_program_passes(
-    program: OpProgram, passes: Sequence["ProgramPass"]
-) -> OpProgram:
-    """Apply lowering passes in order (shared by every program consumer)."""
-    for program_pass in passes:
-        program = program_pass.run(program)
-    return program
-
-
 # ----------------------------------------------------------------------
-# Lowering passes
+# Kernel lowering
 # ----------------------------------------------------------------------
-
-
-class ProgramPass:
-    """A rewrite over a lowered :class:`OpProgram`.
-
-    The program-level analogue of :class:`~repro.core.passes.Pass`:
-    registered on a plan via :class:`~repro.core.passes.LoweringPass`,
-    applied after lowering by the serving compiler and the actor
-    backend.  Implementations must preserve semantics for the program's
-    roots — byte-identical outputs for every root slot.
-    """
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
-    def run(self, program: OpProgram) -> OpProgram:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{self.name}()"
-
-
-class DeadOpElimination(ProgramPass):
-    """Remove ops whose outputs no root (transitively) reads."""
-
-    def run(self, program: OpProgram) -> OpProgram:
-        return program.without_dead_ops()
 
 
 class _Run:
@@ -873,13 +809,13 @@ class _Run:
         self.ops.extend(ops)
 
 
-class VectorizePass(ProgramPass):
+class VectorizePass:
     """Group runs of kernel-capable transform ops into ``KernelStage`` ops.
 
-    The second lowering target behind the :class:`ProgramPass` hook: a
-    maximal chain of transform ops whose operators expose a columnar
-    kernel (``Transformer.columnar_kernel()``) and whose interior links
-    have exactly one consumer collapses into a single op backed by
+    The serving compiler's second lowering target: a maximal chain of
+    transform ops whose operators expose a columnar kernel
+    (``Transformer.columnar_kernel()``) and whose interior links have
+    exactly one consumer collapses into a single op backed by
     :class:`repro.core.kernels.KernelStage` — the batch then executes as
     a handful of numpy calls over one columnar block instead of per-op,
     per-item Python dispatch.
@@ -899,10 +835,7 @@ class VectorizePass(ProgramPass):
       deterministically and a serving cache keyed before the rewrite
       keeps hitting after it;
     - CSE-shared slots (multiple consumers) and root slots never become
-      stage interiors, so every externally visible slot survives;
-    - dead ops are eliminated first, which makes the pass commute with
-      :class:`DeadOpElimination` (either order yields the identical
-      program).
+      stage interiors, so every externally visible slot survives.
 
     Single vectorizable ops are wrapped too: a stage's batched path is
     byte-identical to ``apply`` where the operator's own BLAS-batched
@@ -923,7 +856,6 @@ class VectorizePass(ProgramPass):
     def run(self, program: OpProgram) -> OpProgram:
         from repro.core.kernels import FoldedGather, KernelStage
 
-        program = program.without_dead_ops()
         consumers: Dict[int, List[Op]] = {}
         for op in program.ops:
             for parent in op.parents:

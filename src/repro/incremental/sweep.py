@@ -175,7 +175,6 @@ class SweepPlanner:
                 fitted.input_node,
                 trial_sink,
                 training_report=training_report,
-                program_passes=fitted.program_passes,
             )
             for trial_sink in fitted.sink.parents
         ]

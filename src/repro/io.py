@@ -13,7 +13,6 @@ serialized.
 from __future__ import annotations
 
 import csv
-import io
 import pickle
 from pathlib import Path
 from typing import List, Optional, Union
@@ -93,11 +92,8 @@ def save_pipeline(pipeline: FittedPipeline, path: PathLike,
     if not isinstance(pipeline, FittedPipeline):
         raise TypeError("only fitted pipelines are serializable; call "
                         ".fit() first")
-    # program_passes travel with the pipeline: registered lowering
-    # rewrites must keep applying after a save/load round-trip.
     stripped = FittedPipeline(pipeline.input_node, pipeline.sink,
-                              training_report=None,
-                              program_passes=pipeline.program_passes)
+                              training_report=None)
     with open(path, "wb") as f:
         pickle.dump(stripped, f)
     if fit_store is not None:

@@ -129,16 +129,11 @@ def unpack(payload: Tuple) -> Tuple[Any, List[Any]]:
     kind = payload[0]
     if kind == "shm":
         _, body, name, sizes = payload
+        # Attaching registers the name with the resource tracker, which
+        # spawned workers share with the parent: a set-add of a name the
+        # sender already registered.  The sender's unlink unregisters it
+        # once; unregistering here as well would make that a KeyError.
         segment = shared_memory.SharedMemory(name=name)
-        # The parent owns the segment's lifecycle (it unlinks after our
-        # ack); unregister the attach so this process's resource tracker
-        # does not try to unlink it again at exit.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
         views = []
         offset = 0
         for size in sizes:

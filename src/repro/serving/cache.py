@@ -195,17 +195,11 @@ def choose_serving_cache_set(fitted, plan, budget_bytes: float,
     slot_of = {op.node_id: op.slot for op in plan.ops}
     profile = PipelineProfile()
     for node in g.ancestors([fitted.sink]):
-        # A lowering pass (ProgramPass) may have removed this node's op
-        # from the compiled plan; a zero-cost entry keeps the problem
-        # well-formed and the greedy selection never picks it (caching
-        # nothing buys nothing).
-        slot = slot_of.get(node.id)
+        slot = slot_of[node.id]
         profile.nodes[node.id] = NodeProfile(
             node=node,
-            t_seconds=plan.op_seconds.get(slot, 0.0) if slot is not None
-            else 0.0,
-            size_bytes=plan.op_bytes.get(slot, 0.0) if slot is not None
-            else 0.0,
+            t_seconds=plan.op_seconds.get(slot, 0.0),
+            size_bytes=plan.op_bytes.get(slot, 0.0),
             stats=None,
             weight=1)
     problem = MaterializationProblem([fitted.sink], profile,

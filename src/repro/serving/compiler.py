@@ -10,9 +10,7 @@ shape hides the batch-vectorization opportunity.
 :func:`compile_inference_plan` lowers the fitted DAG once through
 :func:`repro.core.program.lower_inference_program` — the same
 :class:`~repro.core.program.OpProgram` IR the actor backend ships to
-its shard workers — applies any lowering passes the optimizer registered
-(:class:`~repro.core.passes.LoweringPass`), and wraps the result in an
-:class:`InferencePlan`.  The lowering preserves every optimizer decision
+its shard workers — and wraps the result in an :class:`InferencePlan`.  The lowering preserves every optimizer decision
 already baked into the DAG: stages fused by
 :class:`~repro.core.passes.FusionPass` arrive as a single
 :class:`~repro.core.fusion.FusedTransformer` node and stay one op, and
@@ -64,7 +62,6 @@ from repro.core.program import (
     OpProgram,
     VectorizePass,
     lower_inference_program,
-    run_program_passes,
     stage_lines,
     stage_mark,
 )
@@ -240,21 +237,18 @@ def compile_inference_plan(
     """Lower a :class:`~repro.core.pipeline.FittedPipeline` to a flat plan.
 
     The DAG is lowered once through the shared
-    :class:`~repro.core.program.OpProgram` IR (every reachable node
-    becomes one content-addressed op reading parent values from earlier
-    slots), any lowering passes the optimizer registered on the pipeline
-    are applied, and the program is wrapped in the serving execution
-    view.  Only inference-legal node kinds are accepted (transformers,
-    gathers and the pipeline-input placeholder — estimators were
-    consumed at fit time).  ``compute_keys=False`` skips hashing
+    :class:`~repro.core.program.OpProgram` IR (every live node becomes
+    one content-addressed op reading parent values from earlier slots)
+    and wrapped in the serving execution view.  Only inference-legal
+    node kinds are accepted (transformers, gathers and the
+    pipeline-input placeholder — estimators were consumed at fit time).  ``compute_keys=False`` skips hashing
     operator state into content keys — the plain ``apply`` path uses it
     (no serving cache will read the keys); ``ModelServer.register``
     compiles with keys.
 
-    ``vectorize=True`` appends
-    :class:`~repro.core.program.VectorizePass` to the registered passes
-    (unless one is already registered): runs of kernel-capable ops —
-    gathered branches included — collapse into
+    ``vectorize=True`` runs :class:`~repro.core.program.VectorizePass`
+    over the program: runs of kernel-capable ops — gathered branches
+    included — collapse into
     :class:`~repro.core.kernels.KernelStage` slots whose batched
     execution is byte-identical to ``fitted.apply`` per item.  A stage
     ending in an arg-max head is *certified*: its dense matmuls run as
@@ -269,8 +263,6 @@ def compile_inference_plan(
     so cache-marked intermediates still materialize after the rewrite.
     """
     program = lower_inference_program(fitted, compute_keys=compute_keys)
-    passes = list(getattr(fitted, "program_passes", None) or ())
-    if vectorize and not any(isinstance(p, VectorizePass) for p in passes):
-        passes.append(VectorizePass(boundaries=vectorize_boundaries))
-    program = run_program_passes(program, passes)
+    if vectorize:
+        program = VectorizePass(vectorize_boundaries).run(program)
     return InferencePlan(program)

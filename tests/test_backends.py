@@ -40,9 +40,7 @@ from repro.core.passes import (
 from repro.core.plan import PassDecision
 from repro.core.pipeline import Pipeline
 from repro.dataset import Context
-from repro.nodes.learning.kmeans import KMeansEstimator
 from repro.nodes.learning.linear import LinearSolver
-from repro.nodes.numeric import StandardScaler
 from repro.nodes.text import (
     CommonSparseFeatures,
     LowerCase,
@@ -580,83 +578,22 @@ class TestActorBackend:
         assert all(t >= 0.0 for t in report.node_seconds.values())
 
 
-class TestAutoBackendRecommendation:
-    def test_hint_mapping(self):
-        sharding = ShardingPass(workers="auto")
-        assert sharding._recommend_backend(1, 0.0) == "local"
-        assert sharding._recommend_backend(4, 0.01) == "actors"
-        assert sharding._recommend_backend(4, 0.5) == "local"
-
-    def test_hint_mapping_amortizes_iterative_passes(self):
-        """Persistent workers pay shard movement once per fit, not once
-        per pass: the network share is judged amortized, so iterative
-        workloads flip to the actor runtime."""
-        sharding = ShardingPass(workers="auto")
-        # 0.5 network share over 10 passes amortizes to 0.05 <= 0.15.
-        assert sharding._recommend_backend(4, 0.5, 10) == "actors"
-        assert sharding._recommend_backend(4, 0.01, 20) == "actors"
-        # Two passes are not enough to amortize 0.5 below the threshold.
-        assert sharding._recommend_backend(4, 0.5, 2) == "local"
-        # One worker stays serial no matter how iterative the solver is.
-        assert sharding._recommend_backend(1, 0.01, 50) == "local"
-        # Non-iterative plans are judged on the unamortized share.
-        assert sharding._recommend_backend(4, 0.01, 1) == "actors"
-
-    def test_auto_recommends_actors_for_iterative_workload(self):
-        """A k-means-headed plan profiles as iterative (weight > 1), so
-        workers="auto" recommends the actor runtime and ``backend="auto"``
-        executes on it."""
-        rng = np.random.default_rng(3)
-        pts = [rng.normal(size=16) for _ in range(120)]
-
-        def builder(ctx):
-            data = ctx.parallelize(pts, 4)
-            return (Pipeline.identity()
-                    .and_then(StandardScaler(), data)
-                    .and_then(KMeansEstimator(3, max_iter=10, seed=0),
-                              data))
-
-        passes = passes_for_level("full", sample_sizes=(20, 40))
-        passes.append(ShardingPass(workers="auto", max_workers=4))
-        plan = Optimizer(passes).optimize(builder(Context()),
-                                          resources=r3_4xlarge(4))
-        assert plan.state.shard_workers >= 2
-        assert plan.state.shard_backend == "actors"
-        assert "recommended backend: actors" in plan.explain()
-        fitted = plan.execute(backend="auto")
-        report = fitted.training_report
-        assert report.backend.startswith("actors")
-        assert "KMeansEstimator" in report.actor_iterative
-
-    def test_auto_recommends_actors_when_network_is_cheap(self):
-        """Featurization-dominated text plan, tiny coordination bytes:
-        the auto-chooser recommends multi-process execution."""
-        passes = passes_for_level("full", sample_sizes=(20, 40))
-        passes.append(ShardingPass(workers="auto", max_workers=4))
-        plan = Optimizer(passes).optimize(text_pipeline(Context()),
-                                          resources=r3_4xlarge(4))
-        assert plan.state.shard_workers >= 2
-        assert plan.state.shard_backend == "actors"
-        assert "recommended backend: actors" in plan.explain()
-
-    def test_execute_auto_honours_recommendation(self):
-        passes = passes_for_level("full", sample_sizes=(20, 40))
-        passes.append(ShardingPass(workers="auto", max_workers=2))
-        plan = Optimizer(passes).optimize(text_pipeline(Context()),
-                                          resources=r3_4xlarge(2))
-        fitted = plan.execute(backend="auto")
-        assert fitted.training_report.backend.startswith(
-            plan.state.shard_backend)
-
-    def test_execute_auto_without_recommendation_is_local(self):
-        fitted = optimize(text_pipeline).execute(backend="auto")
-        assert fitted.training_report.backend == "local"
-
-
 class TestShardingPass:
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
             ShardingPass(workers=0)
+
+    def test_auto_chooses_workers_not_a_backend(self):
+        """``workers="auto"`` decides the worker count only: there is no
+        backend recommendation, and ``"auto"`` is no backend name."""
+        passes = passes_for_level("full", sample_sizes=(20, 40))
+        passes.append(ShardingPass(workers="auto", max_workers=4))
+        plan = Optimizer(passes).optimize(text_pipeline(Context()),
+                                          resources=r3_4xlarge(4))
+        assert 1 <= plan.state.shard_workers <= 4
+        assert "recommended" not in plan.explain()
+        with pytest.raises(ValueError, match="unknown backend 'auto'"):
+            plan.execute(backend="auto")
 
     def test_decisions_reach_explain(self):
         plan = optimize(text_pipeline, [ShardingPass(workers=8)])
@@ -752,8 +689,6 @@ class TestStageRulePinned:
         assert state.shard_workers == 16
         assert details["simulated_seconds"] == 12.1205
         assert details["network_fraction"] == 0.6442
-        # Expensive coordination: serial in-process execution.
-        assert state.shard_backend == "local"
 
 
 class TestExclusiveTimerThreadSafety:

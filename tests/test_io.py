@@ -87,23 +87,6 @@ class TestPipelinePersistence:
         save_pipeline(fitted, path)
         assert load_pipeline(path).training_report is None
 
-    def test_program_passes_survive_save_load(self, tmp_path):
-        """Registered lowering rewrites must keep applying after the
-        persistence round-trip, not silently vanish."""
-        from repro.core.optimizer import Optimizer, passes_for_level
-        from repro.core.passes import LoweringPass
-
-        pipe = Pipeline.identity().and_then(AddOne())
-        passes = passes_for_level("none") + [LoweringPass()]
-        fitted = Optimizer(passes).optimize(pipe).execute()
-        assert fitted.program_passes
-        path = tmp_path / "pipe.pkl"
-        save_pipeline(fitted, path)
-        loaded = load_pipeline(path)
-        assert ([p.name for p in loaded.program_passes]
-                == [p.name for p in fitted.program_passes])
-        assert loaded.apply(41) == 42
-
     def test_rejects_unfitted(self, tmp_path):
         with pytest.raises(TypeError, match="fitted"):
             save_pipeline(Pipeline.identity(), tmp_path / "x.pkl")

@@ -243,12 +243,19 @@ def _no_pruning(monkeypatch):
     monkeypatch.setattr(profiler, "_unread_chain", lambda *args: None)
 
 
+def _optimize(case, level):
+    """Plan one case at ``level``, with auto sharding where there is a
+    profile to price (level ``none`` profiles nothing)."""
+    pipe, items = case(Context())
+    passes = passes_for_level(level)
+    if level != "none":
+        passes.append(ShardingPass(workers="auto", max_workers=8))
+    return Optimizer(passes).optimize(pipe, level=level), items
+
+
 def _decisions(case, level):
     """Optimize and train one case; everything its decisions produced."""
-    pipe, items = case(Context())
-    passes = passes_for_level(level) + [
-        ShardingPass(workers="auto", max_workers=8)]
-    plan = Optimizer(passes).optimize(pipe, level=level)
+    plan, items = _optimize(case, level)
     order = g.ancestors([plan.sink])
     fitted = plan.execute()
     return {
@@ -256,9 +263,112 @@ def _decisions(case, level):
                    plan.profile.nodes[n.id].weight) for n in order],
         "cache": [i for i, n in enumerate(order) if n.id in plan.cache_set],
         "workers": plan.state.shard_workers,
-        "backend": plan.state.shard_backend,
         "predictions": comparable([fitted.apply(x) for x in items]),
     }
+
+
+#: level ``none``: no profile, so no selection, cache set, weights or
+#: auto sharding
+_UNPROFILED = ((), (), None, None)
+
+#: name -> level -> (selections, cache-set labels, (profiled nodes,
+#: {ancestor index: weight} for every weight other than 1), auto worker
+#: count).  Recorded before lowering went live-only; each value agreed
+#: over five separate runs.
+PINNED_DECISIONS = {
+    "amazon": {
+        "pipe": ((), ("CommonSparseFeatures", "TermFrequency",
+                      "apply(CommonSparseFeatures)"), (15, {7: 50}), 8),
+        "full": (("LocalQRSolver",), ("CommonSparseFeatures",
+                                      "TermFrequency"), (15, {}), 8),
+    },
+    "cifar10": {
+        "pipe": ((), ("Normalizer",), (12, {5: 50}), 8),
+        "full": (("LocalQRSolver",), (), (12, {}), 8),
+    },
+    "imagenet": {
+        "pipe": ((), ("Normalizer",), (12, {5: 50}), 8),
+        "full": (("LocalQRSolver",), (), (12, {}), 8),
+    },
+    "registry_amazon": {
+        "pipe": ((), ("CommonSparseFeatures", "TermFrequency",
+                      "apply(CommonSparseFeatures)"), (18, {9: 30}), 8),
+        "full": (("LBFGSSolver",), ("CommonSparseFeatures", "TermFrequency",
+                                    "apply(CommonSparseFeatures)"),
+                 (18, {9: 30}), 8),
+    },
+    "registry_timit": {
+        "pipe": ((), ("CosineRandomFeatures",) * 4 + ("VectorCombiner",),
+                 (21, {12: 50}), 8),
+        "full": (("BlockCoordinateSolver",),
+                 ("CosineRandomFeatures",) * 4 + ("VectorCombiner",),
+                 (21, {12: 6}), 8),
+    },
+    "sweep_union": {
+        "pipe": ((), ("CosineRandomFeatures", "CosineRandomFeatures",
+                      "StandardScaler", "apply(CosineRandomFeatures)",
+                      "apply(CosineRandomFeatures)", "apply(StandardScaler)"),
+                 (19, {6: 50, 14: 50}), 8),
+        "full": (("LocalQRSolver", "LocalQRSolver"),
+                 ("CosineRandomFeatures", "CosineRandomFeatures",
+                  "StandardScaler", "apply(StandardScaler)"), (19, {}), 8),
+    },
+    "timit": {
+        "pipe": ((), ("CosineRandomFeatures", "StandardScaler",
+                      "apply(CosineRandomFeatures)", "apply(StandardScaler)"),
+                 (12, {6: 50}), 8),
+        "full": (("LocalQRSolver",), ("CosineRandomFeatures", "StandardScaler",
+                                      "apply(StandardScaler)"), (12, {}), 8),
+    },
+    "timit_gmm": {
+        "pipe": ((), ("StandardScaler", "apply(StandardScaler)"),
+                 (7, {3: 4}), 8),
+        "full": ((), ("StandardScaler", "apply(StandardScaler)"),
+                 (7, {3: 4}), 8),
+    },
+    "timit_kmeans": {
+        "pipe": ((), ("StandardScaler", "apply(StandardScaler)"),
+                 (7, {3: 4}), 8),
+        "full": ((), ("StandardScaler", "apply(StandardScaler)"),
+                 (7, {3: 4}), 8),
+    },
+    "timit_logistic": {
+        "pipe": ((), ("StandardScaler", "apply(StandardScaler)"),
+                 (9, {4: 8}), 8),
+        "full": ((), ("StandardScaler", "apply(StandardScaler)"),
+                 (9, {4: 8}), 8),
+    },
+    "voc": {
+        "pipe": ((), ("Normalizer",), (12, {5: 50}), 8),
+        "full": (("LocalQRSolver",), (), (12, {}), 8),
+    },
+    "youtube8m": {
+        "pipe": ((), ("CosineRandomFeatures", "StandardScaler",
+                      "apply(CosineRandomFeatures)", "apply(StandardScaler)"),
+                 (12, {6: 50}), 8),
+        "full": (("LocalQRSolver",), ("CosineRandomFeatures", "StandardScaler",
+                                      "apply(StandardScaler)"), (12, {}), 8),
+    },
+}
+
+
+class TestPinnedDecisions:
+    """Every decision case at every level against the recorded table."""
+
+    @pytest.mark.parametrize("level", ["none", "pipe", "full"])
+    @pytest.mark.parametrize("name", sorted(DECISION_CASES))
+    def test_decisions_are_pinned(self, name, level):
+        plan, _items = _optimize(DECISION_CASES[name], level)
+        weights = None
+        if plan.state.profile is not None:
+            order = [plan.state.profile.nodes[n.id].weight
+                     for n in g.ancestors([plan.sink])]
+            weights = (len(order),
+                       {i: w for i, w in enumerate(order) if w != 1})
+        got = (tuple(sorted(plan.selections.values())),
+               tuple(plan.cache_set_labels), weights,
+               plan.state.shard_workers)
+        assert got == PINNED_DECISIONS[name].get(level, _UNPROFILED)
 
 
 def _count_fits(monkeypatch, *logical):

@@ -10,9 +10,9 @@ The contracts the unified lowering must hold:
   consume ``core/program.py``; the compiled inference plan is a view over
   the program, and a lowered program round-trips through pickle (it is
   the actor backend's wire format).
-- **lowering passes** — ``LoweringPass`` hands ``ProgramPass`` rewrites
-  over via ``PlanState``; dead-op elimination drops unreachable slots
-  without changing root outputs.
+- **live lowering** — a lowered program holds only ops some root
+  reads, keyed by the one per-kind rule (``program.node_key``) byte for
+  byte as a reference copy of the separate key walks it replaced.
 """
 
 import ast
@@ -27,17 +27,14 @@ import repro
 from repro.core import graph as g
 from repro.core import program
 from repro.core.optimizer import Optimizer, passes_for_level
-from repro.core.passes import LoweringPass
 from repro.core.pipeline import Pipeline
 from repro.core.program import (
     GATHER,
     INPUT,
     INPUT_KEY,
     TRANSFORM,
-    DeadOpElimination,
     Op,
     OpProgram,
-    ProgramPass,
     UnshippableFlow,
     VectorizePass,
     dataset_fingerprint,
@@ -56,9 +53,9 @@ from repro.nodes.text import (
     Tokenizer,
     unit_weighting,
 )
-from repro.serving.compiler import InferencePlan, compile_inference_plan
+from repro.serving.compiler import InferencePlan
 from repro.workloads import amazon_reviews, timit_frames
-from workload_scenarios import comparable
+from workload_scenarios import SCENARIOS, comparable
 
 
 def _fit_text(wl, l2_reg=1e-8, num_features=80):
@@ -372,176 +369,206 @@ class TestOpProgramPickle:
         assert comparable(got) == comparable([fitted.apply(x) for x in wl.test_items])
 
 
-def _echo(slot, parents, key, label="t"):
-    class _Plus(object):
-        def __init__(self, delta):
-            self.delta = delta
-
-        def apply(self, item):
-            return item + self.delta
-
-        def apply_partition(self, items):
-            return [item + self.delta for item in items]
-
-    return Op(slot, 100 + slot, TRANSFORM, _Plus(slot), parents, label, key)
+# ----------------------------------------------------------------------
+# Live lowering under one key rule
+# ----------------------------------------------------------------------
+#
+# The reference below is a verbatim copy of the three key walks as they
+# stood before lowering went live-only and before they shared
+# ``program.node_key``: each walked every reachable node.  Every key the
+# current walks emit must equal it byte for byte.
 
 
-class TestProgramPasses:
-    def _program_with_dead_op(self):
-        ops = [
-            Op(0, 100, INPUT, None, (), "input", INPUT_KEY),
-            _echo(1, (0,), "k1"),
-            _echo(2, (0,), "k2-dead"),
-            _echo(3, (1,), "k3"),
-        ]
-        return OpProgram(ops, input_slot=0, root_slots=(3,))
+def _ref_training_keys(roots):
+    keys = {}
+    for node in g.reachable(roots):
+        if node.is_pipeline_input:
+            key = INPUT_KEY
+        elif node.kind == g.SOURCE:
+            key = op_key("source", None, (dataset_fingerprint(node.op),))
+        elif node.kind == g.TRANSFORMER:
+            key = op_key(TRANSFORM, node.op, (keys[node.parents[0].id],))
+        elif node.kind == g.ESTIMATOR:
+            key = op_key("estimator", node.op, tuple(keys[p.id] for p in node.parents))
+        elif node.kind == g.APPLY:
+            key = op_key("apply", None, tuple(keys[p.id] for p in node.parents))
+        else:
+            key = op_key(GATHER, None, tuple(keys[p.id] for p in node.parents))
+        keys[node.id] = key
+    return keys
 
-    def test_dead_op_elimination_drops_and_renumbers(self):
-        program = self._program_with_dead_op()
-        before = InferencePlan(program).run_item(10)
-        pruned = DeadOpElimination().run(program)
-        assert len(pruned) == 3
-        assert [op.key for op in pruned] == [INPUT_KEY, "k1", "k3"]
-        assert pruned.input_slot == 0
-        assert pruned.sink_slot == 2
-        for op in pruned:
-            assert all(p < op.slot for p in op.parents)
-        assert InferencePlan(pruned).run_item(10) == before
-        assert InferencePlan(pruned).run_batch([10, 20]) == [
-            before,
-            InferencePlan(program).run_item(20),
-        ]
 
-    def test_live_program_is_returned_unchanged(self):
-        wl = amazon_reviews(100, 8, vocab_size=150, seed=0)
-        program = lower_inference_program(_fit_text(wl))
-        assert DeadOpElimination().run(program) is program
+def _ref_flow_keys(roots, claimed_key, model_of):
+    """Lowered-op keys (and, with ``claimed_key`` hashing one partition,
+    partition-flow keys): sources by ``claimed_key``, applies by their
+    fitted model, estimators skipped."""
+    keys = {}
+    for node in g.reachable(roots):
+        if node.kind == g.ESTIMATOR:
+            continue
+        claimed = claimed_key(node)
+        if claimed is not None:
+            key = claimed
+        elif node.is_pipeline_input:
+            key = INPUT_KEY
+        elif node.kind == g.TRANSFORMER:
+            key = op_key(TRANSFORM, node.op, (keys[node.parents[0].id],))
+        elif node.kind == g.APPLY:
+            model = model_of(node.parents[0])
+            key = op_key(TRANSFORM, model, (keys[node.parents[1].id],))
+        else:
+            key = op_key(GATHER, None, tuple(keys[p.id] for p in node.parents))
+        keys[node.id] = key
+    return keys
 
-    def test_lowering_pass_hands_off_via_plan_state(self):
-        wl = amazon_reviews(120, 12, vocab_size=200, seed=0)
-        ctx = Context()
-        data = wl.train_data(ctx)
-        labels = wl.train_label_vectors(ctx)
-        pipe = (
-            Pipeline.identity()
-            .and_then(LowerCase())
-            .and_then(Tokenizer())
-            .and_then(TermFrequency(lambda c: 1.0))
-            .and_then(CommonSparseFeatures(80), data)
-            .and_then(LinearSolver(), data, labels)
-            .and_then(MaxClassifier())
+
+def _text_kmeans(ctx):
+    """The actor benchmark's shape: k-means over densified text features,
+    so the k-means flow passes through CommonSparseFeatures' apply."""
+    from repro.nodes.learning.kmeans import KMeansEstimator
+    from repro.nodes.numeric import Densify
+
+    wl = amazon_reviews(60, 8, vocab_size=150, seed=0)
+    data = wl.train_data(ctx)
+    pipe = (
+        Pipeline.identity()
+        .and_then(LowerCase())
+        .and_then(Tokenizer())
+        .and_then(TermFrequency(unit_weighting()))
+        .and_then(CommonSparseFeatures(40), data)
+        .and_then(Densify())
+        .and_then(KMeansEstimator(3, max_iter=3, seed=7), data)
+    )
+    return pipe, wl.test_items
+
+
+def _two_solver_chain(ctx):
+    """A solver trained on another solver's output over text features."""
+    wl = amazon_reviews(120, 16, vocab_size=200, seed=0)
+    data = wl.train_data(ctx)
+    labels = wl.train_label_vectors(ctx)
+    pipe = (
+        Pipeline.identity()
+        .and_then(LowerCase())
+        .and_then(Tokenizer())
+        .and_then(TermFrequency(lambda c: 1.0))
+        .and_then(CommonSparseFeatures(120), data)
+        .and_then(LinearSolver(), data, labels)
+        .and_then(LinearSolver(l2_reg=1.0), data, labels)
+        .and_then(MaxClassifier())
+    )
+    return pipe, wl.test_items
+
+
+KEY_CASES = dict(SCENARIOS)
+KEY_CASES["text_kmeans"] = _text_kmeans
+KEY_CASES["two_solver_chain"] = _two_solver_chain
+
+
+def _live_slots(program):
+    live = set(program.root_slots)
+    for op in reversed(program.ops):
+        if op.slot in live:
+            live.update(op.parents)
+    return live
+
+
+def _session(case, level):
+    from repro.core.backends.base import TrainingSession
+
+    pipe, _items = case(Context())
+    passes = passes_for_level(level, sample_sizes=(20, 40))
+    plan = Optimizer(passes).optimize(pipe, level=level)
+    return plan, TrainingSession(plan, None)
+
+
+class TestOneKeyRule:
+    @pytest.mark.parametrize("level", ["none", "full"])
+    @pytest.mark.parametrize("name", sorted(KEY_CASES))
+    def test_every_walk_keys_like_the_reference(self, name, level):
+        from repro.core.backends.actors import _lower_shard_program
+
+        plan, session = _session(KEY_CASES[name], level)
+        assert program.training_keys([plan.sink]) == _ref_training_keys([plan.sink])
+
+        def model_of(node):
+            return session.fitted.get(node.id)
+
+        def bound_key(node):
+            if node.kind != g.SOURCE or node.is_pipeline_input:
+                return None
+            fingerprint = dataset_fingerprint(session.dataset_of(node))
+            return op_key("source", None, (fingerprint,))
+
+        def part_key(node):
+            if node.kind != g.SOURCE or node.is_pipeline_input:
+                return None
+            rows = node.op.partition(0)
+            return op_key("part", None, (program.partition_fingerprint(rows),))
+
+        for est in g.reachable([plan.sink], g.ESTIMATOR):
+            roots = list(est.parents)
+            shard, _sources = _lower_shard_program(roots, session, {}, {})
+            reference = _ref_flow_keys(roots, bound_key, model_of)
+            assert shard.ops and all(op.key == reference[op.node_id] for op in shard)
+            flow = program.partition_flow_keys(roots, 0, model_of=model_of)
+            reference = _ref_flow_keys(roots, part_key, model_of)
+            assert {r.id for r in roots} <= set(flow)
+            assert flow == {nid: reference[nid] for nid in flow}
+            session.fit_estimator(est)
+        fitted = session.finish()
+        inference = lower_inference_program(fitted)
+        assert {op.node_id: op.key for op in inference} == _ref_flow_keys(
+            [fitted.sink], lambda node: None, None
         )
-        passes = passes_for_level("none") + [LoweringPass()]
-        plan = Optimizer(passes).optimize(pipe)
-        assert [p.name for p in plan.state.program_passes] == ["DeadOpElimination"]
-        assert "program_passes=['DeadOpElimination']" in plan.explain()
-        fitted = plan.execute()
-        assert [p.name for p in fitted.program_passes] == ["DeadOpElimination"]
-        # The compiled plan went through the registered rewrites and
-        # still matches the un-lowered reference byte for byte.
-        compiled = compile_inference_plan(fitted)
-        got = [compiled.run_item(x) for x in wl.test_items]
-        assert comparable(got) == comparable([fitted.apply(x) for x in wl.test_items])
 
-    def test_custom_program_pass_applies_at_compile(self):
-        class CountOps(ProgramPass):
-            seen = []
 
-            def run(self, program):
-                CountOps.seen.append(len(program))
-                return program
+class TestLiveLowering:
+    @staticmethod
+    def _assert_live(shard, sources):
+        assert _live_slots(shard) == {op.slot for op in shard}
+        assert set(sources) == {op.node_id for op in shard if op.kind == program.SOURCE}
 
-        wl = amazon_reviews(100, 8, vocab_size=150, seed=0)
-        ctx = Context()
-        data = wl.train_data(ctx)
-        labels = wl.train_label_vectors(ctx)
-        pipe = (
-            Pipeline.identity()
-            .and_then(LowerCase())
-            .and_then(Tokenizer())
-            .and_then(TermFrequency(lambda c: 1.0))
-            .and_then(CommonSparseFeatures(60), data)
-            .and_then(LinearSolver(), data, labels)
+    def test_amazon_solver_program_drops_the_featurizer_training_flow(self):
+        """At level none the solver's flow reads CommonSparseFeatures'
+        fitted model only, so that estimator's training flow is not
+        lowered."""
+        from repro.core.backends.actors import _lower_shard_program
+
+        plan, session = _session(SCENARIOS["amazon"], "none")
+        sizes = {}
+        for est in g.reachable([plan.sink], g.ESTIMATOR):
+            shard, sources = _lower_shard_program(list(est.parents), session, {}, {})
+            self._assert_live(shard, sources)
+            sizes[est.label] = len(shard)
+            session.fit_estimator(est)
+        assert sizes == {"CommonSparseFeatures": 4, "LinearSolver": 6}
+
+    def test_cached_two_solver_chain_on_actors(self, monkeypatch):
+        """With the featurized text cached and shipped once, the second
+        solver's program is that materialized source, the labels and the
+        first solver's apply."""
+        from repro.core.backends import ActorBackend, actors
+
+        lowered = []
+        real = actors._lower_shard_program
+
+        def recording(roots, session, materialized, memo):
+            shard, sources = real(roots, session, materialized, memo)
+            lowered.append((shard, sources))
+            return shard, sources
+
+        monkeypatch.setattr(actors, "_lower_shard_program", recording)
+        pipe, items = _two_solver_chain(Context())
+        plan = Optimizer(passes_for_level("full", sample_sizes=(20, 40))).optimize(pipe)
+        fitted = plan.execute(backend=ActorBackend(workers=2, task_timeout=300.0))
+        for shard, sources in lowered:
+            self._assert_live(shard, sources)
+        assert [len(shard) for shard, _ in lowered] == [4, 6, 3]
+        expected = plan.execute()
+        assert comparable([fitted.apply(x) for x in items]) == comparable(
+            [expected.apply(x) for x in items]
         )
-        passes = passes_for_level("none") + [
-            LoweringPass(program_passes=[CountOps()])
-        ]
-        fitted = Optimizer(passes).optimize(pipe).execute()
-        fitted.inference_plan()
-        assert CountOps.seen, "pass must run when the plan is lowered"
-
-    def test_lowering_pass_rejects_non_program_passes(self):
-        with pytest.raises(TypeError, match="ProgramPass"):
-            LoweringPass(program_passes=[object()])
-
-    def test_op_removing_pass_keeps_warmup_registration_working(self):
-        """A rewrite that drops ops (fusing the head pair) must not break
-        warmup-based cache selection or serving — the plan may cover
-        fewer node ids than the DAG has ancestors."""
-        from repro.core.backends import recursive_apply_item
-        from repro.core.fusion import FusedTransformer
-        from repro.serving import ModelServer
-
-        class FuseHead(ProgramPass):
-            """Fuse the sink transform into its transform parent."""
-
-            def run(self, program):
-                sink = program.ops[program.sink_slot]
-                parent = program.ops[sink.parents[0]]
-                fusable = (
-                    sink.kind == TRANSFORM
-                    and parent.kind == TRANSFORM
-                    and sink.slot == len(program) - 1
-                )
-                if not fusable:
-                    return program
-                fused = Op(
-                    parent.slot,
-                    parent.node_id,
-                    TRANSFORM,
-                    FusedTransformer([parent.op, sink.op]),
-                    parent.parents,
-                    f"{parent.label}+{sink.label}",
-                    sink.key,
-                )
-                ops = [
-                    fused if op.slot == parent.slot else op
-                    for op in program.ops
-                    if op.slot != sink.slot
-                ]
-                return OpProgram(
-                    ops,
-                    input_slot=program.input_slot,
-                    root_slots=(parent.slot,),
-                )
-
-        wl = amazon_reviews(100, 10, vocab_size=150, seed=0)
-        ctx = Context()
-        data = wl.train_data(ctx)
-        labels = wl.train_label_vectors(ctx)
-        pipe = (
-            Pipeline.identity()
-            .and_then(LowerCase())
-            .and_then(Tokenizer())
-            .and_then(TermFrequency(lambda c: 1.0))
-            .and_then(CommonSparseFeatures(60), data)
-            .and_then(LinearSolver(), data, labels)
-            .and_then(MaxClassifier())
-        )
-        passes = passes_for_level("none") + [
-            LoweringPass(program_passes=[FuseHead()])
-        ]
-        fitted = Optimizer(passes).optimize(pipe).execute()
-        plan = fitted.inference_plan()
-        assert len(plan) == len(g.ancestors([fitted.sink])) - 1
-        expected = [recursive_apply_item(fitted, x) for x in wl.test_items]
-        assert [plan.run_item(x) for x in wl.test_items] == expected
-        server = ModelServer(max_batch=4, cache_budget_bytes=1e7)
-        with server:
-            server.register("m", fitted, warmup_items=wl.test_items[:3])
-            assert server.predict_many("m", wl.test_items) == expected
-            again = server.predict_many("m", wl.test_items)
-            assert again == expected
 
 
 def _fit_vector(wl):
@@ -557,18 +584,6 @@ def _fit_vector(wl):
         .and_then(CosineRandomFeatures(16, seed=1), data)
         .and_then(LinearSolver(), data, labels)
         .fit(level="none")
-    )
-
-
-def _structure(program):
-    """Everything VectorizePass commutation cares about, hashable-ish."""
-    return (
-        [
-            (op.slot, op.kind, op.parents, op.label, op.key, op.node_id)
-            for op in program.ops
-        ],
-        program.input_slot,
-        program.root_slots,
     )
 
 
@@ -598,23 +613,6 @@ class TestVectorizePass:
         assert comparable(got) == comparable(
             [fitted.apply(x) for x in wl.test_items]
         )
-
-    def test_commutes_with_dead_op_elimination(self):
-        wl = timit_frames(60, 10, dim=12, num_classes=3, seed=0)
-        program = lower_inference_program(_fit_vector(wl))
-        dead = _echo(len(program.ops), (0,), "k-dead", label="dead")
-        with_dead = OpProgram(
-            list(program.ops) + [dead],
-            input_slot=program.input_slot,
-            root_slots=program.root_slots,
-        )
-        dce_first = VectorizePass().run(
-            DeadOpElimination().run(with_dead)
-        )
-        vp_only = VectorizePass().run(with_dead)
-        dce_last = DeadOpElimination().run(vp_only)
-        assert _structure(dce_first) == _structure(vp_only)
-        assert _structure(dce_last) == _structure(vp_only)
 
     def test_shared_slot_is_a_fusion_boundary(self):
         from repro.nodes.numeric import Normalizer as _N
@@ -657,38 +655,6 @@ class TestVectorizePass:
             [stage.apply(x) for x in wl.test_items]
         ) == expected
         assert comparable(stage.apply_partition(wl.test_items)) == expected
-
-    def test_registers_with_lowering_pass(self):
-        wl = timit_frames(60, 10, dim=12, num_classes=3, seed=0)
-        from repro.nodes.learning.random_features import CosineRandomFeatures
-
-        ctx = Context()
-        data = wl.train_data(ctx)
-        labels = wl.train_label_vectors(ctx)
-        pipe = (
-            Pipeline.identity()
-            .and_then(StandardScaler(), data)
-            .and_then(CosineRandomFeatures(16, seed=1), data)
-            .and_then(LinearSolver(), data, labels)
-        )
-        passes = passes_for_level("none") + [
-            LoweringPass(program_passes=[DeadOpElimination(), VectorizePass()])
-        ]
-        fitted = Optimizer(passes).optimize(pipe).execute()
-        assert [p.name for p in fitted.program_passes] == [
-            "DeadOpElimination",
-            "VectorizePass",
-        ]
-        # The registered pass applies even with the serving knob off...
-        cold = compile_inference_plan(fitted, vectorize=False)
-        assert "kernel[" in cold.describe()
-        # ...and the knob does not double-wrap an already lowered program.
-        warm = compile_inference_plan(fitted, vectorize=True)
-        assert len(warm) == len(cold)
-        got = [warm.run_item(x) for x in wl.test_items]
-        assert comparable(got) == comparable(
-            [fitted.apply(x) for x in wl.test_items]
-        )
 
     def test_boundary_keys_split_stages(self):
         wl = timit_frames(60, 10, dim=12, num_classes=3, seed=0)

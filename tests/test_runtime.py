@@ -4,16 +4,19 @@ End-to-end actor coverage lives in tests/test_backends.py
 (TestActorBackend) and tests/test_failure_modes.py
 (TestActorFaultTolerance).  These tests pin the in-process pieces — the
 shard-state cache, the shared liveness walk, the zero-copy transport,
-and chunk planning — without spawning worker processes, plus the two
-"one pool" guarantees: nothing under ``src/repro`` imports a second
+and chunk planning — without spawning worker processes, plus the "one
+pool" guarantees: nothing under ``src/repro`` imports a second
 process-pool manager, and the one there is leaks neither processes nor
-shared-memory segments across a worker kill and a shutdown.
+shared-memory segments across a worker kill and a shutdown, and keeps
+the resource tracker quiet.
 """
 
 import ast
 import multiprocessing
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,13 +152,6 @@ class TestTransport:
         assert len(segments) == 1
         np.testing.assert_array_equal(out[0], arrays[0])
         np.testing.assert_array_equal(out[1], arrays[1])
-        # This test is sender and receiver in one process: unpack() just
-        # unregistered the segment (the receiver half), so restore the
-        # sender's registration before release() unlinks it — otherwise
-        # the resource tracker reports a spurious KeyError at exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register(res.segment._name, "shared_memory")
         res.release()
         res.release()  # idempotent
         del out
@@ -223,6 +219,27 @@ def _shm_fit(backend, seed):
     return pipe.fit(level="none", backend=backend).training_report
 
 
+#: a real script file: spawned workers re-import ``__main__``
+_SHM_FIT_SCRIPT = """
+import numpy as np
+
+from repro.core.backends import ActorBackend
+from repro.core.pipeline import Pipeline
+from repro.dataset import Context
+from repro.nodes.numeric import Normalizer, StandardScaler
+
+if __name__ == "__main__":
+    rng = np.random.default_rng(0)
+    data = Context().parallelize([rng.normal(size=64) for _ in range(64)], 4)
+    pipe = Pipeline.identity().and_then(Normalizer()).and_then(StandardScaler(), data)
+    with ActorBackend(
+        workers=2, task_timeout=120.0, reuse_pool=False, shm_threshold=1024
+    ) as backend:
+        fitted = pipe.fit(level="none", backend=backend)
+    print("mapped", fitted.training_report.bytes_mapped)
+"""
+
+
 class TestOnePool:
     def test_no_second_process_pool_manager_under_src(self):
         """``runtime.pool.ActorPool`` is the only process-pool manager:
@@ -264,6 +281,33 @@ class TestOnePool:
             backend.close()
         survivors = {p.pid for p in multiprocessing.active_children()}
         assert survivors - children_before == set()
+        assert set(os.listdir("/dev/shm")) - shm_before == set()
+
+    def test_shm_fit_leaves_the_resource_tracker_quiet(self, tmp_path):
+        """A shared-memory fit in a fresh interpreter: the resource
+        tracker, which spawned workers share with their parent, reports
+        no ``KeyError`` for a segment both sides tracked, and
+        ``/dev/shm`` keeps nothing.  The tracker is its own process, so
+        only a separate interpreter's stderr shows what it printed."""
+        if not os.access("/dev/shm", os.R_OK | os.W_OK | os.X_OK):
+            pytest.skip("/dev/shm unusable on this host")
+        script = tmp_path / "shm_fit.py"
+        script.write_text(_SHM_FIT_SCRIPT)
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        shm_before = set(os.listdir("/dev/shm"))
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if "mapped 0" in proc.stdout:
+            pytest.skip("shared memory segment creation unavailable")
+        assert "KeyError" not in proc.stderr
         assert set(os.listdir("/dev/shm")) - shm_before == set()
 
     def test_worker_exit_closes_segments_quietly(self, capfd):

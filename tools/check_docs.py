@@ -1,6 +1,6 @@
 """Docs smoke check: executable README, non-dangling links.
 
-Three gates, all cheap enough for every CI run:
+Four gates, all cheap enough for every CI run:
 
 1. Every fenced ``python`` code block in README.md is executed (one
    shared namespace per file, top to bottom), so the quickstart the
@@ -15,6 +15,9 @@ Three gates, all cheap enough for every CI run:
    docs/ARCHITECTURE.md is a parameter of the matching signature, and
    every parameter has a row — so a deleted knob cannot leave a stale
    row, and a new one cannot go undocumented.
+4. Every backticked name in the first column of README.md's "Choosing a
+   training backend" table resolves through ``resolve_backend``, so a
+   removed backend name cannot stay advertised.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
@@ -24,7 +27,7 @@ import re
 import sys
 from pathlib import Path
 
-from repro.core.backends import ActorBackend
+from repro.core.backends import ActorBackend, resolve_backend
 from repro.serving import ModelServer
 
 REPO = Path(__file__).resolve().parent.parent
@@ -42,6 +45,8 @@ KNOB_TABLES = (
     ("docs/ARCHITECTURE.md", "### `ActorBackend(...)`", ActorBackend),
 )
 NAME_RE = re.compile(r"`(\w+)`")
+#: (doc, heading of the section whose table lists ``backend=`` names)
+BACKEND_TABLE = ("README.md", "## Choosing a training backend")
 
 
 def python_blocks(path: Path):
@@ -128,6 +133,21 @@ def check_knob_tables(errors: list) -> int:
     return count
 
 
+def check_backend_table(errors: list) -> int:
+    doc, heading = BACKEND_TABLE
+    text = (REPO / doc).read_text()
+    if heading not in text:
+        errors.append(f"{doc} {heading.lstrip('# ')}: heading not found")
+        return 0
+    names = table_names(text, heading)
+    for name in names:
+        try:
+            resolve_backend(name)
+        except ValueError:
+            errors.append(f"{doc} backend table: `{name}` is not a backend name")
+    return len(names)
+
+
 def main() -> int:
     doc_files = [REPO / "README.md"]
     doc_files += sorted((REPO / "docs").glob("*.md"))
@@ -141,6 +161,8 @@ def main() -> int:
     print(f"checked {links} relative links across {len(doc_files)} files")
     knobs = check_knob_tables(errors)
     print(f"checked {knobs} knobs against their docs tables")
+    backends = check_backend_table(errors)
+    print(f"checked {backends} backend names against resolve_backend")
     for err in errors:
         print(f"  FAIL {err}")
 
