@@ -15,8 +15,9 @@ workers *keep* what they compute:
 - programs are lowered with content-addressed keys (sources keyed by
   dataset content), so a featurized shard cached in a worker is reused
   by every later estimator and every later fit sharing the flow prefix
-  — the parent's mirror of each worker's cache lets it skip shipping
-  data the worker already holds;
+  — the parent's mirror of each worker's cache (the keys the worker
+  reported holding after its last run) lets it skip shipping data the
+  worker already holds;
 - estimators implementing
   :class:`~repro.core.operators.IterativeShardableEstimator` (k-means,
   GMM, L-BFGS logistic) run their per-pass sufficient-stat reductions
@@ -155,10 +156,12 @@ class ActorBackend(ExecutionBackend):
     shares pools per configuration across instances — the cross-fit
     cache requires the same workers to serve both fits.
     A message whose array buffers total at least ``shm_threshold``
-    bytes ships them through shared memory.  Workers always start with ``"spawn"``
-    (fork-safety is not assumed anywhere), and each caches up to
-    :data:`~repro.runtime.worker.DEFAULT_STATE_BUDGET` bytes of shard
-    state.
+    bytes ships them through shared memory.  Workers always start with
+    ``"spawn"`` (fork-safety is not assumed anywhere).  Each keeps shard
+    state in a :class:`~repro.dataset.cache.CacheManager` under LRU and
+    :data:`~repro.runtime.worker.DEFAULT_STATE_BUDGET` bytes, sized by
+    :func:`~repro.dataset.sizing.estimate_size`, and reports the keys it
+    holds after every run; that report is the parent's mirror.
     """
 
     name = "actors"
@@ -451,11 +454,6 @@ class ActorBackend(ExecutionBackend):
                             sources[op.node_id].partition(i) for i in range(start, stop)
                         ]
                 packed = transport.pack(ship, shm_threshold=self.shm_threshold)
-                produced = [
-                    key
-                    for op in ops
-                    if todo[op.slot] is not None and (key := shard_key(op, chunk))
-                ]
                 # The trailing trace flag is appended only while tracing
                 # is active (builders re-evaluate at send time, so a
                 # retry after a respawn stays consistent); untraced runs
@@ -466,7 +464,6 @@ class ActorBackend(ExecutionBackend):
                 return _Msg(
                     payload,
                     ships=[packed],
-                    produced=produced,
                     shipped_bytes=len(blob) + packed.shipped_bytes,
                     mapped_bytes=packed.mapped_bytes,
                 )

@@ -2,9 +2,9 @@
 
 A :class:`Dataset` never holds data directly (unless it is a source): it
 records how each partition is computed from its parents.  Actions
-(``collect``, ``count``, ``reduce`` ...) trigger partition computation, which
-consults the context's :class:`~repro.dataset.cache.CacheManager` when the
-dataset is marked cached.  Every partition computation is recorded in
+(``collect``, ``count``, ``aggregate`` ...) trigger partition computation,
+which consults the context's :class:`~repro.dataset.cache.CacheManager`
+when the dataset is marked cached.  Every partition computation is recorded in
 :class:`~repro.dataset.context.ExecutionStats`, so recomputation caused by
 cache misses is directly observable — this is the mechanism behind the
 automatic-materialization experiments (paper Section 5.4).
@@ -12,24 +12,20 @@ automatic-materialization experiments (paper Section 5.4).
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import Any, Callable, Iterable, List, Tuple
 
-import numpy as np
-
 from repro.dataset.context import Context
-from repro.dataset.sizing import estimate_partition_size
+from repro.dataset.sizing import estimate_size
 
 
 def tree_combine(partials: List[Any], comb: Callable[[Any, Any], Any]) -> Any:
     """Pairwise binary combining tree over ``partials`` (non-empty).
 
-    The single definition of the tree shape used by
-    :meth:`Dataset.tree_aggregate` *and* by estimators that merge
-    per-partition sufficient statistics computed elsewhere (the actor
-    backend's stat-merge path) — both must reduce in exactly the same
-    order for results to stay byte-identical.
+    The single definition of the tree shape used by estimators that merge
+    per-partition sufficient statistics, whether computed in-process or
+    in workers (the actor backend's stat-merge path) — both must reduce
+    in exactly the same order for results to stay byte-identical.
     """
     if not partials:
         raise ValueError("tree_combine requires at least one partial")
@@ -66,7 +62,7 @@ class Dataset:
     """A lazy partitioned collection with deterministic recompute semantics.
 
     Instances are created via :meth:`Context.parallelize` or by transforming
-    existing datasets.  Transformations (``map``, ``filter``, ...) are lazy;
+    existing datasets.  Transformations (``map``, ``zip``, ...) are lazy;
     actions (``collect``, ``count``, ...) force computation partition by
     partition.
     """
@@ -130,7 +126,7 @@ class Dataset:
                 return hit
             rows = self._compute(i)
             self.ctx.stats.record_compute(self.id, len(rows))
-            self.ctx.cache.put(key, rows, estimate_partition_size(rows))
+            self.ctx.cache.put(key, rows, estimate_size(rows))
             return rows
 
     def holds_partition(self, i: int) -> bool:
@@ -190,23 +186,6 @@ class Dataset:
         return Dataset(self.ctx, self.num_partitions, compute, (self,),
                        name or f"map({self.name})")
 
-    def flat_map(self, f: Callable[[Any], Iterable[Any]], name: str = "") -> "Dataset":
-        def compute(i: int) -> List[Any]:
-            out: List[Any] = []
-            for x in self.partition(i):
-                out.extend(f(x))
-            return out
-
-        return Dataset(self.ctx, self.num_partitions, compute, (self,),
-                       name or f"flat_map({self.name})")
-
-    def filter(self, pred: Callable[[Any], bool], name: str = "") -> "Dataset":
-        def compute(i: int) -> List[Any]:
-            return [x for x in self.partition(i) if pred(x)]
-
-        return Dataset(self.ctx, self.num_partitions, compute, (self,),
-                       name or f"filter({self.name})")
-
     def map_partitions(self, f: Callable[[List[Any]], List[Any]],
                        name: str = "") -> "Dataset":
         def compute(i: int) -> List[Any]:
@@ -231,49 +210,6 @@ class Dataset:
 
         return Dataset(self.ctx, self.num_partitions, compute, (self, other),
                        name or f"zip({self.name},{other.name})")
-
-    def zip_with_index(self) -> "Dataset":
-        offsets = [0]
-        for i in range(self.num_partitions):
-            offsets.append(offsets[-1] + len(self.partition(i)))
-
-        def compute(i: int) -> List[Any]:
-            base = offsets[i]
-            return [(x, base + j) for j, x in enumerate(self.partition(i))]
-
-        return Dataset(self.ctx, self.num_partitions, compute, (self,),
-                       f"zip_with_index({self.name})")
-
-    def union(self, other: "Dataset") -> "Dataset":
-        total = self.num_partitions + other.num_partitions
-
-        def compute(i: int) -> List[Any]:
-            if i < self.num_partitions:
-                return self.partition(i)
-            return other.partition(i - self.num_partitions)
-
-        return Dataset(self.ctx, total, compute, (self, other),
-                       f"union({self.name},{other.name})")
-
-    def sample(self, fraction: float, seed: int = 0) -> "Dataset":
-        """Deterministic Bernoulli sample of roughly ``fraction`` of rows."""
-        if not 0 <= fraction <= 1:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-
-        def compute(i: int) -> List[Any]:
-            rng = random.Random(seed * 1_000_003 + i)
-            return [x for x in self.partition(i) if rng.random() < fraction]
-
-        return Dataset(self.ctx, self.num_partitions, compute, (self,),
-                       f"sample({self.name})")
-
-    def glom(self) -> "Dataset":
-        """One element per partition: the list of that partition's rows."""
-        def compute(i: int) -> List[Any]:
-            return [self.partition(i)]
-
-        return Dataset(self.ctx, self.num_partitions, compute, (self,),
-                       f"glom({self.name})")
 
     # ------------------------------------------------------------------
     # Caching
@@ -313,17 +249,6 @@ class Dataset:
             raise ValueError(f"dataset {self.name} is empty")
         return got[0]
 
-    def reduce(self, f: Callable[[Any, Any], Any]) -> Any:
-        acc = None
-        seen = False
-        for part in self._iter_partitions():
-            for x in part:
-                acc = x if not seen else f(acc, x)
-                seen = True
-        if not seen:
-            raise ValueError(f"reduce on empty dataset {self.name}")
-        return acc
-
     def aggregate(self, zero: Any, seq: Callable[[Any, Any], Any],
                   comb: Callable[[Any, Any], Any]) -> Any:
         """Per-partition fold + combine.
@@ -343,42 +268,6 @@ class Dataset:
         for p in partials:
             result = comb(result, p)
         return result
-
-    def tree_aggregate(self, zero: Any, seq: Callable[[Any, Any], Any],
-                       comb: Callable[[Any, Any], Any], depth: int = 2) -> Any:
-        """Aggregation with a combining tree (models Spark's treeAggregate).
-
-        Functionally identical to :meth:`aggregate`; the tree shape matters
-        only for the communication cost models, but we keep the reduction
-        order consistent with a binary combine tree for determinism.
-        ``zero`` is deep-copied per partition (mutable accumulators are
-        safe).
-        """
-        import copy
-
-        partials = []
-        for part in self._iter_partitions():
-            acc = copy.deepcopy(zero)
-            for x in part:
-                acc = seq(acc, x)
-            partials.append(acc)
-        if not partials:
-            return copy.deepcopy(zero)
-        return comb(copy.deepcopy(zero), tree_combine(partials, comb))
-
-    # ------------------------------------------------------------------
-    # Numeric helpers
-    # ------------------------------------------------------------------
-    def to_numpy(self) -> np.ndarray:
-        """Stack rows into a 2-D array (1-D rows) or 1-D array (scalars)."""
-        rows = self.collect()
-        return np.asarray(rows)
-
-    def estimated_size_bytes(self, sample_partitions: int = 1) -> int:
-        """Estimate total materialized size by measuring a few partitions."""
-        k = min(sample_partitions, self.num_partitions)
-        measured = sum(estimate_partition_size(self.partition(i)) for i in range(k))
-        return int(measured * self.num_partitions / k)
 
     def __repr__(self) -> str:
         return (f"Dataset(id={self.id}, name={self.name!r}, "

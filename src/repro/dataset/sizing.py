@@ -1,8 +1,8 @@
-"""Byte-size estimation for cached partitions.
+"""Byte-size estimation: the one sizing rule for every cache and profile.
 
 The materialization optimizer needs sizes of intermediate outputs.  The paper
-estimates sizes by profiling a sample and extrapolating linearly; this module
-provides the per-object measurement that profiling step uses.
+estimates sizes by profiling a sample and extrapolating linearly; so does
+:func:`estimate_size`, for every container it meets.
 """
 
 from __future__ import annotations
@@ -13,19 +13,20 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-# Rough per-element overhead of a Python list cell (pointer) used when we
-# shortcut homogeneous lists by measuring the first element.
+# Per-element overhead of a Python list cell (pointer).
 _POINTER_BYTES = 8
-# Lists longer than this are sampled instead of walked exhaustively.
-_SAMPLE_THRESHOLD = 256
+# Longer lists and tuples are sized from this many evenly spaced elements.
+_SAMPLE = 16
 
 
 def estimate_size(obj: Any) -> int:
     """Estimate the memory footprint of ``obj`` in bytes.
 
-    Handles numpy arrays, scipy sparse matrices, strings, and (possibly
-    nested) containers.  For long homogeneous lists the estimate samples a
-    few elements and extrapolates, which keeps profiling cheap.
+    Arrays and sparse matrices are exact buffer bytes; strings, scalars,
+    dicts and short lists are walked.  A list or tuple of ``n > 16``
+    elements is sized from the elements at ``round(j * (n - 1) / 15)``,
+    ``j < 16``, times ``n``: deterministic, and a partition of any length
+    costs at most 16 row walks.
     """
     if obj is None:
         return 0
@@ -47,19 +48,11 @@ def estimate_size(obj: Any) -> int:
         return sys.getsizeof(obj) + inner
     if isinstance(obj, (list, tuple)):
         n = len(obj)
-        if n == 0:
-            return sys.getsizeof(obj)
-        if n > _SAMPLE_THRESHOLD:
-            step = n // _SAMPLE_THRESHOLD
-            sampled = obj[::step]
-            per_elem = sum(estimate_size(x) for x in sampled) / len(sampled)
+        if n > _SAMPLE:
+            picks = (obj[round(j * (n - 1) / (_SAMPLE - 1))] for j in range(_SAMPLE))
+            per_elem = sum(estimate_size(x) for x in picks) / _SAMPLE
             return int(n * (per_elem + _POINTER_BYTES))
         return sys.getsizeof(obj) + sum(estimate_size(x) for x in obj)
     if hasattr(obj, "nbytes"):
         return int(obj.nbytes)
     return sys.getsizeof(obj)
-
-
-def estimate_partition_size(rows: list) -> int:
-    """Estimate the footprint of a materialized partition (a list of rows)."""
-    return estimate_size(rows)

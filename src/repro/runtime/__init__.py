@@ -7,10 +7,11 @@ runtime layer in miniature:
 - :mod:`repro.runtime.pool` — :class:`ActorPool`, long-lived spawn-safe
   worker processes with parent-side cache mirroring, death detection,
   bounded respawn and per-task timeout/retry;
-- :mod:`repro.runtime.worker` — the in-worker loop: a shard-state cache
-  keyed by the content-addressed op keys of
-  :mod:`repro.core.program` (featurized shards reused across estimators
-  *and across fits*), plus in-worker iterative solving through the
+- :mod:`repro.runtime.worker` — the in-worker loop: a byte-budgeted
+  :class:`~repro.dataset.cache.CacheManager` of shard state keyed by the
+  content-addressed op keys of :mod:`repro.core.program` (featurized
+  shards reused across estimators *and across fits*), plus in-worker
+  iterative solving through the
   :class:`~repro.core.operators.IterativeShardableEstimator` protocol;
 - :mod:`repro.runtime.transport` — zero-copy numpy shipping via
   pickle-5 out-of-band buffers and ``multiprocessing.shared_memory``.
@@ -27,14 +28,12 @@ from repro.runtime.pool import (
 from repro.runtime.worker import (
     DEFAULT_STATE_BUDGET,
     MissingShardState,
-    ShardStateCache,
 )
 
 __all__ = [
     "ActorPool",
     "DEFAULT_STATE_BUDGET",
     "MissingShardState",
-    "ShardStateCache",
     "shared_actor_pool",
     "shutdown_actor_pools",
 ]

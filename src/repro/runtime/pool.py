@@ -10,9 +10,10 @@ the failure story: a dead stateless worker is replaced invisibly, but a
 dead actor takes its cache and any staged iterative state with it.  The
 pool therefore:
 
-- mirrors every actor's cache contents parent-side (``holds``), updated
-  from the eviction lists actors piggyback on replies, so message
-  builders can skip re-shipping data an actor already has;
+- mirrors every actor's cache contents parent-side (``holds``): each
+  "run" reply reports the keys the actor's cache holds, and the mirror
+  is set to that report, so message builders can skip re-shipping data
+  an actor already has;
 - detects death (pipe EOF / liveness poll) and a wedged task (per-task
   timeout), respawns the process bounded by ``max_restarts`` per actor,
   clears the mirror, replays the registered *setup* messages (rebuilding
@@ -61,13 +62,11 @@ class _WorkerDied(Exception):
 
 @dataclass
 class _Msg:
-    """One built message: payload, shm lifecycle, and mirror bookkeeping."""
+    """One built message: payload, shm lifecycle, and transport accounting."""
 
     payload: Tuple
     #: ShipResults whose segments must live until the actor replies
     ships: List[Any] = field(default_factory=list)
-    #: effective cache keys the actor will hold after running this
-    produced: List[Tuple] = field(default_factory=list)
     shipped_bytes: int = 0
     mapped_bytes: int = 0
 
@@ -89,7 +88,7 @@ class _Actor:
         self._name = name
         #: serializes per-actor request/reply cycles issued via call()
         self.lock = threading.Lock()
-        #: effective keys ((op key, start, stop)) the parent believes cached
+        #: keys ((op key, start, stop)) the actor last reported holding
         self.holds: Set[Tuple] = set()
         #: builders replayed after a respawn to rebuild staged state
         self.setup: List[Callable[["_Actor"], _Msg]] = []
@@ -311,8 +310,8 @@ class ActorPool:
         if reply[0] == "err":
             raise reply[2]
         _, _, result, meta = reply
-        actor.holds.update(msg.produced)
-        actor.holds.difference_update(meta.get("evicted", ()))
+        if "held" in meta:
+            actor.holds = set(meta["held"])
         with self._counters_lock:
             self.counters["hits"] += meta.get("hits", 0)
             self.counters["misses"] += meta.get("misses", 0)

@@ -1,14 +1,16 @@
 """The actor worker: a long-lived process holding content-keyed shard state.
 
 One actor owns one contiguous chunk of training partitions per wave and
-keeps everything it computes in a :class:`ShardStateCache` keyed by
-``(op content key, chunk)`` — the content-addressed keys from
-:mod:`repro.core.program` folded with the partition range.  Because op
-keys digest the whole flow (dataset content through every operator's
-fitted state), a cached shard is exactly reusable whenever *any* later
-estimator — in this fit or the next one — lowers to the same flow
-prefix over the same chunk: the parent ships nothing and the worker
-recomputes nothing.
+keeps what it computes in a :class:`~repro.dataset.cache.CacheManager`
+(LRU, :data:`DEFAULT_STATE_BUDGET` bytes, sized by
+:func:`~repro.dataset.sizing.estimate_size`) keyed by ``(op content key,
+start, stop)``.  Because op keys digest the whole flow (dataset content
+through every operator's fitted state), a cached shard is exactly
+reusable whenever *any* later estimator — in this fit or the next one —
+lowers to the same flow prefix over the same chunk: the parent ships
+nothing and the worker recomputes nothing.  Eviction frees row objects
+only; rows may view shared-memory segments mapped for the process
+lifetime (:mod:`repro.runtime.transport`), so the budget bounds heap.
 
 The message protocol (one pipe per actor, strictly request/reply):
 
@@ -24,20 +26,21 @@ The message protocol (one pipe per actor, strictly request/reply):
 - ``("shutdown",)`` — exit the loop.
 
 Replies are ``("ok", task_id, result, meta)`` or ``("err", task_id,
-exception)``; ``meta`` carries per-node compute seconds, cache
-hit/miss counts and the keys evicted since the last reply (the parent
-mirrors the cache so it can skip re-shipping held sources).
+exception)``; ``meta`` carries per-node compute seconds and cache
+hit/miss counts, and a "run" reply's ``held`` lists every key the cache
+holds after the run: the parent's mirror is that report.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import interp
 from repro.core import program as prog
+from repro.dataset.cache import CacheManager, LRUPolicy
+from repro.dataset.sizing import estimate_size
 from repro.obs import trace as obs_trace
 from repro.runtime import transport
 
@@ -49,64 +52,10 @@ class MissingShardState(KeyError):
     """The parent assumed a shard was cached but the worker lacks it.
 
     Raised when a program needs a source the message did not ship and
-    the cache does not hold — the parent's mirror drifted (e.g. an
-    unreported eviction).  The pool recovers by clearing its mirror for
+    the cache does not hold — the parent's mirror drifted from the
+    worker's last report.  The pool recovers by clearing its mirror for
     the actor and re-sending with a full ship; it never fails the fit.
     """
-
-
-def _rows_nbytes(parts: Sequence[list]) -> int:
-    """Cheap size estimate of a chunk's partitions for the cache budget."""
-    total = 0
-    for rows in parts:
-        for row in rows:
-            total += getattr(row, "nbytes", 64)
-    return total
-
-
-class ShardStateCache:
-    """LRU cache of computed shards, keyed ``(op key, start, stop)``.
-
-    Eviction frees the Python row objects only: rows may be views into
-    shared-memory segments that stay mapped for the process lifetime
-    (see :mod:`repro.runtime.transport`), so the budget bounds *heap*
-    growth, not address space.  Evicted keys accumulate in
-    :attr:`evicted` until the reply loop drains them back to the parent.
-    """
-
-    def __init__(self, budget_bytes: int = DEFAULT_STATE_BUDGET):
-        self.budget_bytes = budget_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evicted: List[Tuple] = []
-        self._entries: OrderedDict[Tuple, Tuple[List[list], int]] = OrderedDict()
-        self._bytes = 0
-
-    def __contains__(self, key: Tuple) -> bool:
-        return key in self._entries
-
-    def get(self, key: Tuple) -> List[list]:
-        parts, _ = self._entries[key]
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return parts
-
-    def put(self, key: Tuple, parts: List[list]) -> None:
-        self.misses += 1
-        if key in self._entries:
-            _, old = self._entries.pop(key)
-            self._bytes -= old
-        size = _rows_nbytes(parts)
-        self._entries[key] = (parts, size)
-        self._bytes += size
-        while self._bytes > self.budget_bytes and len(self._entries) > 1:
-            old_key, (_, old_size) = self._entries.popitem(last=False)
-            self._bytes -= old_size
-            self.evicted.append(old_key)
-
-    def drain_evicted(self) -> List[Tuple]:
-        out, self.evicted = self.evicted, []
-        return out
 
 
 def shard_key(op: prog.Op, chunk: Tuple[int, int]) -> Optional[Tuple]:
@@ -128,7 +77,7 @@ def _run_task(
     chunk: Tuple[int, int],
     sources: Dict[int, List[list]],
     mode: str,
-    cache: ShardStateCache,
+    cache: CacheManager,
     staging: Dict[int, Tuple[Any, int, List[tuple]]],
     task_id: int,
     tracer: "obs_trace.Tracer | None" = None,
@@ -159,7 +108,8 @@ def _run_task(
 
     def probe(op: prog.Op, _row: int) -> Tuple[bool, Any]:
         key = shard_key(op, chunk)
-        if key is None or key not in cache:
+        parts = None if key is None else cache.get(key)
+        if parts is None:
             return False, None
         if tracer is not None:
             tracer.event(
@@ -168,12 +118,12 @@ def _run_task(
                 key=op.key,
                 args={"node_id": op.node_id},
             )
-        return True, cache.get(key)
+        return True, parts
 
     def store(op: prog.Op, _rows: Sequence[int], values: List[List[list]]) -> None:
         key = shard_key(op, chunk)
         if key is not None:
-            cache.put(key, values[0])
+            cache.put(key, values[0], estimate_size(values[0]))
 
     def on_op(op: prog.Op, seconds: float, _values: List[List[list]]) -> None:
         if op.kind != prog.TRANSFORM:
@@ -232,7 +182,7 @@ def actor_main(conn) -> None:
     :mod:`repro.runtime.transport`).
     """
     segments: List[Any] = []
-    _serve(conn, ShardStateCache(), segments)
+    _serve(conn, CacheManager(DEFAULT_STATE_BUDGET, LRUPolicy()), segments)
     # Every row that can view a segment (cache, staging, the last
     # message) lived in _serve's frame and died with it, so the mappings
     # close cleanly here; left to SharedMemory.__del__ at exit they print
@@ -242,7 +192,7 @@ def actor_main(conn) -> None:
     conn.close()
 
 
-def _serve(conn, cache: ShardStateCache, segments: List[Any]) -> None:
+def _serve(conn, cache: CacheManager, segments: List[Any]) -> None:
     """The actor's request/reply loop; returns on shutdown or pipe close."""
     staging: Dict[int, Tuple[Any, int, List[tuple]]] = {}
     while True:
@@ -269,7 +219,7 @@ def _serve(conn, cache: ShardStateCache, segments: List[Any]) -> None:
                     "times": times,
                     "hits": cache.hits,
                     "misses": cache.misses,
-                    "evicted": cache.drain_evicted(),
+                    "held": list(cache.entries),
                 }
                 if tracer is not None:
                     meta["spans"] = tracer.drain()
@@ -282,12 +232,7 @@ def _serve(conn, cache: ShardStateCache, segments: List[Any]) -> None:
                 t0 = time.perf_counter()
                 stats = [est_op.partition_pass_stats(payload, *args) for args in parts]
                 elapsed = time.perf_counter() - t0
-                meta = {
-                    "times": {est_id: elapsed},
-                    "hits": 0,
-                    "misses": 0,
-                    "evicted": cache.drain_evicted(),
-                }
+                meta = {"times": {est_id: elapsed}, "hits": 0, "misses": 0}
                 if tracer is not None:
                     tracer.record(
                         f"pass:{type(est_op).__name__}",

@@ -1,6 +1,5 @@
 """Tests for the lazy partitioned Dataset substrate."""
 
-import numpy as np
 import pytest
 
 from repro.dataset import Context, Dataset
@@ -48,14 +47,6 @@ class TestTransformations:
         ds.collect()
         assert sorted(calls) == list(range(4))
 
-    def test_flat_map(self, ctx):
-        ds = ctx.parallelize([1, 2, 3], 2)
-        assert ds.flat_map(lambda x: [x] * x).collect() == [1, 2, 2, 3, 3, 3]
-
-    def test_filter(self, ctx):
-        ds = ctx.parallelize(range(10))
-        assert ds.filter(lambda x: x % 2 == 0).collect() == [0, 2, 4, 6, 8]
-
     def test_map_partitions(self, ctx):
         ds = ctx.parallelize(range(10), 2)
         out = ds.map_partitions(lambda rows: [sum(rows)])
@@ -74,36 +65,9 @@ class TestTransformations:
 
     def test_zip_length_mismatch(self, ctx):
         a = ctx.parallelize(range(6), 2)
-        b = a.filter(lambda x: x > 0)
+        b = a.map_partitions(lambda rows: rows[1:])
         with pytest.raises(ValueError, match="length mismatch"):
             a.zip(b).collect()
-
-    def test_zip_with_index(self, ctx):
-        ds = ctx.parallelize(["a", "b", "c"], 2)
-        assert ds.zip_with_index().collect() == [("a", 0), ("b", 1), ("c", 2)]
-
-    def test_union(self, ctx):
-        a = ctx.parallelize([1, 2], 1)
-        b = ctx.parallelize([3, 4], 2)
-        u = a.union(b)
-        assert u.collect() == [1, 2, 3, 4]
-        assert u.num_partitions == 3
-
-    def test_sample_deterministic(self, ctx):
-        ds = ctx.parallelize(range(1000), 4)
-        s1 = ds.sample(0.3, seed=7).collect()
-        s2 = ds.sample(0.3, seed=7).collect()
-        assert s1 == s2
-        assert 150 < len(s1) < 450
-
-    def test_sample_fraction_bounds(self, ctx):
-        ds = ctx.parallelize(range(10))
-        with pytest.raises(ValueError, match="fraction"):
-            ds.sample(1.5)
-
-    def test_glom(self, ctx):
-        ds = ctx.parallelize(range(4), 2)
-        assert ds.glom().collect() == [[0, 1], [2, 3]]
 
 
 class TestActions:
@@ -124,35 +88,10 @@ class TestActions:
         with pytest.raises(ValueError, match="empty"):
             ctx.parallelize([]).first()
 
-    def test_reduce(self, ctx):
-        assert ctx.parallelize(range(1, 11), 3).reduce(
-            lambda a, b: a + b) == 55
-
-    def test_reduce_empty_raises(self, ctx):
-        with pytest.raises(ValueError, match="empty"):
-            ctx.parallelize([]).reduce(lambda a, b: a + b)
-
     def test_aggregate(self, ctx):
         ds = ctx.parallelize(range(10), 4)
         total = ds.aggregate(0, lambda acc, x: acc + x, lambda a, b: a + b)
         assert total == 45
-
-    def test_tree_aggregate_matches_aggregate(self, ctx):
-        ds = ctx.parallelize(range(100), 7)
-        agg = ds.aggregate(0, lambda a, x: a + x, lambda a, b: a + b)
-        tree = ds.tree_aggregate(0, lambda a, x: a + x, lambda a, b: a + b)
-        assert agg == tree == sum(range(100))
-
-    def test_to_numpy(self, ctx):
-        rows = [np.arange(3, dtype=float) + i for i in range(4)]
-        out = ctx.parallelize(rows, 2).to_numpy()
-        assert out.shape == (4, 3)
-        np.testing.assert_allclose(out[2], np.arange(3) + 2)
-
-    def test_estimated_size_scales(self, ctx):
-        small = ctx.parallelize([np.zeros(10) for _ in range(8)], 2)
-        large = ctx.parallelize([np.zeros(1000) for _ in range(8)], 2)
-        assert large.estimated_size_bytes() > 50 * small.estimated_size_bytes()
 
 
 class TestCachingSemantics:

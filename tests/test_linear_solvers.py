@@ -9,7 +9,7 @@ from repro.cluster.resources import ResourceDescriptor, local_machine, \
 from repro.core.stats import DataStats
 from repro.dataset import Context
 from repro.dataset.cache import LRUPolicy, PinnedPolicy
-from repro.dataset.sizing import estimate_partition_size
+from repro.dataset.sizing import estimate_size
 from repro.nodes.learning import _util
 from repro.nodes.learning.linear import (
     BlockCoordinateSolver,
@@ -146,7 +146,7 @@ class TestLBFGSBlockMemo:
         ctx = Context()
         src, labels = _sparse_problem(ctx)
         if budget_partitions is not None:
-            part = estimate_partition_size(src.partition(0))
+            part = estimate_size(src.partition(0))
             ctx.set_policy(LRUPolicy(), budget_partitions * part)
         cached = src.map(lambda r: r.copy()).cache()
         uncached = src.map(lambda r: r.copy())
@@ -161,7 +161,7 @@ class TestLBFGSBlockMemo:
         ctx = Context()
         src, labels = _sparse_problem(ctx)
         ctx.set_policy(LRUPolicy(),
-                       1.5 * estimate_partition_size(src.partition(0)))
+                       1.5 * estimate_size(src.partition(0)))
         data = src.map(lambda r: r.copy()).cache()
         memo = {}
         for _ in range(3):

@@ -3,20 +3,25 @@
 End-to-end actor coverage lives in tests/test_backends.py
 (TestActorBackend) and tests/test_failure_modes.py
 (TestActorFaultTolerance).  These tests pin the in-process pieces — the
-shard-state cache, the shared liveness walk, the zero-copy transport,
-and chunk planning — without spawning worker processes, plus the "one
-pool" guarantees: nothing under ``src/repro`` imports a second
-process-pool manager, and the one there is leaks neither processes nor
-shared-memory segments across a worker kill and a shutdown, and keeps
-the resource tracker quiet.
+worker's shard-state cache and the parent's mirror of it, the shared
+liveness walk, the zero-copy transport, and chunk planning — without
+spawning worker processes, plus the "one pool" guarantees: nothing
+under ``src/repro`` imports a second process-pool manager, and the one
+there is leaks neither processes nor shared-memory segments across a
+worker kill and a shutdown, and keeps the resource tracker quiet.  The
+"one cache" guarantees: no module but ``dataset/cache.py`` keeps an LRU,
+and none but ``dataset/sizing.py`` estimates byte sizes.
 """
 
 import ast
 import multiprocessing
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +33,12 @@ from repro.core.backends import ActorBackend
 from repro.core.backends.actors import _plan_chunks
 from repro.core.pipeline import Pipeline
 from repro.core.program import UnshippableFlow
-from repro.dataset import Context
+from repro.dataset import CacheManager, Context, LRUPolicy, estimate_size
 from repro.nodes.numeric import Normalizer, StandardScaler
-from repro.runtime import transport
-from repro.runtime.worker import ShardStateCache, shard_key
+from repro.nodes.text import NGramsFeaturizer, SparseFeatureVectorizer, TermFrequency
+from repro.runtime import transport, worker
+from repro.runtime.pool import ActorPool
+from repro.runtime.worker import DEFAULT_STATE_BUDGET, shard_key
 
 
 def _op(slot, kind, parents=(), key=""):
@@ -44,45 +51,6 @@ def _chain(keys):
     for slot in range(1, len(keys)):
         ops.append(_op(slot, prog.TRANSFORM, (slot - 1,), key=keys[slot]))
     return ops
-
-
-class TestShardStateCache:
-    def test_miss_then_hit_counts(self):
-        cache = ShardStateCache()
-        key = ("k", 0, 2)
-        assert key not in cache
-        cache.put(key, [[1], [2]])
-        assert key in cache
-        assert cache.get(key) == [[1], [2]]
-        assert cache.misses == 1
-        assert cache.hits == 1
-
-    def test_budget_evicts_least_recently_used(self):
-        row = np.zeros(128)  # 1 KiB per row
-        cache = ShardStateCache(budget_bytes=3 * row.nbytes)
-        for name in ("a", "b", "c"):
-            cache.put((name, 0, 1), [[row]])
-        cache.get(("a", 0, 1))  # refresh "a": "b" is now the LRU entry
-        cache.put(("d", 0, 1), [[row]])
-        assert ("b", 0, 1) not in cache
-        assert ("a", 0, 1) in cache
-        assert cache.drain_evicted() == [("b", 0, 1)]
-        assert cache.drain_evicted() == []
-
-    def test_replacing_an_entry_does_not_double_charge(self):
-        row = np.zeros(128)
-        cache = ShardStateCache(budget_bytes=2 * row.nbytes)
-        cache.put(("a", 0, 1), [[row]])
-        cache.put(("a", 0, 1), [[row]])
-        cache.put(("b", 0, 1), [[row]])
-        assert ("a", 0, 1) in cache
-        assert ("b", 0, 1) in cache
-        assert cache.drain_evicted() == []
-
-    def test_an_oversized_entry_still_resides(self):
-        cache = ShardStateCache(budget_bytes=8)
-        cache.put(("big", 0, 1), [[np.zeros(64)]])
-        assert ("big", 0, 1) in cache  # never evicts the sole entry
 
 
 def live_slots(ops, targets, is_cached):
@@ -126,6 +94,131 @@ class TestLiveSlots:
         needed, compute = live_slots(ops, [1], lambda key: False)
         assert 2 not in needed
         assert compute == {0, 1}
+
+
+def _flow(prefix, *operators):
+    """source -> operators..., keyed ``prefix-0``, ``prefix-1``, ...;
+    node ids are slots, so the source is node 0."""
+    ops = [_op(0, prog.SOURCE, key=f"{prefix}-0")]
+    for slot, operator in enumerate(operators, start=1):
+        label = type(operator).__name__
+        key = f"{prefix}-{slot}"
+        ops.append(
+            prog.Op(slot, slot, prog.TRANSFORM, operator, (slot - 1,), label, key)
+        )
+    return ops
+
+
+def _token_rows(count, seed):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(300)]
+    return [[str(w) for w in rng.choice(words, size=40)] for _ in range(count)]
+
+
+def _term_rows(count, terms, seed):
+    """``{term: weight}`` rows of ``terms`` distinct vocabulary terms each."""
+    rng = np.random.default_rng(seed)
+    picks = (rng.choice(1000, size=terms, replace=False) for _ in range(count))
+    return [{f"t{j}": 1.0 for j in pick} for pick in picks]
+
+
+class TestWorkerCache:
+    """The worker keeps shard state in a ``CacheManager`` and charges each
+    entry by the one byte rule, ``estimate_size``."""
+
+    @pytest.mark.parametrize(
+        "rows, operators",
+        [
+            (_token_rows(40, 0), (NGramsFeaturizer(1, 2), TermFrequency())),
+            (
+                _term_rows(40, 75, 0),
+                (SparseFeatureVectorizer({f"t{j}": j for j in range(1000)}),),
+            ),
+        ],
+        ids=["ngram-dicts", "csr-75-nonzero"],
+    )
+    def test_entries_are_charged_by_the_one_rule(self, rows, operators):
+        ops = _flow("f", *operators)
+        last = len(ops) - 1
+        blob = pickle.dumps((ops, [("out", last)], None))
+        parts = [rows[:20], rows[20:]]
+        cache = CacheManager(DEFAULT_STATE_BUDGET, LRUPolicy())
+        result, _ = worker._run_task(blob, (0, 2), {0: parts}, "collect", cache, {}, 1)
+        assert set(cache.entries) == {(op.key, 0, 2) for op in ops}
+        for entry in cache.entries.values():
+            assert entry.size == estimate_size(entry.value)
+        out = cache.entries[(ops[last].key, 0, 2)]
+        assert out.value is result["rows"]["out"]
+        # A row without ``nbytes`` is several hundred bytes, not 64.
+        assert out.size > 8 * 64 * len(rows)
+
+    def test_an_entry_over_budget_is_neither_admitted_nor_reported(self):
+        ops = _flow("f", TermFrequency())
+        blob = pickle.dumps((ops, [("out", 1)], None))
+        parts = [_token_rows(10, 1)]
+        cache = CacheManager(64, LRUPolicy())
+        result, _ = worker._run_task(blob, (0, 1), {0: parts}, "collect", cache, {}, 1)
+        assert result["rows"]["out"] == [[TermFrequency().apply(r) for r in parts[0]]]
+        assert list(cache.entries) == []
+
+
+class TestReportedMirror:
+    """The parent's mirror is the worker's report: after a run that
+    evicts an earlier key, the next builder ships that source again and
+    the worker never lacks a source it was not sent."""
+
+    @pytest.fixture
+    def served(self):
+        """``worker._serve`` in a thread over a pipe, driven through the
+        pool's real send/finish path; yields ``(run, expected)``."""
+        rows = _token_rows(20, 2)
+        parts = [rows[:10], rows[10:]]
+        expected = [[TermFrequency().apply(row) for row in part] for part in parts]
+        # Room for one flow's source and transform entries, not two.
+        budget = 1.5 * (estimate_size(parts) + estimate_size(expected))
+        parent, child = multiprocessing.Pipe()
+        cache = CacheManager(budget, LRUPolicy())
+        thread = threading.Thread(target=worker._serve, args=(child, cache, []))
+        thread.start()
+        pool = ActorPool.__new__(ActorPool)
+        pool.workers, pool.task_timeout, pool.max_restarts = 1, 60.0, 0
+        pool.counters = {"hits": 0, "misses": 0, "shipped_bytes": 0, "mapped_bytes": 0}
+        pool._counters_lock = threading.Lock()
+        actor = SimpleNamespace(conn=parent, holds=set(), inflight=None)
+        data = Context().parallelize(rows, 2)
+
+        def run(prefix):
+            program = prog.OpProgram(_flow(prefix, TermFrequency()))
+            _task, builders, _key = ActorBackend()._run_builders(
+                pool, program, {0: data}, [("out", 1)], None, "collect"
+            )
+            msg = builders[0][1](actor)
+            shipped, _segments = transport.unpack(msg.payload[4])
+            pool._send(actor, lambda _actor: msg)
+            result, meta = pool._finish(actor, pool._recv(actor))
+            assert actor.holds == set(meta["held"])
+            return shipped, result["rows"]["out"], actor.holds
+
+        yield run, expected
+        parent.send(("shutdown",))
+        thread.join(timeout=10.0)
+        parent.close()
+        assert not thread.is_alive()
+
+    def test_an_evicted_source_ships_again(self, served):
+        run, expected = served
+        shipped, out, held = run("a")
+        assert list(shipped) == [0]
+        assert held == {("a-0", 0, 2), ("a-1", 0, 2)}
+        shipped, out, held = run("a")
+        assert shipped == {}  # held: nothing to ship
+        assert out == expected
+        # A second flow of the same size evicts the first one's entries.
+        shipped, out, held = run("b")
+        assert held == {("b-0", 0, 2), ("b-1", 0, 2)}
+        shipped, out, held = run("a")  # no MissingShardState
+        assert list(shipped) == [0]
+        assert out == expected
 
 
 class TestTransport:
@@ -327,3 +420,65 @@ class TestOnePool:
         if not all(mapped):
             pytest.skip("shared memory segment creation unavailable")
         assert "BufferError" not in capfd.readouterr().err
+
+
+def _imports_ordered_dict(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "collections":
+            if any(alias.name == "OrderedDict" for alias in node.names):
+                return True
+        if isinstance(node, ast.Attribute) and node.attr == "OrderedDict":
+            return True
+    return False
+
+
+def _byte_estimators(tree: ast.AST):
+    """Functions that size objects: named ``*nbytes*``/``estimate*size*``,
+    calling ``getsizeof``, or reading ``nbytes`` with a fallback
+    (``getattr(row, "nbytes", 64)``)."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = func.name.lower()
+        sized = "nbytes" in name or ("estimate" in name and "size" in name)
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            called = getattr(callee, "attr", getattr(callee, "id", ""))
+            if called == "getsizeof":
+                sized = True
+            if called == "getattr" and len(node.args) == 3:
+                attr = node.args[1]
+                sized |= isinstance(attr, ast.Constant) and attr.value == "nbytes"
+        if sized:
+            yield func.lineno
+
+
+class TestOneCache:
+    """One byte-budgeted cache class and one byte rule: the actor worker's
+    shard state is a ``CacheManager`` sized by ``estimate_size``, like
+    every other cache; no second LRU or size estimator may come back."""
+
+    def _modules(self):
+        root = pathlib.Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            yield rel, ast.parse(path.read_text(), filename=str(path))
+
+    def test_only_the_cache_manager_keeps_an_lru(self):
+        offenders = [
+            rel
+            for rel, tree in self._modules()
+            if rel != "dataset/cache.py" and _imports_ordered_dict(tree)
+        ]
+        assert offenders == []
+
+    def test_only_sizing_estimates_bytes(self):
+        offenders = [
+            f"{rel}:{lineno}"
+            for rel, tree in self._modules()
+            if rel != "dataset/sizing.py"
+            for lineno in _byte_estimators(tree)
+        ]
+        assert offenders == []
