@@ -1,9 +1,13 @@
 """Tests for the lazy partitioned Dataset substrate."""
 
+import threading
+import time
+
 import pytest
 
 from repro.dataset import Context, Dataset
 from repro.dataset.cache import LRUPolicy, PinnedPolicy
+from repro.dataset.dataset import tree_combine
 
 
 @pytest.fixture
@@ -33,6 +37,12 @@ class TestConstruction:
     def test_invalid_partitions(self, ctx):
         with pytest.raises(ValueError, match="num_partitions"):
             Dataset.from_items(ctx, [1], 0)
+
+    def test_partitions_are_balanced(self, ctx):
+        ds = ctx.parallelize(range(23), 5)
+        sizes = [len(ds.partition(i)) for i in range(5)]
+        assert sum(sizes) == 23
+        assert max(sizes) - min(sizes) <= 1
 
 
 class TestTransformations:
@@ -81,6 +91,11 @@ class TestActions:
     def test_take_more_than_available(self, ctx):
         assert ctx.parallelize([1, 2]).take(10) == [1, 2]
 
+    def test_take_zero(self, ctx):
+        ds = ctx.parallelize(range(10), 5).map(lambda x: x)
+        assert ds.take(0) == []
+        assert ctx.stats.compute_counts[ds.id] == 1  # stops after one partition
+
     def test_first(self, ctx):
         assert ctx.parallelize([9, 8, 7]).first() == 9
 
@@ -92,6 +107,20 @@ class TestActions:
         ds = ctx.parallelize(range(10), 4)
         total = ds.aggregate(0, lambda acc, x: acc + x, lambda a, b: a + b)
         assert total == 45
+
+    def test_aggregate_copies_a_mutable_zero(self, ctx):
+        ds = ctx.parallelize(range(10), 4)
+        zero = []
+        out = ds.aggregate(zero, lambda acc, x: acc.append(x) or acc,
+                           lambda a, b: a.extend(b) or a)
+        assert out == list(range(10))
+        assert zero == []
+
+    def test_iter_partitions_yields_partition_order(self, ctx):
+        ds = ctx.parallelize(range(10), 3).map(lambda x: -x)
+        parts = list(ds.iter_partitions())
+        assert parts == [ds.partition(i) for i in range(3)]
+        assert [x for part in parts for x in part] == ds.collect()
 
 
 class TestCachingSemantics:
@@ -157,3 +186,52 @@ class TestCachingSemantics:
         ds = ctx.parallelize(range(4), 2)
         with pytest.raises(IndexError):
             ds.partition(2)
+
+    def test_concurrent_pulls_compute_a_cold_partition_once(self, ctx):
+        def slow(rows):
+            time.sleep(0.05)
+            return [x + 1 for x in rows]
+
+        ds = ctx.parallelize(range(8), 2).map_partitions(slow).cache()
+        start = threading.Barrier(4)
+        got = []
+
+        def pull():
+            start.wait()
+            got.append(ds.partition(0))
+
+        threads = [threading.Thread(target=pull) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert got == [[1, 2, 3, 4]] * 4
+        assert ctx.stats.compute_counts[ds.id] == 1
+
+
+class TestHoldsPartition:
+    def test_a_source_holds_every_partition(self, ctx):
+        ds = ctx.parallelize(range(6), 3)
+        assert all(ds.holds_partition(i) for i in range(3))
+
+    def test_an_uncached_derived_dataset_holds_nothing(self, ctx):
+        ds = ctx.parallelize(range(6), 3).map(lambda x: x)
+        ds.collect()
+        assert not any(ds.holds_partition(i) for i in range(3))
+
+    def test_a_cached_dataset_holds_only_resident_partitions(self, ctx):
+        ds = ctx.parallelize(range(6), 3).map(lambda x: x).cache()
+        ds.partition(1)
+        assert [ds.holds_partition(i) for i in range(3)] == [False, True, False]
+        ds.unpersist()
+        assert not ds.holds_partition(1)
+
+
+class TestTreeCombine:
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="at least one"):
+            tree_combine([], lambda a, b: a + b)
+
+    def test_combines_adjacent_pairs_level_by_level(self):
+        shape = tree_combine(list("abcde"), lambda a, b: f"({a}{b})")
+        assert shape == "(((ab)(cd))e)"

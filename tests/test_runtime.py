@@ -162,6 +162,51 @@ class TestWorkerCache:
         assert list(cache.entries) == []
 
 
+class TestShardStateCache:
+    """The worker's shard-state cache as ``actor_main`` builds it: a
+    ``CacheManager`` under LRU, keyed ``(op key, start, stop)``."""
+
+    def test_miss_then_hit_counts(self):
+        ops = _flow("k", TermFrequency())
+        blob = pickle.dumps((ops, [("out", 1)], None))
+        parts = [_token_rows(4, 0)]
+        cache = CacheManager(DEFAULT_STATE_BUDGET, LRUPolicy())
+        key = ("k-1", 0, 1)
+        assert not cache.contains(key)
+        first, _ = worker._run_task(blob, (0, 1), {0: parts}, "collect", cache, {}, 1)
+        assert cache.contains(key)
+        assert (cache.misses, cache.hits) == (2, 0)  # the op and its source
+        second, _ = worker._run_task(blob, (0, 1), {}, "collect", cache, {}, 2)
+        assert second == first
+        assert (cache.misses, cache.hits) == (2, 1)
+
+    def test_budget_evicts_least_recently_used(self):
+        parts = [[np.zeros(128)]]  # 1 KiB per row
+        cache = CacheManager(3 * estimate_size(parts), LRUPolicy())
+
+        def run(name, sources):
+            blob = pickle.dumps((_flow(name), [("out", 0)], None))
+            worker._run_task(blob, (0, 1), sources, "collect", cache, {}, 1)
+
+        for name in ("a", "b", "c"):
+            run(name, {0: parts})
+        run("a", {})  # a hit refreshes "a": "b" is now the LRU entry
+        run("d", {0: parts})
+        assert list(cache.entries) == [("c-0", 0, 1), ("a-0", 0, 1), ("d-0", 0, 1)]
+        assert cache.evictions == 1
+
+    def test_replacing_an_entry_does_not_double_charge(self):
+        parts = [[np.zeros(128)]]
+        size = estimate_size(parts)
+        cache = CacheManager(2 * size, LRUPolicy())
+        cache.put(("a", 0, 1), parts, estimate_size(parts))
+        cache.put(("a", 0, 1), parts, estimate_size(parts))
+        cache.put(("b", 0, 1), parts, estimate_size(parts))
+        assert list(cache.entries) == [("a", 0, 1), ("b", 0, 1)]
+        assert cache.used == 2 * size
+        assert cache.evictions == 0
+
+
 class TestReportedMirror:
     """The parent's mirror is the worker's report: after a run that
     evicts an earlier key, the next builder ships that source again and
