@@ -2,13 +2,20 @@
 
 The interpreter executes a lowered :class:`~repro.core.program.OpProgram`
 op by op, batch by batch, through Python-level ``apply_partition`` calls.
-That per-op dispatch (and, for text, the per-item ``csr_matrix``
-construction) dominates serving cost long before BLAS does.  This module
-is the serving compiler's second lowering target: ``VectorizePass``
-(:mod:`repro.core.program`) groups runs of fusable
+That per-op, per-item dispatch dominates serving cost long before BLAS
+does.  This module is the serving compiler's second lowering target:
+``VectorizePass`` (:mod:`repro.core.program`) groups runs of fusable
 transform ops — gathered branches included — into a single
 :class:`KernelStage` whose ``apply_partition`` executes the whole
 micro-batch as a handful of numpy calls over one columnar block.
+
+Text rows have one builder, :func:`term_rows`: the per-document
+``SparseFeatureVectorizer.apply`` (training and serving alike) and the
+batched :class:`SparseVectorizeKernel` both build canonical CSR straight
+from ``(data, indices, indptr)``, never through COO.  Inside a stage,
+``TermFrequency`` counting fuses into the vectorizer
+(:class:`TermCountKernel` → :data:`COUNTS`), so weights are computed only
+for in-vocabulary terms and no per-document dict is built.
 
 **Every value a stage emits is byte-identical to the per-item
 ``fitted.apply``** — not just ulp-close.  A stage gets there one of two
@@ -72,6 +79,7 @@ implementations.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,6 +90,9 @@ from repro.obs import trace as obs_trace
 
 #: columnar block forms flowing between kernels inside one stage
 ROWS = "rows"  #: plain per-item list (dicts, ints, unliftable rows)
+#: ``(counters, weighting)``: per-row term ``Counter``s whose weights
+#: ``TermFrequency`` has not applied yet
+COUNTS = "counts"
 DENSE = "dense"  #: one C-contiguous float64 (B, d) block
 SPARSE = "sparse"  #: one (B, d) CSR block
 GATHERED = "gathered"  #: one block per folded gather branch
@@ -278,13 +289,62 @@ def _block_rows(form: str, value: Any) -> List[Any]:
 
     Dense rows are copied out of the block so downstream consumers (the
     serving cache in particular) never pin the whole batch buffer
-    through a row view.
+    through a row view.  Pending counts become the ``{term: weight}``
+    dicts ``TermFrequency.apply`` returns.
     """
     if form == DENSE:
         return [row.copy() for row in value]
     if form == SPARSE:
         return [value[i] for i in range(value.shape[0])]
+    if form == COUNTS:
+        counters, weighting = value
+        return [{t: weighting(c) for t, c in counts.items()} for counts in counters]
     return list(value)
+
+
+def csr_rows(
+    data: List[float], indices: List[int], indptr: List[int], dim: int
+) -> sp.csr_matrix:
+    """One canonical ``(len(indptr) - 1, dim)`` CSR matrix, without COO.
+
+    Each row's columns must be unique.  The result equals the COO build
+    ``csr_matrix((data, (rows, indices)))`` byte for byte in ``data``,
+    ``indices`` and ``indptr`` (float64 / int32 / int32) with sorted
+    indices, at a fraction of its cost: no COO validation, duplicate
+    summing or pruning.
+    """
+    block = sp.csr_matrix(
+        (
+            np.asarray(data, dtype=np.float64),
+            np.asarray(indices, dtype=np.int32),
+            np.asarray(indptr, dtype=np.int32),
+        ),
+        shape=(len(indptr) - 1, dim),
+    )
+    block.sort_indices()
+    return block
+
+
+def term_rows(
+    vocabulary, docs: Sequence[Any], dim: int, weighting=None
+) -> sp.csr_matrix:
+    """``{term: weight}`` docs -> one ``(len(docs), dim)`` CSR block.
+
+    Terms outside ``vocabulary`` are dropped.  With ``weighting``, each
+    doc is a ``{term: count}`` and a kept term's value is
+    ``weighting(count)``; out-of-vocabulary counts are never weighted.
+    Vocabulary indices are unique, so every row's columns are too.
+    """
+    get = vocabulary.get
+    indptr, cols, vals = [0], [], []
+    for doc in docs:
+        for term, value in doc.items():
+            idx = get(term)
+            if idx is not None:
+                cols.append(idx)
+                vals.append(value if weighting is None else weighting(value))
+        indptr.append(len(cols))
+    return csr_rows(vals, cols, indptr, dim)
 
 
 def _batch_matmul(form: str, value: Any, weights: np.ndarray) -> Optional[np.ndarray]:
@@ -505,14 +565,30 @@ class NormalizerKernel(Kernel):
         return (DENSE, value / (norms + self.eps))
 
 
-class SparseVectorizeKernel(Kernel):
-    """``{term: weight}`` rows -> one (B, dim) CSR block in one build.
+class TermCountKernel(Kernel):
+    """Term lists -> per-row ``Counter``s, weighting left pending.
 
-    The per-item path pays a ``csr_matrix`` construction per request —
-    the dominant cost of text serving.  One COO->CSR build for the whole
-    batch produces rows byte-identical to the per-item matrices: vocab
-    indices are unique per row, and CSR canonicalization sorts each
-    row's columns exactly like the single-row build.
+    ``TermFrequency``'s kernel: counting is the per-item ``Counter(terms)``
+    itself, and the weighting travels in the :data:`COUNTS` form so the
+    next kernel (:class:`SparseVectorizeKernel`) weights only the terms it
+    keeps.  A stage that ends here splits into the reference's dicts.
+    """
+
+    def __init__(self, weighting: Callable[[int], Any]):
+        self.weighting = weighting
+
+    def run(self, form: str, value: Any) -> Optional[Block]:
+        if form != ROWS:
+            return None
+        return (COUNTS, ([Counter(terms) for terms in value], self.weighting))
+
+
+class SparseVectorizeKernel(Kernel):
+    """``{term: weight}`` rows (or pending counts) -> one (B, dim) CSR block.
+
+    One :func:`term_rows` build for the whole batch; its rows are
+    byte-identical to the per-item matrices, which come from the same
+    builder one document at a time.
     """
 
     def __init__(self, vocabulary, dim: int):
@@ -520,32 +596,12 @@ class SparseVectorizeKernel(Kernel):
         self.dim = dim
 
     def run(self, form: str, value: Any) -> Optional[Block]:
-        if form != ROWS:
+        if form == COUNTS:
+            counters, weighting = value
+            return (SPARSE, term_rows(self.vocabulary, counters, self.dim, weighting))
+        if form != ROWS or not all(isinstance(row, dict) for row in value):
             return None
-        rows_idx: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        get = self.vocabulary.get
-        for i, term_weights in enumerate(value):
-            if not isinstance(term_weights, dict):
-                return None
-            for term, weight in term_weights.items():
-                idx = get(term)
-                if idx is not None:
-                    rows_idx.append(i)
-                    cols.append(idx)
-                    vals.append(weight)
-        block = sp.csr_matrix(
-            (
-                np.asarray(vals, dtype=np.float64),
-                (
-                    np.asarray(rows_idx, dtype=np.int32),
-                    np.asarray(cols, dtype=np.int32),
-                ),
-            ),
-            shape=(len(value), self.dim),
-        )
-        return (SPARSE, block)
+        return (SPARSE, term_rows(self.vocabulary, value, self.dim))
 
 
 class MaxClassKernel(Kernel):

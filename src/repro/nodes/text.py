@@ -9,12 +9,18 @@ most frequent n-grams and mapping documents to sparse vectors).
 from __future__ import annotations
 
 import re
+import zlib
 from collections import Counter
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
 import scipy.sparse as sp
 
+from repro.core.kernels import (
+    SparseVectorizeKernel,
+    TermCountKernel,
+    csr_rows,
+    term_rows,
+)
 from repro.core.operators import Estimator, ShardableEstimator, Transformer
 from repro.dataset.dataset import Dataset, tree_combine
 
@@ -86,9 +92,8 @@ class NGramsFeaturizer(Transformer):
         for n in range(self.lo, self.hi + 1):
             if n == 1:
                 out.extend(tokens)
-                continue
-            for i in range(len(tokens) - n + 1):
-                out.append(" ".join(tokens[i:i + n]))
+            else:
+                out.extend(map(" ".join, zip(*(tokens[k:] for k in range(n)))))
         return out
 
 
@@ -96,7 +101,10 @@ class TermFrequency(Transformer):
     """Map a term list to ``{term: weight(count)}``.
 
     ``weighting`` maps the raw count to the stored weight; the paper's
-    example uses ``x => 1`` (binary presence).
+    example uses ``x => 1`` (binary presence).  It must be a pure
+    function of the count: in a served kernel stage the counting fuses
+    into the vectorizer, which calls ``weighting`` only for the terms it
+    keeps (:class:`~repro.core.kernels.TermCountKernel`).
     """
 
     def __init__(self, weighting: Optional[Callable[[int], float]] = None):
@@ -105,6 +113,9 @@ class TermFrequency(Transformer):
     def apply(self, terms: List[str]) -> Dict[str, float]:
         counts = Counter(terms)
         return {term: self.weighting(c) for term, c in counts.items()}
+
+    def columnar_kernel(self):
+        return TermCountKernel(self.weighting)
 
     def __getstate__(self):
         # The paper's canonical weighting is a lambda (``x => 1``); pack
@@ -130,21 +141,9 @@ class SparseFeatureVectorizer(Transformer):
         self.dim = len(vocabulary)
 
     def apply(self, term_weights: Dict[str, float]) -> sp.csr_matrix:
-        cols, vals = [], []
-        for term, weight in term_weights.items():
-            idx = self.vocabulary.get(term)
-            if idx is not None:
-                cols.append(idx)
-                vals.append(weight)
-        rows = np.zeros(len(cols), dtype=np.int32)
-        return sp.csr_matrix(
-            (np.asarray(vals, dtype=np.float64),
-             (rows, np.asarray(cols, dtype=np.int32))),
-            shape=(1, self.dim))
+        return term_rows(self.vocabulary, [term_weights], self.dim)
 
     def columnar_kernel(self):
-        from repro.core.kernels import SparseVectorizeKernel
-
         return SparseVectorizeKernel(self.vocabulary, self.dim)
 
 
@@ -190,7 +189,12 @@ class CommonSparseFeatures(Estimator, ShardableEstimator):
 
 
 class HashingTF(Transformer):
-    """Stateless alternative to CommonSparseFeatures: feature hashing."""
+    """Stateless alternative to CommonSparseFeatures: feature hashing.
+
+    A term's column is the CRC-32 of its UTF-8 bytes modulo
+    ``num_features``: stable across processes and runs, unlike the
+    salted built-in ``hash``.  Colliding terms sum in term order.
+    """
 
     def __init__(self, num_features: int = 1 << 16):
         if num_features < 1:
@@ -200,13 +204,10 @@ class HashingTF(Transformer):
     def apply(self, term_weights: Dict[str, float]) -> sp.csr_matrix:
         accum: Dict[int, float] = {}
         for term, weight in term_weights.items():
-            idx = hash(term) % self.num_features
+            idx = zlib.crc32(term.encode("utf-8")) % self.num_features
             accum[idx] = accum.get(idx, 0.0) + weight
-        cols = np.fromiter(accum.keys(), dtype=np.int32, count=len(accum))
-        vals = np.fromiter(accum.values(), dtype=np.float64, count=len(accum))
-        rows = np.zeros(len(cols), dtype=np.int32)
-        return sp.csr_matrix((vals, (rows, cols)),
-                             shape=(1, self.num_features))
+        return csr_rows(list(accum.values()), list(accum), [0, len(accum)],
+                        self.num_features)
 
 
 # Common English stop words (enough for featurization hygiene; the paper's

@@ -672,6 +672,44 @@ class TestVectorizePass:
             [fitted.apply(x) for x in wl.test_items]
         )
 
+    @staticmethod
+    def _text_program():
+        wl = amazon_reviews(120, 12, vocab_size=200, seed=0)
+        fitted = _fit_text(wl)
+        program = lower_inference_program(fitted)
+        tf = next(op for op in program if isinstance(op.op, TermFrequency))
+        return wl, fitted, program, tf
+
+    def test_term_frequency_folds_into_the_text_stage(self):
+        wl, fitted, program, tf = self._text_program()
+        vectorized = VectorizePass().run(program)
+        stages = [op for op in vectorized if getattr(op.op, "members", ())]
+        assert len(stages) == 1
+        assert stages[0].op.member_labels[0] == tf.label
+        assert stages[0].op.certified
+        assert tf.key not in {op.key for op in vectorized}
+        plan = InferencePlan(vectorized)
+        assert comparable(plan.run_batch(wl.test_items)) == comparable(
+            [fitted.apply(x) for x in wl.test_items]
+        )
+
+    def test_term_frequency_boundary_ends_a_stage(self):
+        wl, fitted, program, tf = self._text_program()
+        vectorized = VectorizePass(boundaries={tf.key}).run(program)
+        stages = [op for op in vectorized if getattr(op.op, "members", ())]
+        assert [s.op.member_labels[-1] == tf.label for s in stages] == [True, False]
+        assert stages[0].key == tf.key
+        # The stage ending at TermFrequency emits its dicts, key for key.
+        docs = [Tokenizer().apply(LowerCase().apply(x)) for x in wl.test_items]
+        rows = stages[0].op.apply_partition(docs)
+        assert [list(r.items()) for r in rows] == [
+            list(tf.op.apply(d).items()) for d in docs
+        ]
+        plan = InferencePlan(vectorized)
+        assert comparable(plan.run_batch(wl.test_items)) == comparable(
+            [fitted.apply(x) for x in wl.test_items]
+        )
+
 
 def _op_execution_calls(tree: ast.AST):
     """Line numbers of ``.apply_partition(``, ``.op.apply(`` and ``zip_rows(`` calls."""

@@ -1,7 +1,15 @@
 """Tests for the text featurization operators."""
 
+import os
+import subprocess
+import sys
+import zlib
+
+import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import repro
 
 from repro.dataset import Context
 from repro.nodes.text import (
@@ -48,6 +56,25 @@ class TestNGrams:
     def test_invalid_range(self):
         with pytest.raises(ValueError, match="lo <= hi"):
             NGramsFeaturizer(3, 2)
+
+    @staticmethod
+    def _sliced(tokens, lo, hi):
+        """The per-index slicing loop ``apply`` used before."""
+        out = []
+        for n in range(lo, hi + 1):
+            if n == 1:
+                out.extend(tokens)
+                continue
+            for i in range(len(tokens) - n + 1):
+                out.append(" ".join(tokens[i:i + n]))
+        return out
+
+    @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("length", range(6))
+    def test_matches_the_sliced_loop(self, lo, hi, length):
+        tokens = ["the", "b", "the", "cat's", "b", "x"][:length]
+        assert NGramsFeaturizer(lo, hi).apply(tokens) == \
+            self._sliced(tokens, lo, hi)
 
 
 class TestTermFrequency:
@@ -107,6 +134,36 @@ class TestHashingTF:
     def test_invalid_size(self):
         with pytest.raises(ValueError, match="num_features"):
             HashingTF(0)
+
+    def test_collisions_sum_in_term_order(self):
+        row = HashingTF(1).apply({"a": 1e16, "b": 1.0, "c": -1e16})
+        assert row.data.tolist() == [0.0]  # (1e16 + 1) - 1e16, in order
+
+    def test_columns_are_crc32_of_utf8_bytes(self):
+        terms = {"good": 1.0, "bad": 2.0, "movie": 3.0, "café": 4.0}
+        row = HashingTF(64).apply(terms)
+        cols = {zlib.crc32(t.encode("utf-8")) % 64: w for t, w in terms.items()}
+        assert row.has_sorted_indices
+        assert row.indices.dtype == np.int32 and row.indptr.dtype == np.int32
+        assert row.indices.tolist() == sorted(cols)
+        assert row.data.tolist() == [cols[c] for c in sorted(cols)]
+
+    def test_same_bytes_under_every_hash_seed(self):
+        """Spawned workers, replicas and reloaded models hash alike."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "from repro.nodes.text import HashingTF\n"
+            "row = HashingTF(64).apply({'good': 1.0, 'bad': 2.0, 'movie': 1.0})\n"
+            "print(row.indices.tobytes().hex(), row.data.tobytes().hex(),"
+            " row.indptr.tobytes().hex())\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestPipelineIntegration:
