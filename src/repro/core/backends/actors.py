@@ -1,49 +1,39 @@
 """ActorBackend: multi-process training on the persistent actor runtime.
 
-This backend executes shards of the training flow in worker processes —
-it is the one multi-process training runtime (``backend="process"`` is a
+The one multi-process training runtime (``backend="process"`` is a
 registry alias for it).  The training data is split into contiguous
-chunks of partitions (one per worker), the flow feeding each estimator is
-lowered into a picklable *shard program* — the same
-:class:`~repro.core.program.OpProgram` IR the serving compiler executes,
-lowered by the same :func:`repro.core.program.lower_training_program`
-walk — and :class:`~repro.runtime.pool.ActorPool` workers run the
-program over their chunk, dodging the GIL for the numpy-light
-featurization operators that dominate the paper's pipelines.  The
-workers *keep* what they compute:
+chunks of partitions, one per worker; the flow feeding each estimator is
+lowered by :func:`repro.core.program.lower_training_program` — the walk
+that lowers the parent's own training views — into a picklable *shard
+program*, and :class:`~repro.runtime.pool.ActorPool` workers run it over
+their chunk through :func:`repro.core.interp.evaluate`, dodging the GIL
+for the numpy-light featurization that dominates the paper's pipelines.
+The workers *keep* what they compute:
 
-- programs are lowered with content-addressed keys (sources keyed by
-  dataset content), so a featurized shard cached in a worker is reused
-  by every later estimator and every later fit sharing the flow prefix
-  — the parent's mirror of each worker's cache (the keys the worker
-  reported holding after its last run) lets it skip shipping data the
-  worker already holds;
-- estimators implementing
-  :class:`~repro.core.operators.IterativeShardableEstimator` (k-means,
-  GMM, L-BFGS logistic) run their per-pass sufficient-stat reductions
-  *in-worker*: the featurized shard stays staged in the pool, and only
-  the broadcast payload and the per-partition statistics cross the
-  process boundary — never the data;
-- one-shot :class:`~repro.core.operators.ShardableEstimator` fits have
-  workers compute per-partition sufficient statistics that the parent
-  merges in the estimator's own serial reduction order; everything else
-  gathers featurized rows ("collect" waves) and runs the unmodified
-  serial fit over them;
+- programs carry content-addressed keys (sources keyed by dataset
+  content), so a featurized shard cached in a worker serves every later
+  estimator and fit sharing the flow prefix; the parent's mirror of each
+  worker's cache (the keys it reported holding after its last run) lets
+  it skip shipping data the worker already holds;
+- :class:`~repro.core.operators.IterativeShardableEstimator` fits
+  (k-means, GMM, L-BFGS logistic) run their per-pass reductions
+  in-worker: only broadcast payloads and per-partition statistics cross
+  the process boundary, never the data;
+- one-shot :class:`~repro.core.operators.ShardableEstimator` fits merge
+  per-partition statistics in the estimator's serial reduction order;
+  everything else collects featurized rows and fits in the parent
+  (:meth:`TrainingSession.collected_inputs`: rows of a cache-set node
+  enter the parent's budgeted cache, other rows live for that fit only);
 - partitions ship zero-copy (:mod:`repro.runtime.transport`); worker
-  deaths respawn bounded, and restarts / cache hit rates / bytes
-  shipped vs. mapped land in the :class:`~repro.core.executor.TrainingReport`.
+  deaths respawn bounded, and restarts / cache hit rates / bytes shipped
+  vs. mapped land in the :class:`~repro.core.executor.TrainingReport`.
 
-Byte-identity holds by the same construction as every other backend:
-workers run the identical ``apply_partition`` chains over the identical
-partition boundaries, one-shot merges replay the estimator's serial
-reduction, and iterative fits drive the exact
+Byte identity holds by construction: workers evaluate the same ops over
+the same partition boundaries as the parent's views, merges replay the
+serial reduction, and iterative fits drive the exact
 :meth:`~repro.core.operators.IterativeShardableEstimator.fit_via_passes`
-state machine with per-partition statistics computed on identical rows.
-
-Everything shipped must pickle — operators carrying small user functions
-pack them via :mod:`repro.core.serde`.  An estimator whose flow cannot be
-pickled falls back to serial in-parent execution (recorded in
-``TrainingReport.process_fallback``) rather than failing the run.
+state machine.  A flow that cannot be pickled fits in the parent instead
+(recorded in ``TrainingReport.process_fallback``), never failing the run.
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ from repro.core.backends.base import ExecutionBackend, TrainingSession
 from repro.core.operators import IterativeShardableEstimator
 from repro.core.program import UnshippableFlow
 from repro.dataset.context import Context
-from repro.dataset.dataset import Dataset, _StoredPartitions
+from repro.dataset.dataset import Dataset
 from repro.obs import trace as obs_trace
 from repro.runtime import transport
 from repro.runtime.pool import ActorPool, _Msg, shared_actor_pool
@@ -89,45 +79,36 @@ def resolve_workers(plan: Optional["PhysicalPlan"], explicit: Optional[int]) -> 
 
 
 # A shard program is an OpProgram (repro.core.program) lowered from the
-# flow feeding the estimator(s) being fitted: a topologically ordered
-# list of ops, op i's output living in slot i.  Source ops are fed
+# flow feeding the estimator being fitted: a topologically ordered list
+# of ops, op i's output living in slot i.  Source ops are fed
 # per-partition from the parent; transform ops cover transformer nodes
 # and apply nodes (whose op is the already-fitted model).  Estimator
-# nodes never ship.  Materialized intermediates are re-shipped (instead
-# of recomputed) only when the optimizer's materialization pass chose to
-# cache them — the cache-set decision doubles as the ship-vs-recompute
-# policy.
+# nodes never ship.  The parent's own view of the same flow
+# (TrainingSession.dataset_of) is lowered by the same walk, without
+# content keys, and evaluated by the same interpreter.
 
 
 def _lower_shard_program(
     roots: List[g.OpNode],
     session: TrainingSession,
-    materialized: Dict[int, Dataset],
     dataset_memo: Dict[int, str],
 ):
     """Lower the flow feeding ``roots`` through the shared OpProgram IR.
 
     Returns ``(program, sources)``: the flow's live ops only, so an
     upstream estimator's training flow never ships.  Ops carry
-    content-addressed keys, claimed sources keyed by dataset *content*
+    content-addressed keys, sources keyed by dataset *content*
     (``dataset_memo`` is shared across estimators of one run) — which
     is what lets workers re-address cached shard state from a later fit.
     """
 
-    def source_of(node: g.OpNode) -> Optional[Dataset]:
-        if node.kind == g.SOURCE and not node.is_pipeline_input:
-            return session.dataset_of(node)
-        if node.id in materialized and node.id in session.cache_ids:
-            return materialized[node.id]
-        return None
-
     def source_key_of(node: g.OpNode) -> str:
-        fingerprint = prog.dataset_fingerprint(source_of(node), dataset_memo)
+        fingerprint = prog.dataset_fingerprint(session.dataset_of(node), dataset_memo)
         return prog.op_key("source", None, (fingerprint,))
 
     return prog.lower_training_program(
         roots,
-        source_of=source_of,
+        source_of=session.source_of,
         model_of=lambda est_node: session.fitted.get(est_node.id),
         compute_keys=True,
         source_key_of=source_key_of,
@@ -222,11 +203,11 @@ class ActorBackend(ExecutionBackend):
             return session.finish()
         pool = self._pool(workers)
         snapshot = dict(pool.counters)
-        materialized: Dict[int, Dataset] = {}
         dataset_memo: Dict[int, str] = {}
         try:
-            for node in session.estimator_nodes():
-                self._fit_parallel(session, pool, node, materialized, dataset_memo)
+            session.run_serial(
+                lambda node: self._fit_parallel(session, pool, node, dataset_memo)
+            )
         finally:
             report = session.report
             deltas = {k: v - snapshot[k] for k, v in pool.counters.items()}
@@ -242,9 +223,10 @@ class ActorBackend(ExecutionBackend):
         session: TrainingSession,
         pool: ActorPool,
         node: g.OpNode,
-        materialized: Dict[int, Dataset],
         dataset_memo: Dict[int, str],
     ) -> None:
+        """Fit one estimator by in-worker passes, a stats merge or a
+        parent fit over collected rows; else by the session's own fit."""
         report = session.report
         if node.id in session.fitted:
             # Spliced from the session's FitStore by training key (warm
@@ -253,9 +235,7 @@ class ActorBackend(ExecutionBackend):
         op = node.op
         roots = list(node.parents)
         try:
-            program, sources = _lower_shard_program(
-                roots, session, materialized, dataset_memo
-            )
+            program, sources = _lower_shard_program(roots, session, dataset_memo)
         except UnshippableFlow as exc:
             session.fit_estimator(node)
             report.process_fallback.append(f"{node.label}: {exc}")
@@ -274,6 +254,7 @@ class ActorBackend(ExecutionBackend):
         # fallback).
         model = None
         fallback = None
+        rows: Dict[int, list] = {}
         try:
             if iterative_ok:
                 with obs_trace.span(
@@ -288,17 +269,18 @@ class ActorBackend(ExecutionBackend):
                 spec = (node.id, op, tuple(program.slot_of(r.id) for r in roots))
                 result = self._run_wave(session, pool, program, sources, [], spec)
             else:
+                # Collect the roots the parent's cache does not hold whole.
                 outputs = [
                     (str(r.id), r)
                     for r in roots
-                    if r.kind != g.SOURCE and r.id not in materialized
+                    if r.kind != g.SOURCE and not _resident(session.dataset_of(r))
                 ]
-                result = None
                 if outputs:
                     out_slots = [(name, program.slot_of(r.id)) for name, r in outputs]
                     result = self._run_wave(
                         session, pool, program, sources, out_slots, None
                     )
+                    rows = {r.id: result["rows"][name] for name, r in outputs}
         except (UnshippableFlow,) + _SHIP_ERRORS as exc:
             fallback = type(exc).__name__
         if fallback is not None:
@@ -313,28 +295,13 @@ class ActorBackend(ExecutionBackend):
                 ):
                     with session.timer.time_block(node.id):
                         model = op.fit_from_stats(result["stats"])
-            with session._lock:
-                session.fitted[node.id] = model
-                report.estimator_seconds[node.id] = session.timer.times[node.id]
-                session.store_fit(node, model)
+            session.store_fit(node, model)
             if iterative_ok:
                 report.actor_iterative.append(node.label)
             else:
                 report.process_stat_merged.append(node.label)
             return
-        if result is not None:
-            for name, root in outputs:
-                rows = result["rows"][name]
-                ds = Dataset(
-                    session.ctx,
-                    len(rows),
-                    _StoredPartitions(rows),
-                    name=f"actors({root.label})",
-                )
-                with session._lock:
-                    session.env[root.id] = ds
-                materialized[root.id] = ds
-        session.fit_estimator(node)
+        session.fit_estimator(node, session.collected_inputs(rows))
         report.process_gathered.append(node.label)
 
     # ------------------------------------------------------------------
@@ -524,6 +491,10 @@ class ProcessPoolBackend(ActorBackend):
     backend, kept as a registry alias of :class:`ActorBackend`."""
 
     name = "process"
+
+
+def _resident(ds: Dataset) -> bool:
+    return all(ds.holds_partition(i) for i in range(ds.num_partitions))
 
 
 def _plan_chunks(sources, workers: int):

@@ -12,28 +12,33 @@ The protocol is one method, :meth:`ExecutionBackend.execute`: train the
 plan's DAG, fill the :class:`~repro.core.executor.TrainingReport`, return
 a ``FittedPipeline``.
 
-:class:`TrainingSession` holds the depth-first training semantics shared by
-every backend (estimators are pipeline breakers; the plan's caching policy
-is honoured; an :class:`~repro.core.executor.ExclusiveTimer` attributes
-per-node wall time).  Backends differ only in *where* the training flow
-runs: the serial backend fits estimators one by one in-process, the actor
-backend computes shards in worker processes and fits in the parent.
+:class:`TrainingSession` holds the training semantics shared by every
+backend: estimators fit one at a time in dependency order
+(:meth:`TrainingSession.run_serial`), each reading its training flow as a
+:class:`~repro.core.interp.PartitionView` — the flow's lowered program,
+evaluated per partition under the plan's cache set and memory budget —
+and an :class:`~repro.core.executor.ExclusiveTimer` attributes per-node
+wall time.  Backends differ only in how one estimator fits: the local
+backend in-process, the actor backend by running the same programs on
+worker processes first.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core import graph as g
 from repro.core import program as prog
 from repro.core.executor import ExclusiveTimer, TrainingReport
+from repro.core.interp import PartitionView
 from repro.obs import trace as obs_trace
 from repro.core.operators import Transformer
 from repro.dataset.cache import AdmissionControlledLRUPolicy, PinnedPolicy
 from repro.dataset.context import Context
-from repro.dataset.dataset import Dataset
+from repro.dataset.dataset import Dataset, _StoredPartitions
+from repro.dataset.sizing import estimate_size
 
 if TYPE_CHECKING:
     from repro.core.pipeline import FittedPipeline
@@ -92,15 +97,13 @@ class TrainingSession:
     number of threads) and then :meth:`finish` to extract the
     inference-only DAG.
 
-    Thread-safety contract: graph-to-dataset construction is serialized
-    under an internal lock (it is cheap — datasets are lazy); the heavy
-    work (``op.fit`` and the partition computations it triggers) runs
-    outside the lock.  Callers scheduling estimators concurrently must
-    ensure an estimator's estimator-ancestors are fitted before it starts
-    (both shipped backends fit in topological order on one thread; a
-    custom backend fitting on a thread pool must wait on dependencies) —
-    ``fit_estimator`` itself does not deduplicate concurrent fits of the
-    *same* node.
+    Thread-safety contract: building views is serialized under an
+    internal lock (it is cheap — views are lazy); ``op.fit`` and the
+    partition evaluations it triggers run outside the lock.  Callers
+    fitting estimators concurrently must fit an estimator's
+    estimator-ancestors first (both shipped backends fit in topological
+    order on one thread); ``fit_estimator`` does not deduplicate
+    concurrent fits of the *same* node.
     """
 
     def __init__(
@@ -147,12 +150,22 @@ class TrainingSession:
         self.env: Dict[int, Dataset] = {}
         self.fitted: Dict[int, Transformer] = {}
         self._lock = threading.RLock()
+        # A node's partitions are counted (and cached) under a dataset id
+        # drawn from the context, never aliasing a caller's datasets.
         # Root every source now, while still single-threaded: re-rooting a
         # foreign dataset collects it eagerly, which must not happen under
         # the session lock once backend threads are running.
-        for node in g.reachable([self.sink], g.SOURCE):
-            if not node.is_pipeline_input:
-                self._dataset_of(node)
+        self.ids: Dict[int, int] = {}
+        for node in g.reachable([self.sink]):
+            if node.kind == g.SOURCE:
+                if not node.is_pipeline_input:
+                    self.dataset_of(node)
+            elif node.kind != g.ESTIMATOR:
+                self.ids[node.id] = ctx.next_dataset_id()
+        if not self.use_lru:
+            ctx.cache.policy.cache_set.update(
+                self.ids[n] for n in self.cache_ids if n in self.ids
+            )
 
         # Incremental training (repro.incremental): with a FitStore on the
         # plan, key the training DAG by content and splice stored fitted
@@ -178,73 +191,89 @@ class TrainingSession:
     # DAG -> datasets
     # ------------------------------------------------------------------
     def dataset_of(self, node: g.OpNode) -> Dataset:
-        """Lazy dataset realizing ``node``'s training flow (memoized)."""
+        """The dataset realizing ``node``'s training flow (memoized): a
+        bound source re-rooted into the execution context, else a
+        :class:`~repro.core.interp.PartitionView` of the flow's lowered
+        program (lowering fits the estimators whose models it applies)."""
         with self._lock:
-            return self._dataset_of(node)
-
-    def _dataset_of(self, node: g.OpNode) -> Dataset:
-        if node.id in self.env:
-            return self.env[node.id]
-        ctx, timer = self.ctx, self.timer
-        if node.kind == g.SOURCE:
-            if node.is_pipeline_input:
-                raise ValueError(
-                    "training execution reached the pipeline input "
-                    "placeholder; estimator training data must be "
-                    "bound via and_then(est, data)"
+            ds = self.env.get(node.id)
+            if ds is not None:
+                return ds
+            if node.kind == g.SOURCE and not node.is_pipeline_input:
+                ds = node.op
+                if ds.ctx is not self.ctx:
+                    # Re-root foreign datasets into the execution context
+                    # so the caching policy applies uniformly.
+                    ds = self.ctx.parallelize(ds.collect(), ds.num_partitions)
+                if node.id in self.cache_ids:
+                    ds.cache()
+                self.ids[node.id] = ds.id
+            else:
+                program, sources = prog.lower_training_program(
+                    [node], source_of=self.source_of, model_of=self.fit_estimator
                 )
-            ds = node.op
-            if ds.ctx is not ctx:
-                # Re-root foreign datasets into the execution context so
-                # the caching policy applies uniformly.
-                ds = ctx.parallelize(ds.collect(), ds.num_partitions)
-        elif node.kind == g.TRANSFORMER:
-            parent = self._dataset_of(node.parents[0])
-            ds = parent.map_partitions(
-                obs_trace.instrument(
-                    node.label,
-                    timer.wrap(node.id, node.op.apply_partition),
-                    node_id=node.id,
-                ),
-                name=node.label,
-            )
-        elif node.kind == g.APPLY:
-            est_node, data_node = node.parents
-            model = self.fit_estimator(est_node)
-            parent = self._dataset_of(data_node)
-            ds = parent.map_partitions(
-                obs_trace.instrument(
-                    node.label,
-                    timer.wrap(node.id, model.apply_partition),
-                    node_id=node.id,
-                ),
-                name=node.label,
-            )
-        elif node.kind == g.GATHER:
-            ds = g.zip_gather([self._dataset_of(p) for p in node.parents])
-        else:
-            raise ValueError(f"cannot execute node kind {node.kind}")
-        if node.id in self.cache_ids:
-            ds.cache()
-            if not self.use_lru:
-                ctx.cache.policy.cache_set.add(ds.id)
-        self.env[node.id] = ds
-        return ds
+                ds = PartitionView(
+                    self.ctx, program, sources, self.ids, self.cache_ids, self._on_op
+                )
+            self.env[node.id] = ds
+            return ds
+
+    def source_of(self, node: g.OpNode) -> Optional[Dataset]:
+        if node.kind == g.SOURCE and not node.is_pipeline_input:
+            return self.dataset_of(node)
+        return None
+
+    def _on_op(self, op: prog.Op, seconds: float, _values: list) -> None:
+        if op.kind != prog.TRANSFORM:
+            return
+        # Evaluated inside a reader's timed frame, which then excludes it.
+        self.timer.add(op.node_id, seconds)
+        tracer = obs_trace.active()
+        if tracer is not None:
+            tracer.record(op.label, seconds=seconds, args={"node_id": op.node_id})
+
+    def collected_inputs(self, rows: Dict[int, List[list]]) -> Dict[int, Dataset]:
+        """:meth:`fit_estimator` ``inputs`` from partitions computed
+        elsewhere (``rows``: root node id -> partitions).
+
+        A cached root's partitions go into ``ctx.cache`` under its view's
+        keys, as far as the policy and budget admit them; any other root,
+        or a cached one not wholly admitted, feeds this fit only.
+        """
+        inputs = {}
+        for node_id, parts in rows.items():
+            if node_id in self.cache_ids:
+                key_id, cache = self.ids[node_id], self.ctx.cache
+                admitted = [
+                    cache.put((key_id, i), part, estimate_size(part))
+                    for i, part in enumerate(parts)
+                ]
+                if all(admitted):
+                    continue
+            inputs[node_id] = Dataset(self.ctx, len(parts), _StoredPartitions(parts))
+        return inputs
 
     # ------------------------------------------------------------------
     # Estimator fitting
     # ------------------------------------------------------------------
-    def fit_estimator(self, node: g.OpNode) -> Transformer:
-        """Fit one estimator node (memoized); the pipeline-breaker step."""
+    def fit_estimator(
+        self, node: g.OpNode, inputs: Optional[Dict[int, Dataset]] = None
+    ) -> Transformer:
+        """Fit one estimator node (memoized); the pipeline-breaker step.
+
+        ``inputs`` replaces the dataset of some parents for this fit
+        only (see :meth:`collected_inputs`).
+        """
+        inputs = inputs or {}
         with self._lock:
             if node.id in self.fitted:
                 return self.fitted[node.id]
-            data = self._dataset_of(node.parents[0])
-            labels = (
-                self._dataset_of(node.parents[1]) if len(node.parents) == 2 else None
-            )
+            args = [
+                inputs[p.id] if p.id in inputs else self.dataset_of(p)
+                for p in node.parents
+            ]
         # Heavy work outside the lock: op.fit pulls its training flow
-        # through the lazy datasets (possibly concurrently with other
+        # through the partition views (possibly concurrently with other
         # estimators on other threads).
         with obs_trace.span(
             f"fit:{node.label}",
@@ -252,32 +281,28 @@ class TrainingSession:
             key=self.training_key.get(node.id),
             args={"node_id": node.id},
         ):
-            model = self._fit_streaming(node, data, labels)
+            model = self._fit_streaming(node, args)
             if model is None:
                 with self.timer.time_block(node.id):
-                    if labels is not None:
-                        model = node.op.fit(data, labels)
-                    else:
-                        model = node.op.fit(data)
-        with self._lock:
-            self.fitted[node.id] = model
-            self.report.estimator_seconds[node.id] = self.timer.times[node.id]
-            self.store_fit(node, model)
+                    model = node.op.fit(*args)
+        self.store_fit(node, model)
         return model
 
     def store_fit(self, node: g.OpNode, model: Transformer) -> None:
-        """Record a freshly fitted model in the FitStore (if attached).
+        """Record a model fitted this run: the session's memo, its
+        estimator seconds, ``refit_ops`` and the FitStore (if attached).
 
-        Called under the session lock by every path that fits an
-        estimator this run (``fit_estimator`` and the actor backend's
-        stat-merge and in-worker paths); also the single place
-        ``refit_ops`` is recorded.
+        Called by every path that fits an estimator (``fit_estimator``
+        and the actor backend's stat-merge and in-worker paths).
         """
-        self.report.refit_ops.append(node.label)
-        if self.fit_store is not None and node.id in self.training_key:
-            self.fit_store.put_fit(self.training_key[node.id], model)
+        with self._lock:
+            self.fitted[node.id] = model
+            self.report.estimator_seconds[node.id] = self.timer.times[node.id]
+            self.report.refit_ops.append(node.label)
+            if self.fit_store is not None and node.id in self.training_key:
+                self.fit_store.put_fit(self.training_key[node.id], model)
 
-    def _fit_streaming(self, node: g.OpNode, data: Dataset, labels: Optional[Dataset]):
+    def _fit_streaming(self, node: g.OpNode, args: List[Dataset]):
         """Fit a shardable estimator through stored per-partition stats.
 
         Returns the fitted model, or ``None`` to fall through to the
@@ -299,12 +324,13 @@ class TrainingSession:
             or not hasattr(op, "fit_from_stats")
         ):
             return None
-        if labels is not None and labels.num_partitions != data.num_partitions:
+        counts = {ds.num_partitions for ds in args}
+        if len(counts) != 1:
             return None
         roots = list(node.parents)
         pkeys = []
         try:
-            for i in range(data.num_partitions):
+            for i in range(counts.pop()):
                 flow_keys = prog.partition_flow_keys(
                     roots, i, model_of=lambda n: self.fitted.get(n.id)
                 )
@@ -321,12 +347,7 @@ class TrainingSession:
             for i, pkey in enumerate(pkeys):
                 stat = store.get_stats(pkey)
                 if stat is None:
-                    if labels is None:
-                        stat = op.partition_stats(data.partition(i))
-                    else:
-                        stat = op.partition_stats(
-                            data.partition(i), labels.partition(i)
-                        )
+                    stat = op.partition_stats(*[ds.partition(i) for ds in args])
                     store.put_stats(pkey, stat)
                     computed += 1
                 else:
@@ -342,16 +363,19 @@ class TrainingSession:
         """Estimators reachable from the sink, dependency order first."""
         return g.reachable([self.sink], g.ESTIMATOR)
 
-    def run_serial(self) -> None:
-        """Reference schedule: fit every estimator depth-first, in order.
+    def run_serial(self, fit: Optional[Callable[[g.OpNode], Any]] = None) -> None:
+        """The schedule: fit every estimator in dependency order, one at
+        a time.  ``fit`` fits one estimator (default
+        :meth:`fit_estimator`; the actor backend passes its parallel fit).
 
         When the session owns its context (``ctx=None``), each cached
-        dataset is released once the last estimator whose training flow
+        node is released once the last estimator whose training flow
         reads it has fitted; nothing reads it after that.  A union of
         independent trials (a :class:`~repro.incremental.SweepPlanner`
         sweep) thus holds about one trial's cached data at a time, not
         the whole grid's.
         """
+        fit = fit or self.fit_estimator
         estimators = self.estimator_nodes()
         last_reader: Dict[int, int] = {}
         for est in estimators:
@@ -366,12 +390,13 @@ class TrainingSession:
                 if node.kind != g.ESTIMATOR:
                     stack.extend(node.parents)
         for est in estimators:
-            self.fit_estimator(est)
+            fit(est)
             if not self.owns_ctx:
                 continue
             for node_id, reader in last_reader.items():
-                if reader == est.id and node_id in self.env:
-                    self.env[node_id].unpersist()
+                if reader == est.id and node_id in self.ids:
+                    key_id = self.ids[node_id]
+                    self.ctx.cache.invalidate(lambda key: key[0] == key_id)
 
     # ------------------------------------------------------------------
     # Wrap-up

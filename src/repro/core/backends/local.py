@@ -1,10 +1,8 @@
 """LocalBackend: the serial depth-first reference execution.
 
-This is the training semantics the original ``fit_pipeline`` monolith (and
-then ``PhysicalPlan.execute``) hardwired, extracted behind the
-:class:`~repro.core.backends.base.ExecutionBackend` protocol: estimators
-are fitted one at a time in dependency order, each pulling its training
-flow through the lazy dataset DAG under the plan's caching policy.  Every
+:class:`~repro.core.backends.base.TrainingSession` with no pool:
+estimators fit one at a time in dependency order, each reading its
+training flow's partition views under the plan's caching policy.  Every
 other backend is defined by producing byte-identical predictions to this
 one.
 """

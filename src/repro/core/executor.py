@@ -30,8 +30,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.profiler import PipelineProfile
 from repro.dataset.context import Context
@@ -45,9 +46,10 @@ LEVELS = (LEVEL_NONE, LEVEL_PIPE, LEVEL_FULL)
 class ExclusiveTimer:
     """Accumulates per-node wall time, excluding nested node time.
 
-    Dataset computations nest (computing a node's partition computes its
-    parents' partitions inside), so a plain timer would double count.  The
-    wrapper maintains a stack of inner-time accumulators.
+    Node computations nest (an estimator's fit evaluates its training
+    flow's ops inside), so a plain timer would double count.  Each timed
+    frame keeps an inner-time accumulator on a stack; :meth:`add` credits
+    the innermost one.
 
     Thread-safe: nesting only happens within one thread's call stack, so
     the inner-time stack is thread-local (a shared stack would attribute
@@ -79,34 +81,24 @@ class ExclusiveTimer:
             stack[-1] += total
 
     def add(self, node_id: Any, seconds: float) -> None:
-        """Credit externally measured seconds (e.g. from worker processes)."""
+        """Credit seconds measured elsewhere: in a worker process, or by
+        the evaluator for an op run inside this thread's open frame,
+        which then excludes them."""
         with self._lock:
             self.times[node_id] += seconds
+        stack = self._stack
+        if stack:
+            stack[-1] += seconds
 
-    def wrap(self, node_id: Any, fn: Callable) -> Callable:
-        def wrapped(*args, **kwargs):
-            start = time.perf_counter()
-            self._stack.append(0.0)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._charge(node_id, start)
-        return wrapped
-
+    @contextmanager
     def time_block(self, node_id: Any):
-        timer = self
-
-        class _Block:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                timer._stack.append(0.0)
-                return self
-
-            def __exit__(self, *exc):
-                timer._charge(node_id, self.start)
-                return False
-
-        return _Block()
+        """Time the block as ``node_id``'s, less the frames nested in it."""
+        start = time.perf_counter()
+        self._stack.append(0.0)
+        try:
+            yield
+        finally:
+            self._charge(node_id, start)
 
 
 @dataclass

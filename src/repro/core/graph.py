@@ -204,24 +204,12 @@ def to_dot(sinks: Iterable[OpNode],
     return "\n".join(lines)
 
 
-def zip_gather(parents: List[Any]) -> Any:
-    """Element-wise gather of aligned datasets into list rows.
-
-    The runtime realization of a GATHER node, shared by training execution
-    and fitted-pipeline application.
-    """
-    acc = parents[0].map(lambda x: [x], name="gather")
-    for p in parents[1:]:
-        acc = acc.zip(p).map(lambda pair: pair[0] + [pair[1]], name="gather")
-    return acc
-
-
 def zip_rows(parts: List[list]) -> List[list]:
     """Element-wise gather of aligned in-memory partitions into list rows.
 
-    The materialized-partition counterpart of :func:`zip_gather`: how
-    the program evaluator (:mod:`repro.core.interp`) realizes a GATHER
-    op for serving micro-batches and actor shard workers alike.
+    How the program evaluator (:mod:`repro.core.interp`) realizes a
+    GATHER op, for training views, batch inference, serving micro-batches
+    and actor shard workers alike.
     """
     if len({len(p) for p in parts}) > 1:
         raise ValueError(

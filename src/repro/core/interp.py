@@ -12,20 +12,28 @@ cache candidates) and an ``on_op(op, seconds, values)`` hook.
 parent runs it against its mirror of a worker's cache to decide what to
 ship, so parent and worker cannot disagree about what a program reads.
 
+:class:`PartitionView` is the batch caller: a lazy ``Dataset`` whose
+partition ``i`` is one ``CHUNK`` evaluation over partition ``i`` of its
+sources.  The parent's training flows (``TrainingSession``) and batch
+inference (``FittedPipeline.apply_dataset``) are such views, so the
+parent and the actor workers run the same lowered programs through this
+one function.
+
 Outside on purpose: ``recursive_apply_item`` (the reference the tests
-compare this module against), ``FittedPipeline.apply_dataset`` /
-``TrainingSession`` (walks over lazy datasets, not a lowered program)
-and operator internals.
+compare this module against), the profiler's sampling walk
+(``core/profiler.py``) and operator internals.
 ``docs/ARCHITECTURE.md`` ("The evaluator") names every caller.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core import graph as g
-from repro.core.program import GATHER, TRANSFORM, Op
+from repro.core.program import GATHER, TRANSFORM, Op, OpProgram
+from repro.dataset.dataset import Dataset
+from repro.dataset.sizing import estimate_size
 
 Probe = Callable[[Op, int], Tuple[bool, Any]]
 Store = Callable[[Op, Sequence[int], list], None]
@@ -176,3 +184,76 @@ def evaluate(
         if store is not None:
             store(op, rows, out)
     return values
+
+
+class PartitionView(Dataset):
+    """A lazy dataset: partition ``i`` is ``program``'s root evaluated
+    over partition ``i`` of ``sources`` (node id -> dataset).
+
+    One :data:`CHUNK` row per read, so each operator sees the partition a
+    ``map_partitions`` lineage would hand it.  A computed op is counted
+    in ``ctx.stats`` under ``ids[node id]`` (default: the view's id); one
+    whose node is in ``cached`` is probed in and stored to ``ctx.cache``
+    under ``(ids[node id], i)``.  The cache's policy and budget decide
+    what stays, a resident partition reads back as the same list object,
+    and every other op is recomputed on each read.
+    """
+
+    def __init__(
+        self,
+        ctx,
+        program: OpProgram,
+        sources: Dict[int, Dataset],
+        ids: Optional[Dict[int, int]] = None,
+        cached: set = frozenset(),
+        on_op: Optional[Callable[[Op, float, list], None]] = None,
+    ):
+        counts = {ds.num_partitions for ds in sources.values()}
+        if len(counts) != 1:
+            raise ValueError(f"sources disagree on partitioning: {sorted(counts)}")
+        super().__init__(ctx, counts.pop(), None, tuple(sources.values()))
+        self.program, self.sources, self.on_op = program, sources, on_op
+        self.ids = ids or {}
+        self.cached = {
+            op.node_id
+            for op in program
+            if op.node_id in cached and op.kind in (TRANSFORM, GATHER)
+        }
+
+    def _key(self, op: Op, i: int) -> Optional[Tuple[int, int]]:
+        return (self.ids[op.node_id], i) if op.node_id in self.cached else None
+
+    def partition(self, i: int) -> list:
+        if not 0 <= i < self.num_partitions:
+            raise IndexError(f"partition {i} out of range [0, {self.num_partitions})")
+        cache = self.ctx.cache
+
+        def leaf(op: Op) -> list:
+            return [[self.sources[op.node_id].partition(i)]]
+
+        def probe(op: Op, _row: int) -> Tuple[bool, Any]:
+            key = self._key(op, i)
+            part = None if key is None else cache.get(key)
+            return part is not None, [part]
+
+        def store(op: Op, _rows: Sequence[int], values: list) -> None:
+            if op.kind in (TRANSFORM, GATHER):
+                self.ctx.stats.record_compute(self.ids.get(op.node_id, self.id))
+            if op.node_id in self.cached:
+                part = values[0][0]
+                cache.put(self._key(op, i), part, estimate_size(part))
+
+        slot = self.program.sink_slot
+        values = evaluate(
+            self.program.ops, [slot], 1, leaf, CHUNK, probe, store, self.on_op
+        )
+        return values[slot][0][0]
+
+    def holds_partition(self, i: int) -> bool:
+        """Whether the root's partition ``i`` is resident in ``ctx.cache``."""
+        key = self._key(self.program.ops[self.program.sink_slot], i)
+        return key is not None and self.ctx.cache.contains(key)
+
+    def __reduce__(self):
+        # Pickles as a plain Dataset of its materialized partitions.
+        return Dataset.__new__, (Dataset,), self.__getstate__()

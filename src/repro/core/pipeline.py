@@ -11,7 +11,7 @@ returning a :class:`FittedPipeline` usable on new data.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.core import graph as g
 from repro.core.operators import (
@@ -250,24 +250,14 @@ class FittedPipeline(Transformer):
         return self.inference_plan().run_item(item)
 
     def apply_dataset(self, data: Dataset) -> Dataset:
-        """Batch inference: the inference DAG as lazy, partition-wise
-        datasets over ``data``."""
-        memo: Dict[int, Dataset] = {self.input_node.id: data}
+        """Batch inference: a lazy
+        :class:`~repro.core.interp.PartitionView` of the compiled
+        inference program over ``data``, one partition at a time."""
+        from repro.core.interp import PartitionView
 
-        def eval_node(node: g.OpNode) -> Dataset:
-            if node.id in memo:
-                return memo[node.id]
-            if node.kind == g.TRANSFORMER:
-                value = node.op.apply_dataset(eval_node(node.parents[0]))
-            elif node.kind == g.GATHER:
-                parents = [eval_node(p) for p in node.parents]
-                value = g.zip_gather(parents)
-            else:
-                raise ValueError(f"unexpected node kind {node.kind} in fitted pipeline")
-            memo[node.id] = value
-            return value
-
-        return eval_node(self.sink)
+        program = self.inference_plan().program
+        input_id = program.ops[program.input_slot].node_id
+        return PartitionView(data.ctx, program, {input_id: data})
 
     def __repr__(self) -> str:
         n = len(g.ancestors([self.sink]))

@@ -62,7 +62,7 @@ class Dataset:
     """A lazy partitioned collection with deterministic recompute semantics.
 
     Instances are created via :meth:`Context.parallelize` or by transforming
-    existing datasets.  Transformations (``map``, ``zip``, ...) are lazy;
+    existing datasets.  Transformations (``map``, ``map_partitions``) are lazy;
     actions (``collect``, ``count``, ...) force computation partition by
     partition.
     """
@@ -109,7 +109,7 @@ class Dataset:
             raise IndexError(f"partition {i} out of range [0, {self.num_partitions})")
         if not self.should_cache:
             rows = self._compute(i)
-            self.ctx.stats.record_compute(self.id, len(rows))
+            self.ctx.stats.record_compute(self.id)
             return rows
         key = (self.id, i)
         hit = self.ctx.cache.get(key)
@@ -125,7 +125,7 @@ class Dataset:
             if hit is not None:
                 return hit
             rows = self._compute(i)
-            self.ctx.stats.record_compute(self.id, len(rows))
+            self.ctx.stats.record_compute(self.id)
             self.ctx.cache.put(key, rows, estimate_size(rows))
             return rows
 
@@ -193,23 +193,6 @@ class Dataset:
 
         return Dataset(self.ctx, self.num_partitions, compute, (self,),
                        name or f"map_partitions({self.name})")
-
-    def zip(self, other: "Dataset", name: str = "") -> "Dataset":
-        """Pairwise zip; both datasets must have identical partitioning."""
-        if other.num_partitions != self.num_partitions:
-            raise ValueError(
-                "zip requires equal partition counts: "
-                f"{self.num_partitions} != {other.num_partitions}")
-
-        def compute(i: int) -> List[Any]:
-            left, right = self.partition(i), other.partition(i)
-            if len(left) != len(right):
-                raise ValueError(
-                    f"zip partition {i} length mismatch: {len(left)} != {len(right)}")
-            return list(zip(left, right))
-
-        return Dataset(self.ctx, self.num_partitions, compute, (self, other),
-                       name or f"zip({self.name},{other.name})")
 
     # ------------------------------------------------------------------
     # Caching

@@ -9,8 +9,10 @@ reach ``explain()``, and ``plan_scaling_sweep`` prices a fit through the
 same stage rule, anchored to measured serial time at one worker.
 """
 
+import gc
 import inspect
 import threading
+import weakref
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -40,7 +42,7 @@ from repro.core.passes import (
 from repro.core.plan import PassDecision
 from repro.core.pipeline import Pipeline
 from repro.dataset import Context
-from repro.nodes.learning.linear import LinearSolver
+from repro.nodes.learning.linear import LBFGSSolver, LinearSolver
 from repro.nodes.text import (
     CommonSparseFeatures,
     LowerCase,
@@ -578,6 +580,88 @@ class TestActorBackend:
         assert all(t >= 0.0 for t in report.node_seconds.values())
 
 
+def lbfgs_text_pipeline(ctx, wl=WORKLOAD):
+    """Text featurization into a directly built L-BFGS solver: neither
+    iterative-shardable nor stat-mergeable, so actor fits collect."""
+    data = wl.train_data(ctx)
+    labels = wl.train_label_vectors(ctx)
+    return (Pipeline.identity()
+            .and_then(LowerCase())
+            .and_then(Tokenizer())
+            .and_then(TermFrequency(lambda c: 1.0))
+            .and_then(CommonSparseFeatures(100), data)
+            .and_then(LBFGSSolver(max_iter=10), data, labels))
+
+
+class TestCollectedRows:
+    """Rows an actor collect wave returns obey the plan's
+    materialization decision: they enter the parent's budgeted cache
+    only for cache-set nodes, and otherwise live for one fit."""
+
+    @staticmethod
+    def _fit(monkeypatch, level, budget):
+        from repro.core.backends import actors
+        from repro.dataset.cache import CacheManager
+
+        collected, alive_after_fit, used = [], [], []
+        run_wave, fit_parallel = actors.ActorBackend._run_wave, \
+            actors.ActorBackend._fit_parallel
+        put = CacheManager.put
+
+        def recording_wave(self, session, pool, program, sources, out_slots,
+                           spec):
+            result = run_wave(self, session, pool, program, sources,
+                              out_slots, spec)
+            collected.extend(weakref.ref(row) for parts in
+                             result["rows"].values() for part in parts
+                             for row in part)
+            return result
+
+        def checked_fit(self, session, pool, node, *rest):
+            fit_parallel(self, session, pool, node, *rest)
+            gc.collect()
+            alive_after_fit.append(
+                (node.label, sum(ref() is not None for ref in collected)))
+
+        def recording_put(self, key, value, size):
+            admitted = put(self, key, value, size)
+            used.append((self.used, self.budget))
+            return admitted
+
+        monkeypatch.setattr(actors.ActorBackend, "_run_wave", recording_wave)
+        monkeypatch.setattr(actors.ActorBackend, "_fit_parallel", checked_fit)
+        monkeypatch.setattr(CacheManager, "put", recording_put)
+        passes = passes_for_level(level, sample_sizes=(20, 40),
+                                  mem_budget_bytes=budget)
+        plan = Optimizer(passes).optimize(lbfgs_text_pipeline(Context()))
+        fitted = plan.execute(backend=ActorBackend(
+            workers=2, task_timeout=PROCESS_TIMEOUT, reuse_pool=False))
+        monkeypatch.undo()
+        assert "LBFGSSolver" in fitted.training_report.process_gathered
+        assert collected
+        expected = plan.execute(backend=LocalBackend())
+        docs = WORKLOAD.test_items
+        assert comparable([fitted.apply(x) for x in docs]) == comparable(
+            [expected.apply(x) for x in docs])
+        return fitted.training_report, dict(alive_after_fit), used
+
+    def test_uncached_rows_die_with_their_fit(self, monkeypatch):
+        """At level ``none`` (empty cache set) no collected row outlives
+        the fit that collected it."""
+        report, alive, _used = self._fit(monkeypatch, "none", float("inf"))
+        assert not report.cache_set
+        assert alive["LBFGSSolver"] == 0
+
+    def test_cached_rows_stay_within_the_budget(self, monkeypatch):
+        """With a cache set under a tight budget, the parent's cache
+        never holds more than the budget, collected rows included."""
+        budget = 2e5
+        report, _alive, used = self._fit(monkeypatch, "full", budget)
+        assert "apply(CommonSparseFeatures)" in report.cache_set_labels
+        assert used and all(u <= b for u, b in used)
+        assert max(u for u, _b in used) > 0
+
+
 class TestShardingPass:
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -696,20 +780,18 @@ class TestExclusiveTimerThreadSafety:
         """Nested time on one thread must not leak into another's frame."""
         timer = ExclusiveTimer()
 
-        def inner():
-            time.sleep(0.03)
-
-        wrapped_inner = timer.wrap("inner", inner)
-
         def outer():
-            wrapped_inner()
-            time.sleep(0.03)
+            with timer.time_block("outer"):
+                with timer.time_block("inner"):
+                    time.sleep(0.03)
+                time.sleep(0.03)
 
         def other():
-            time.sleep(0.08)
+            with timer.time_block("other"):
+                time.sleep(0.08)
 
-        threads = [threading.Thread(target=timer.wrap("outer", outer)),
-                   threading.Thread(target=timer.wrap("other", other))]
+        threads = [threading.Thread(target=outer),
+                   threading.Thread(target=other)]
         for t in threads:
             t.start()
         for t in threads:
@@ -724,11 +806,10 @@ class TestExclusiveTimerThreadSafety:
         """4 threads x 20 timed calls must all land in the accumulator."""
         timer = ExclusiveTimer()
         calls_per_thread, sleep = 20, 0.002
-        fn = timer.wrap("x", lambda: time.sleep(sleep))
-
         def hammer():
             for _ in range(calls_per_thread):
-                fn()
+                with timer.time_block("x"):
+                    time.sleep(sleep)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for t in threads:

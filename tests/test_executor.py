@@ -142,17 +142,10 @@ class TestExclusiveTimer:
         import time
 
         timer = ExclusiveTimer()
-
-        def inner():
+        with timer.time_block("outer"):
+            with timer.time_block("inner"):
+                time.sleep(0.02)
             time.sleep(0.02)
-
-        def outer():
-            wrapped_inner()
-            time.sleep(0.02)
-
-        wrapped_inner = timer.wrap("inner", inner)
-        wrapped_outer = timer.wrap("outer", outer)
-        wrapped_outer()
         assert timer.times["inner"] == pytest.approx(0.02, abs=0.015)
         assert timer.times["outer"] == pytest.approx(0.02, abs=0.015)
 
@@ -166,7 +159,20 @@ class TestExclusiveTimer:
 
     def test_accumulates_over_calls(self):
         timer = ExclusiveTimer()
-        fn = timer.wrap("x", lambda: None)
-        fn()
-        fn()
+        for _ in range(2):
+            with timer.time_block("x"):
+                pass
         assert timer.times["x"] >= 0
+
+    def test_added_seconds_leave_the_open_frame(self):
+        """Seconds credited inside a frame (an evaluator op run during a
+        fit) count for their node, not again for the frame's."""
+        import time
+
+        timer = ExclusiveTimer()
+        start = time.perf_counter()
+        with timer.time_block("fit"):
+            timer.add("op", 0.5)
+        elapsed = time.perf_counter() - start
+        assert timer.times["op"] == 0.5
+        assert timer.times["fit"] == pytest.approx(elapsed - 0.5, abs=1e-3)

@@ -148,21 +148,3 @@ class TestValidation:
         inp, sink = _chain(2)
         dot = g.to_dot([sink], highlight={sink.id})
         assert dot.count("fillcolor") == 1
-
-
-class TestZipGather:
-    def test_zip_gather_rows(self):
-        from repro.dataset import Context
-
-        ctx = Context()
-        a = ctx.parallelize([1, 2, 3], 2)
-        b = ctx.parallelize([10, 20, 30], 2)
-        rows = g.zip_gather([a, b]).collect()
-        assert rows == [[1, 10], [2, 20], [3, 30]]
-
-    def test_single_parent(self):
-        from repro.dataset import Context
-
-        ctx = Context()
-        rows = g.zip_gather([ctx.parallelize([5, 6], 1)]).collect()
-        assert rows == [[5], [6]]

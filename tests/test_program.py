@@ -508,7 +508,7 @@ class TestOneKeyRule:
 
         for est in g.reachable([plan.sink], g.ESTIMATOR):
             roots = list(est.parents)
-            shard, _sources = _lower_shard_program(roots, session, {}, {})
+            shard, _sources = _lower_shard_program(roots, session, {})
             reference = _ref_flow_keys(roots, bound_key, model_of)
             assert shard.ops and all(op.key == reference[op.node_id] for op in shard)
             flow = program.partition_flow_keys(roots, 0, model_of=model_of)
@@ -538,23 +538,24 @@ class TestLiveLowering:
         plan, session = _session(SCENARIOS["amazon"], "none")
         sizes = {}
         for est in g.reachable([plan.sink], g.ESTIMATOR):
-            shard, sources = _lower_shard_program(list(est.parents), session, {}, {})
+            shard, sources = _lower_shard_program(list(est.parents), session, {})
             self._assert_live(shard, sources)
             sizes[est.label] = len(shard)
             session.fit_estimator(est)
         assert sizes == {"CommonSparseFeatures": 4, "LinearSolver": 6}
 
     def test_cached_two_solver_chain_on_actors(self, monkeypatch):
-        """With the featurized text cached and shipped once, the second
-        solver's program is that materialized source, the labels and the
-        first solver's apply."""
+        """The second solver's program is its whole live flow (the
+        parent no longer claims collected rows as a source); the
+        featurized prefix the first solver's collect left in the
+        workers' shard caches serves it."""
         from repro.core.backends import ActorBackend, actors
 
         lowered = []
         real = actors._lower_shard_program
 
-        def recording(roots, session, materialized, memo):
-            shard, sources = real(roots, session, materialized, memo)
+        def recording(roots, session, memo):
+            shard, sources = real(roots, session, memo)
             lowered.append((shard, sources))
             return shard, sources
 
@@ -564,7 +565,8 @@ class TestLiveLowering:
         fitted = plan.execute(backend=ActorBackend(workers=2, task_timeout=300.0))
         for shard, sources in lowered:
             self._assert_live(shard, sources)
-        assert [len(shard) for shard, _ in lowered] == [4, 6, 3]
+        assert [len(shard) for shard, _ in lowered] == [4, 6, 7]
+        assert fitted.training_report.shard_state_hits > 0
         expected = plan.execute()
         assert comparable([fitted.apply(x) for x in items]) == comparable(
             [expected.apply(x) for x in items]
@@ -711,17 +713,22 @@ class TestVectorizePass:
         )
 
 
+#: calls that run an operator, zip a gather or build a lineage step
+_EXECUTION_NAMES = ("apply_partition", "zip_rows", "zip_gather", "map_partitions")
+
+
 def _op_execution_calls(tree: ast.AST):
-    """Line numbers of ``.apply_partition(``, ``.op.apply(`` and ``zip_rows(`` calls."""
+    """Line numbers of ``.op.apply(`` calls and of calls to any of
+    :data:`_EXECUTION_NAMES`, bare or as attributes."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         if isinstance(func, ast.Name):
-            if func.id == "zip_rows":
+            if func.id in _EXECUTION_NAMES:
                 yield node.lineno
         elif isinstance(func, ast.Attribute):
-            if func.attr in ("apply_partition", "zip_rows"):
+            if func.attr in _EXECUTION_NAMES:
                 yield node.lineno
             elif func.attr == "apply" and getattr(func.value, "attr", "") == "op":
                 yield node.lineno
@@ -730,27 +737,54 @@ def _op_execution_calls(tree: ast.AST):
 class TestOneEvaluator:
     def test_only_interp_runs_operators_and_zips_gathers(self):
         """The program's consumers — serving compiler, replica workers,
-        actor workers, the actor backend's parent side — never run an
-        op's operator or zip a gather themselves: that happens in
+        actor workers, the actor backend's parent side, the training
+        session and batch inference — never run an op's operator, zip a
+        gather or build a lineage step themselves: that happens in
         ``core/interp.py`` only.
 
         Out of scope on purpose: ``core/program.py`` lowering and passes,
         ``KernelStage``/``FusedTransformer`` internals (they *are*
-        operators), and the DAG-level walks (``core/profiler.py``,
-        ``TrainingSession``, ``recursive_apply_item``), which execute
-        lazy datasets or serve as the reference, not a lowered program.
-        Kind tests such as ``op.kind != GATHER`` are not execution.
+        operators), ``recursive_apply_item`` (the reference the
+        evaluator is tested against) and the profiler's sampling walk
+        (``core/profiler.py``).  Kind tests such as
+        ``op.kind != GATHER`` are not execution.
         """
         root = pathlib.Path(repro.__file__).parent
-        offenders = []
-        for rel in (
-            "serving/compiler.py",
-            "serving/replicas.py",
-            "runtime/worker.py",
-            "core/backends/actors.py",
-        ):
-            tree = ast.parse((root / rel).read_text(), filename=rel)
-            offenders.extend(f"{rel}:{line}" for line in _op_execution_calls(tree))
+
+        def parse(rel):
+            return ast.parse((root / rel).read_text(), filename=rel)
+
+        def member(tree, *path):
+            for name in path:
+                tree = next(
+                    n
+                    for n in ast.iter_child_nodes(tree)
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                    and n.name == name
+                )
+            return tree
+
+        scopes = [
+            (rel, parse(rel))
+            for rel in (
+                "serving/compiler.py",
+                "serving/replicas.py",
+                "runtime/worker.py",
+                "core/backends/actors.py",
+            )
+        ]
+        scopes.append(
+            ("TrainingSession", member(parse("core/backends/base.py"), "TrainingSession"))
+        )
+        scopes.append(
+            (
+                "FittedPipeline.apply_dataset",
+                member(parse("core/pipeline.py"), "FittedPipeline", "apply_dataset"),
+            )
+        )
+        offenders = [
+            f"{name}:{line}" for name, tree in scopes for line in _op_execution_calls(tree)
+        ]
         assert offenders == []
         interp_tree = ast.parse((root / "core/interp.py").read_text())
         assert list(_op_execution_calls(interp_tree))  # the guard sees them
