@@ -88,6 +88,24 @@ def recursive_apply_item(fitted: "FittedPipeline", item: Any) -> Any:
     return eval_node(fitted.sink)
 
 
+def _op_timer(timer: ExclusiveTimer) -> Callable[[prog.Op, float, list], None]:
+    """The views' ``on_op`` hook: credit each transform's seconds to its
+    node in ``timer`` and record an op span when tracing.  It holds no
+    session, so views and session form no reference cycle: a finished
+    fit's session, plan included, is freed when the fit returns."""
+
+    def on_op(op: prog.Op, seconds: float, _values: list) -> None:
+        if op.kind != prog.TRANSFORM:
+            return
+        # Evaluated inside a reader's timed frame, which then excludes it.
+        timer.add(op.node_id, seconds)
+        tracer = obs_trace.active()
+        if tracer is not None:
+            tracer.record(op.label, seconds=seconds, args={"node_id": op.node_id})
+
+    return on_op
+
+
 class TrainingSession:
     """One training execution of a physical plan: shared backend machinery.
 
@@ -147,6 +165,7 @@ class TrainingSession:
         self.ctx = ctx
 
         self.timer = ExclusiveTimer()
+        self.on_op = _op_timer(self.timer)
         self.env: Dict[int, Dataset] = {}
         self.fitted: Dict[int, Transformer] = {}
         self._lock = threading.RLock()
@@ -213,7 +232,7 @@ class TrainingSession:
                     [node], source_of=self.source_of, model_of=self.fit_estimator
                 )
                 ds = PartitionView(
-                    self.ctx, program, sources, self.ids, self.cache_ids, self._on_op
+                    self.ctx, program, sources, self.ids, self.cache_ids, self.on_op
                 )
             self.env[node.id] = ds
             return ds
@@ -222,15 +241,6 @@ class TrainingSession:
         if node.kind == g.SOURCE and not node.is_pipeline_input:
             return self.dataset_of(node)
         return None
-
-    def _on_op(self, op: prog.Op, seconds: float, _values: list) -> None:
-        if op.kind != prog.TRANSFORM:
-            return
-        # Evaluated inside a reader's timed frame, which then excludes it.
-        self.timer.add(op.node_id, seconds)
-        tracer = obs_trace.active()
-        if tracer is not None:
-            tracer.record(op.label, seconds=seconds, args={"node_id": op.node_id})
 
     def collected_inputs(self, rows: Dict[int, List[list]]) -> Dict[int, Dataset]:
         """:meth:`fit_estimator` ``inputs`` from partitions computed

@@ -104,6 +104,9 @@ def ancestors(
 
     for s in sinks:
         visit(s)
+    # ``visit`` refers to itself; break that cycle so ``parents_of`` (and
+    # whatever it holds, e.g. a training session) is freed on return.
+    del visit
     return order
 
 

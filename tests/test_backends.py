@@ -593,6 +593,22 @@ def lbfgs_text_pipeline(ctx, wl=WORKLOAD):
             .and_then(LBFGSSolver(max_iter=10), data, labels))
 
 
+def test_a_finished_session_is_freed_without_the_cycle_collector():
+    """Views hold no reference back to their session: a session left in
+    a cycle outlives its fit (and keeps its plan) until the next
+    collection, which raised the peak RSS of back-to-back fits."""
+    session = TrainingSession(optimize(text_pipeline), None)
+    session.run_serial()
+    session.finish()
+    ref = weakref.ref(session)
+    gc.disable()
+    try:
+        del session
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 class TestCollectedRows:
     """Rows an actor collect wave returns obey the plan's
     materialization decision: they enter the parent's budgeted cache

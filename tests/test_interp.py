@@ -216,3 +216,67 @@ def test_evaluate_matches_the_per_row_reference(
         assert operator.seen == rows_computed * per_row_items, ops[slot].label
     for pair, value in cache.items():
         assert freeze(value) == freeze(expected[pair])
+
+
+class TestPartitionView:
+    """The batch caller: partition ``i`` of a view is one ``CHUNK``
+    evaluation over partition ``i`` of its sources."""
+
+    @staticmethod
+    def _view(ctx, cached):
+        from repro.core.program import SOURCE, OpProgram
+
+        src = ctx.parallelize([np.full(2, float(x)) for x in range(6)], 3)
+        a, b = Scale(2.0, False), Scale(3.0, False)
+        ops = [
+            Op(0, 1, SOURCE, None, (), "src", ""),
+            Op(1, 2, TRANSFORM, a, (0,), "a", ""),
+            Op(2, 3, TRANSFORM, b, (1,), "b", ""),
+        ]
+        program = OpProgram(ops, root_slots=(2,))
+        ids = {2: ctx.next_dataset_id(), 3: ctx.next_dataset_id()}
+        view = interp.PartitionView(ctx, program, {1: src}, ids, cached)
+        return view, src, (a, b), ids
+
+    def test_uncached_ops_recompute_on_every_read(self):
+        from repro.dataset import Context
+
+        ctx = Context()
+        view, src, (a, b), ids = self._view(ctx, set())
+        first, again = view.partition(1), view.partition(1)
+        assert first is not again
+        assert [r.tobytes() for r in first] == [r.tobytes() for r in again]
+        assert (a.seen, b.seen) == (4, 4)
+        assert ctx.stats.compute_counts[ids[3]] == 2
+        assert not view.holds_partition(1)
+        expected = [(x * 2.0 + 1.0) * 3.0 + 1.0 for x in src.collect()]
+        assert [r.tobytes() for r in view.collect()] == [
+            r.tobytes() for r in expected
+        ]
+
+    def test_cached_root_reads_back_the_same_object(self):
+        from repro.dataset import Context
+        from repro.dataset.cache import PinnedPolicy
+
+        ctx = Context()
+        view, _src, (a, b), ids = self._view(ctx, {3})
+        ctx.set_policy(PinnedPolicy({ids[3]}))
+        assert not view.holds_partition(0)
+        first = view.partition(0)
+        assert view.holds_partition(0) and not view.holds_partition(1)
+        assert view.partition(0) is first
+        assert (a.seen, b.seen) == (2, 2)
+        ctx.cache.invalidate(lambda key: True)
+        assert not view.holds_partition(0)
+        assert view.partition(0) is not first
+
+    def test_cached_upstream_op_stops_the_walk(self):
+        from repro.dataset import Context
+
+        ctx = Context()
+        view, _src, (a, b), ids = self._view(ctx, {2})
+        view.partition(2)
+        view.partition(2)
+        assert (a.seen, b.seen) == (2, 4)
+        assert ctx.cache.contains((ids[2], 2))
+        assert not view.holds_partition(2)
