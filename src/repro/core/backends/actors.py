@@ -270,17 +270,16 @@ class ActorBackend(ExecutionBackend):
                 result = self._run_wave(session, pool, program, sources, [], spec)
             else:
                 # Collect the roots the parent's cache does not hold whole.
-                outputs = [
-                    (str(r.id), r)
+                out_slots = [
+                    (r.id, program.slot_of(r.id))
                     for r in roots
                     if r.kind != g.SOURCE and not _resident(session.dataset_of(r))
                 ]
-                if outputs:
-                    out_slots = [(name, program.slot_of(r.id)) for name, r in outputs]
+                if out_slots:
                     result = self._run_wave(
                         session, pool, program, sources, out_slots, None
                     )
-                    rows = {r.id: result["rows"][name] for name, r in outputs}
+                    rows = result["rows"]
         except (UnshippableFlow,) + _SHIP_ERRORS as exc:
             fallback = type(exc).__name__
         if fallback is not None:

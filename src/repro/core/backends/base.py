@@ -89,10 +89,8 @@ def recursive_apply_item(fitted: "FittedPipeline", item: Any) -> Any:
 
 
 def _op_timer(timer: ExclusiveTimer) -> Callable[[prog.Op, float, list], None]:
-    """The views' ``on_op`` hook: credit each transform's seconds to its
-    node in ``timer`` and record an op span when tracing.  It holds no
-    session, so views and session form no reference cycle: a finished
-    fit's session, plan included, is freed when the fit returns."""
+    """The views' ``on_op``: time (and trace) each transform.  It holds
+    no session, so a finished session is freed without the gc."""
 
     def on_op(op: prog.Op, seconds: float, _values: list) -> None:
         if op.kind != prog.TRANSFORM:
@@ -244,12 +242,9 @@ class TrainingSession:
 
     def collected_inputs(self, rows: Dict[int, List[list]]) -> Dict[int, Dataset]:
         """:meth:`fit_estimator` ``inputs`` from partitions computed
-        elsewhere (``rows``: root node id -> partitions).
-
-        A cached root's partitions go into ``ctx.cache`` under its view's
-        keys, as far as the policy and budget admit them; any other root,
-        or a cached one not wholly admitted, feeds this fit only.
-        """
+        elsewhere (``rows``: root node id -> partitions).  A cache-set
+        root's go into ``ctx.cache`` as far as it admits them; any other
+        root, or one not wholly admitted, feeds this fit only."""
         inputs = {}
         for node_id, parts in rows.items():
             if node_id in self.cache_ids:
@@ -374,16 +369,15 @@ class TrainingSession:
         return g.reachable([self.sink], g.ESTIMATOR)
 
     def run_serial(self, fit: Optional[Callable[[g.OpNode], Any]] = None) -> None:
-        """The schedule: fit every estimator in dependency order, one at
-        a time.  ``fit`` fits one estimator (default
-        :meth:`fit_estimator`; the actor backend passes its parallel fit).
+        """Fit every estimator in dependency order, one at a time, with
+        ``fit`` (default :meth:`fit_estimator`; the actor backend passes
+        its parallel fit).
 
         When the session owns its context (``ctx=None``), each cached
         node is released once the last estimator whose training flow
-        reads it has fitted; nothing reads it after that.  A union of
-        independent trials (a :class:`~repro.incremental.SweepPlanner`
-        sweep) thus holds about one trial's cached data at a time, not
-        the whole grid's.
+        reads it has fitted.  A union of independent trials (a
+        :class:`~repro.incremental.SweepPlanner` sweep) thus holds about
+        one trial's cached data at a time, not the whole grid's.
         """
         fit = fit or self.fit_estimator
         estimators = self.estimator_nodes()

@@ -104,9 +104,7 @@ def ancestors(
 
     for s in sinks:
         visit(s)
-    # ``visit`` refers to itself; break that cycle so ``parents_of`` (and
-    # whatever it holds, e.g. a training session) is freed on return.
-    del visit
+    del visit  # it refers to itself: free ``parents_of`` now, not at gc
     return order
 
 

@@ -188,15 +188,12 @@ def evaluate(
 
 class PartitionView(Dataset):
     """A lazy dataset: partition ``i`` is ``program``'s root evaluated
-    over partition ``i`` of ``sources`` (node id -> dataset).
-
-    One :data:`CHUNK` row per read, so each operator sees the partition a
-    ``map_partitions`` lineage would hand it.  A computed op is counted
-    in ``ctx.stats`` under ``ids[node id]`` (default: the view's id); one
-    whose node is in ``cached`` is probed in and stored to ``ctx.cache``
-    under ``(ids[node id], i)``.  The cache's policy and budget decide
-    what stays, a resident partition reads back as the same list object,
-    and every other op is recomputed on each read.
+    (one :data:`CHUNK` row) over partition ``i`` of ``sources`` (node id
+    -> dataset).  A computed op counts in ``ctx.stats`` under ``ids[node
+    id]`` (default: the view's id); one whose node is in ``cached`` is
+    probed in and stored to ``ctx.cache`` under ``(ids[node id], i)``,
+    whose policy and budget decide what stays.  A resident partition
+    reads back as the same list object; other ops recompute per read.
     """
 
     def __init__(

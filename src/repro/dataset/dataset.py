@@ -6,8 +6,10 @@ records how each partition is computed from its parents.  Actions
 which consults the context's :class:`~repro.dataset.cache.CacheManager`
 when the dataset is marked cached.  Every partition computation is recorded in
 :class:`~repro.dataset.context.ExecutionStats`, so recomputation caused by
-cache misses is directly observable — this is the mechanism behind the
-automatic-materialization experiments (paper Section 5.4).
+cache misses is directly observable.  Training flows are
+:class:`~repro.core.interp.PartitionView` datasets, which count and cache
+their ops the same way — the mechanism behind the automatic-materialization
+experiments (paper Section 5.4).
 """
 
 from __future__ import annotations
