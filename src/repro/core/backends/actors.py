@@ -46,11 +46,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.core import graph as g
 from repro.core import interp
 from repro.core import program as prog
-from repro.core.backends.base import ExecutionBackend, TrainingSession
+from repro.core.backends.base import ExecutionBackend, TrainingSession, resident
 from repro.core.operators import IterativeShardableEstimator
 from repro.core.program import UnshippableFlow
 from repro.dataset.context import Context
-from repro.dataset.dataset import Dataset
 from repro.obs import trace as obs_trace
 from repro.runtime import transport
 from repro.runtime.pool import ActorPool, _Msg, shared_actor_pool
@@ -273,7 +272,7 @@ class ActorBackend(ExecutionBackend):
                 out_slots = [
                     (r.id, program.slot_of(r.id))
                     for r in roots
-                    if r.kind != g.SOURCE and not _resident(session.dataset_of(r))
+                    if r.kind != g.SOURCE and not resident(session.dataset_of(r))
                 ]
                 if out_slots:
                     result = self._run_wave(
@@ -490,10 +489,6 @@ class ProcessPoolBackend(ActorBackend):
     backend, kept as a registry alias of :class:`ActorBackend`."""
 
     name = "process"
-
-
-def _resident(ds: Dataset) -> bool:
-    return all(ds.holds_partition(i) for i in range(ds.num_partitions))
 
 
 def _plan_chunks(sources, workers: int):

@@ -13,14 +13,11 @@ plan's DAG, fill the :class:`~repro.core.executor.TrainingReport`, return
 a ``FittedPipeline``.
 
 :class:`TrainingSession` holds the training semantics shared by every
-backend: estimators fit one at a time in dependency order
-(:meth:`TrainingSession.run_serial`), each reading its training flow as a
-:class:`~repro.core.interp.PartitionView` — the flow's lowered program,
-evaluated per partition under the plan's cache set and memory budget —
-and an :class:`~repro.core.executor.ExclusiveTimer` attributes per-node
-wall time.  Backends differ only in how one estimator fits: the local
-backend in-process, the actor backend by running the same programs on
-worker processes first.
+backend: estimators fit in dependency order (``run_serial``), each reading
+its flow as a :class:`~repro.core.interp.PartitionView` under the plan's
+cache set, and an :class:`~repro.core.executor.ExclusiveTimer` attributes
+per-node wall time.  Backends differ only in how one estimator fits:
+in-process, or first on actor worker processes.
 """
 
 from __future__ import annotations
@@ -86,6 +83,11 @@ def recursive_apply_item(fitted: "FittedPipeline", item: Any) -> Any:
         return value
 
     return eval_node(fitted.sink)
+
+
+def resident(ds: Dataset) -> bool:
+    """Whether every partition of ``ds`` is already held."""
+    return all(ds.holds_partition(i) for i in range(ds.num_partitions))
 
 
 def _op_timer(timer: ExclusiveTimer) -> Callable[[prog.Op, float, list], None]:
@@ -167,22 +169,12 @@ class TrainingSession:
         self.env: Dict[int, Dataset] = {}
         self.fitted: Dict[int, Transformer] = {}
         self._lock = threading.RLock()
-        # A node's partitions are counted (and cached) under a dataset id
-        # drawn from the context, never aliasing a caller's datasets.
         # Root every source now, while still single-threaded: re-rooting a
         # foreign dataset collects it eagerly, which must not happen under
         # the session lock once backend threads are running.
-        self.ids: Dict[int, int] = {}
-        for node in g.reachable([self.sink]):
-            if node.kind == g.SOURCE:
-                if not node.is_pipeline_input:
-                    self.dataset_of(node)
-            elif node.kind != g.ESTIMATOR:
-                self.ids[node.id] = ctx.next_dataset_id()
-        if not self.use_lru:
-            ctx.cache.policy.cache_set.update(
-                self.ids[n] for n in self.cache_ids if n in self.ids
-            )
+        for node in g.reachable([self.sink], g.SOURCE):
+            if not node.is_pipeline_input:
+                self.dataset_of(node)
 
         # Incremental training (repro.incremental): with a FitStore on the
         # plan, key the training DAG by content and splice stored fitted
@@ -211,7 +203,7 @@ class TrainingSession:
         """The dataset realizing ``node``'s training flow (memoized): a
         bound source re-rooted into the execution context, else a
         :class:`~repro.core.interp.PartitionView` of the flow's lowered
-        program (lowering fits the estimators whose models it applies)."""
+        program, reading each upstream cache-set node as that node's view."""
         with self._lock:
             ds = self.env.get(node.id)
             if ds is not None:
@@ -222,40 +214,44 @@ class TrainingSession:
                     # Re-root foreign datasets into the execution context
                     # so the caching policy applies uniformly.
                     ds = self.ctx.parallelize(ds.collect(), ds.num_partitions)
-                if node.id in self.cache_ids:
-                    ds.cache()
-                self.ids[node.id] = ds.id
             else:
                 program, sources = prog.lower_training_program(
-                    [node], source_of=self.source_of, model_of=self.fit_estimator
+                    [node],
+                    source_of=lambda n: self.source_of(n, root=node),
+                    model_of=self.fit_estimator,
                 )
-                ds = PartitionView(
-                    self.ctx, program, sources, self.ids, self.cache_ids, self.on_op
-                )
+                ds = PartitionView(self.ctx, program, sources, self.on_op)
+            if node.id in self.cache_ids:
+                ds.cache()
+                if not self.use_lru:
+                    self.ctx.cache.policy.cache_set.add(ds.id)
             self.env[node.id] = ds
             return ds
 
-    def source_of(self, node: g.OpNode) -> Optional[Dataset]:
-        if node.kind == g.SOURCE and not node.is_pipeline_input:
+    def source_of(
+        self, node: g.OpNode, root: Optional[g.OpNode] = None
+    ) -> Optional[Dataset]:
+        """The dataset a lowering reads ``node`` from: a bound source's,
+        or, lowering ``root``'s view, another cache-set node's view."""
+        if (node.kind == g.SOURCE and not node.is_pipeline_input) or (
+            root is not None and node is not root and node.id in self.cache_ids
+        ):
             return self.dataset_of(node)
         return None
 
     def collected_inputs(self, rows: Dict[int, List[list]]) -> Dict[int, Dataset]:
-        """:meth:`fit_estimator` ``inputs`` from partitions computed
-        elsewhere (``rows``: root node id -> partitions).  A cache-set
-        root's go into ``ctx.cache`` as far as it admits them; any other
-        root, or one not wholly admitted, feeds this fit only."""
+        """:meth:`fit_estimator` ``inputs`` from rows computed elsewhere
+        (root node id -> partitions): a cache-set root's enter ``ctx.cache``;
+        a root not then wholly resident feeds this fit only."""
         inputs = {}
         for node_id, parts in rows.items():
-            if node_id in self.cache_ids:
-                key_id, cache = self.ids[node_id], self.ctx.cache
-                admitted = [
-                    cache.put((key_id, i), part, estimate_size(part))
-                    for i, part in enumerate(parts)
-                ]
-                if all(admitted):
-                    continue
-            inputs[node_id] = Dataset(self.ctx, len(parts), _StoredPartitions(parts))
+            ds = self.env[node_id]
+            if ds.should_cache:
+                for i, part in enumerate(parts):
+                    self.ctx.cache.put((ds.id, i), part, estimate_size(part))
+            # Checked after every put: one may have evicted an earlier one.
+            if not resident(ds):
+                inputs[node_id] = Dataset(self.ctx, len(parts), _StoredPartitions(parts))
         return inputs
 
     # ------------------------------------------------------------------
@@ -265,10 +261,7 @@ class TrainingSession:
         self, node: g.OpNode, inputs: Optional[Dict[int, Dataset]] = None
     ) -> Transformer:
         """Fit one estimator node (memoized); the pipeline-breaker step.
-
-        ``inputs`` replaces the dataset of some parents for this fit
-        only (see :meth:`collected_inputs`).
-        """
+        ``inputs`` stand in for some parents' datasets in this fit only."""
         inputs = inputs or {}
         with self._lock:
             if node.id in self.fitted:
@@ -294,12 +287,8 @@ class TrainingSession:
         return model
 
     def store_fit(self, node: g.OpNode, model: Transformer) -> None:
-        """Record a model fitted this run: the session's memo, its
-        estimator seconds, ``refit_ops`` and the FitStore (if attached).
-
-        Called by every path that fits an estimator (``fit_estimator``
-        and the actor backend's stat-merge and in-worker paths).
-        """
+        """Record a model fitted this run, by any path: the session's
+        memo, its estimator seconds, ``refit_ops`` and the FitStore."""
         with self._lock:
             self.fitted[node.id] = model
             self.report.estimator_seconds[node.id] = self.timer.times[node.id]
@@ -398,9 +387,8 @@ class TrainingSession:
             if not self.owns_ctx:
                 continue
             for node_id, reader in last_reader.items():
-                if reader == est.id and node_id in self.ids:
-                    key_id = self.ids[node_id]
-                    self.ctx.cache.invalidate(lambda key: key[0] == key_id)
+                if reader == est.id and node_id in self.env:
+                    self.env[node_id].unpersist()
 
     # ------------------------------------------------------------------
     # Wrap-up

@@ -32,7 +32,7 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.profiler import PipelineProfile
 from repro.dataset.context import Context
@@ -81,14 +81,19 @@ class ExclusiveTimer:
             stack[-1] += total
 
     def add(self, node_id: Any, seconds: float) -> None:
-        """Credit seconds measured elsewhere: in a worker process, or by
-        the evaluator for an op run inside this thread's open frame,
-        which then excludes them."""
+        """Credit seconds measured elsewhere (a worker, or an evaluator op
+        run inside this thread's open frame, which then excludes them)."""
         with self._lock:
             self.times[node_id] += seconds
         stack = self._stack
         if stack:
             stack[-1] += seconds
+
+    def wrap(self, node_id: Any, fn: Callable) -> Callable:
+        def wrapped(*args, **kwargs):
+            with self.time_block(node_id):
+                return fn(*args, **kwargs)
+        return wrapped
 
     @contextmanager
     def time_block(self, node_id: Any):

@@ -12,12 +12,9 @@ cache candidates) and an ``on_op(op, seconds, values)`` hook.
 parent runs it against its mirror of a worker's cache to decide what to
 ship, so parent and worker cannot disagree about what a program reads.
 
-:class:`PartitionView` is the batch caller: a lazy ``Dataset`` whose
-partition ``i`` is one ``CHUNK`` evaluation over partition ``i`` of its
-sources.  The parent's training flows (``TrainingSession``) and batch
-inference (``FittedPipeline.apply_dataset``) are such views, so the
-parent and the actor workers run the same lowered programs through this
-one function.
+:class:`PartitionView` is the batch caller: the parent's training flows
+and ``FittedPipeline.apply_dataset`` are such views, so the parent and
+the actor workers run the same lowered programs through this function.
 
 Outside on purpose: ``recursive_apply_item`` (the reference the tests
 compare this module against), the profiler's sampling walk
@@ -33,7 +30,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from repro.core import graph as g
 from repro.core.program import GATHER, TRANSFORM, Op, OpProgram
 from repro.dataset.dataset import Dataset
-from repro.dataset.sizing import estimate_size
 
 Probe = Callable[[Op, int], Tuple[bool, Any]]
 Store = Callable[[Op, Sequence[int], list], None]
@@ -189,20 +185,14 @@ def evaluate(
 class PartitionView(Dataset):
     """A lazy dataset: partition ``i`` is ``program``'s root evaluated
     (one :data:`CHUNK` row) over partition ``i`` of ``sources`` (node id
-    -> dataset).  A computed op counts in ``ctx.stats`` under ``ids[node
-    id]`` (default: the view's id); one whose node is in ``cached`` is
-    probed in and stored to ``ctx.cache`` under ``(ids[node id], i)``,
-    whose policy and budget decide what stays.  A resident partition
-    reads back as the same list object; other ops recompute per read.
-    """
+    -> dataset), counting every computed op in ``ctx.stats``.  It caches
+    like any ``Dataset``; uncached, every read recomputes its ops."""
 
     def __init__(
         self,
         ctx,
         program: OpProgram,
         sources: Dict[int, Dataset],
-        ids: Optional[Dict[int, int]] = None,
-        cached: set = frozenset(),
         on_op: Optional[Callable[[Op, float, list], None]] = None,
     ):
         counts = {ds.num_partitions for ds in sources.values()}
@@ -210,47 +200,19 @@ class PartitionView(Dataset):
             raise ValueError(f"sources disagree on partitioning: {sorted(counts)}")
         super().__init__(ctx, counts.pop(), None, tuple(sources.values()))
         self.program, self.sources, self.on_op = program, sources, on_op
-        self.ids = ids or {}
-        self.cached = {
-            op.node_id
-            for op in program
-            if op.node_id in cached and op.kind in (TRANSFORM, GATHER)
-        }
 
-    def _key(self, op: Op, i: int) -> Optional[Tuple[int, int]]:
-        return (self.ids[op.node_id], i) if op.node_id in self.cached else None
-
-    def partition(self, i: int) -> list:
-        if not 0 <= i < self.num_partitions:
-            raise IndexError(f"partition {i} out of range [0, {self.num_partitions})")
-        cache = self.ctx.cache
+    def _compute(self, i: int) -> list:
+        root, stats = self.program.sink_slot, self.ctx.stats
 
         def leaf(op: Op) -> list:
             return [[self.sources[op.node_id].partition(i)]]
 
-        def probe(op: Op, _row: int) -> Tuple[bool, Any]:
-            key = self._key(op, i)
-            part = None if key is None else cache.get(key)
-            return part is not None, [part]
+        def count(op: Op, _rows: Sequence[int], values: list) -> None:
+            # ``Dataset.partition`` counts the root's partition.
+            if op.kind in (TRANSFORM, GATHER) and op.slot != root:
+                stats.record_compute(self.id, len(values[0][0]))
 
-        def store(op: Op, _rows: Sequence[int], values: list) -> None:
-            if op.kind in (TRANSFORM, GATHER):
-                self.ctx.stats.record_compute(self.ids.get(op.node_id, self.id))
-            if op.node_id in self.cached:
-                part = values[0][0]
-                cache.put(self._key(op, i), part, estimate_size(part))
-
-        slot = self.program.sink_slot
         values = evaluate(
-            self.program.ops, [slot], 1, leaf, CHUNK, probe, store, self.on_op
+            self.program.ops, [root], 1, leaf, CHUNK, None, count, self.on_op
         )
-        return values[slot][0][0]
-
-    def holds_partition(self, i: int) -> bool:
-        """Whether the root's partition ``i`` is resident in ``ctx.cache``."""
-        key = self._key(self.program.ops[self.program.sink_slot], i)
-        return key is not None and self.ctx.cache.contains(key)
-
-    def __reduce__(self):
-        # Pickles as a plain Dataset of its materialized partitions.
-        return Dataset.__new__, (Dataset,), self.__getstate__()
+        return values[root][0][0]

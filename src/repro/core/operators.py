@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 
 class Transformer:
-    """Deterministic item-level function.
+    """Deterministic item-level function; maps datasets element-wise.
 
     Subclasses implement :meth:`apply`.  Bulk application defaults to a
     per-element map; operators with a faster batched path (BLAS over a whole
@@ -40,6 +40,10 @@ class Transformer:
 
     def apply_partition(self, items: List[Any]) -> List[Any]:
         return [self.apply(x) for x in items]
+
+    def apply_dataset(self, data: "Dataset") -> "Dataset":
+        return data.map_partitions(self.apply_partition,
+                                   name=type(self).__name__)
 
     def columnar_kernel(self):
         """Batch-invariant columnar kernel for this transformer, or None.

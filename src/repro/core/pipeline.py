@@ -250,9 +250,8 @@ class FittedPipeline(Transformer):
         return self.inference_plan().run_item(item)
 
     def apply_dataset(self, data: Dataset) -> Dataset:
-        """Batch inference: a lazy
-        :class:`~repro.core.interp.PartitionView` of the compiled
-        inference program over ``data``, one partition at a time."""
+        """Batch inference: a lazy :class:`~repro.core.interp.PartitionView`
+        of the compiled inference program over ``data``."""
         from repro.core.interp import PartitionView
 
         program = self.inference_plan().program

@@ -4,7 +4,7 @@ KeystoneML executes pipelines over lazy, partitioned, lineage-tracked
 collections.  This package provides the same semantics in a single process:
 
 - :class:`~repro.dataset.dataset.Dataset` — a lazy partitioned collection
-  supporting ``map``/``map_partitions``/``cache`` with deterministic
+  supporting ``map``/``map_partitions``/``zip``/``cache`` with deterministic
   recompute-on-cache-miss.
 - :class:`~repro.dataset.cache.CacheManager` — a byte-budgeted cache with
   pluggable eviction policies (LRU, Spark-style admission-controlled LRU).

@@ -23,12 +23,14 @@ class ExecutionStats:
     """
 
     compute_counts: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
+    elements_computed: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
-    def record_compute(self, dataset_id: int) -> None:
+    def record_compute(self, dataset_id: int, num_elements: int) -> None:
         with self._lock:
             self.compute_counts[dataset_id] += 1
+            self.elements_computed += num_elements
 
     def total_computations(self) -> int:
         return sum(self.compute_counts.values())
@@ -36,6 +38,7 @@ class ExecutionStats:
     def reset(self) -> None:
         with self._lock:
             self.compute_counts.clear()
+            self.elements_computed = 0
 
 
 class Context:

@@ -6,16 +6,14 @@ records how each partition is computed from its parents.  Actions
 which consults the context's :class:`~repro.dataset.cache.CacheManager`
 when the dataset is marked cached.  Every partition computation is recorded in
 :class:`~repro.dataset.context.ExecutionStats`, so recomputation caused by
-cache misses is directly observable.  Training flows are
-:class:`~repro.core.interp.PartitionView` datasets, which count and cache
-their ops the same way — the mechanism behind the automatic-materialization
-experiments (paper Section 5.4).
+cache misses is directly observable — this is the mechanism behind the
+automatic-materialization experiments (paper Section 5.4).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, List, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.dataset.context import Context
 from repro.dataset.sizing import estimate_size
@@ -64,19 +62,20 @@ class Dataset:
     """A lazy partitioned collection with deterministic recompute semantics.
 
     Instances are created via :meth:`Context.parallelize` or by transforming
-    existing datasets.  Transformations (``map``, ``map_partitions``) are lazy;
+    existing datasets.  Transformations (``map``, ``zip``, ...) are lazy;
     actions (``collect``, ``count``, ...) force computation partition by
     partition.
     """
 
     def __init__(self, ctx: Context, num_partitions: int,
-                 compute: Callable[[int], List[Any]],
+                 compute: Optional[Callable[[int], List[Any]]],
                  parents: Tuple["Dataset", ...] = (),
                  name: str = ""):
         self.ctx = ctx
         self.id = ctx.next_dataset_id()
         self.num_partitions = num_partitions
-        self._compute = compute
+        if compute is not None:  # else a subclass defines _compute
+            self._compute = compute
         self.parents = parents
         self.name = name or f"dataset-{self.id}"
         self.should_cache = False
@@ -111,7 +110,7 @@ class Dataset:
             raise IndexError(f"partition {i} out of range [0, {self.num_partitions})")
         if not self.should_cache:
             rows = self._compute(i)
-            self.ctx.stats.record_compute(self.id)
+            self.ctx.stats.record_compute(self.id, len(rows))
             return rows
         key = (self.id, i)
         hit = self.ctx.cache.get(key)
@@ -127,7 +126,7 @@ class Dataset:
             if hit is not None:
                 return hit
             rows = self._compute(i)
-            self.ctx.stats.record_compute(self.id)
+            self.ctx.stats.record_compute(self.id, len(rows))
             self.ctx.cache.put(key, rows, estimate_size(rows))
             return rows
 
@@ -195,6 +194,23 @@ class Dataset:
 
         return Dataset(self.ctx, self.num_partitions, compute, (self,),
                        name or f"map_partitions({self.name})")
+
+    def zip(self, other: "Dataset", name: str = "") -> "Dataset":
+        """Pairwise zip; both datasets must have identical partitioning."""
+        if other.num_partitions != self.num_partitions:
+            raise ValueError(
+                "zip requires equal partition counts: "
+                f"{self.num_partitions} != {other.num_partitions}")
+
+        def compute(i: int) -> List[Any]:
+            left, right = self.partition(i), other.partition(i)
+            if len(left) != len(right):
+                raise ValueError(
+                    f"zip partition {i} length mismatch: {len(left)} != {len(right)}")
+            return list(zip(left, right))
+
+        return Dataset(self.ctx, self.num_partitions, compute, (self, other),
+                       name or f"zip({self.name},{other.name})")
 
     # ------------------------------------------------------------------
     # Caching

@@ -39,7 +39,7 @@ import multiprocessing
 import os
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 
 def _proc_name() -> str:
@@ -332,6 +332,31 @@ def absorb(records: Optional[Iterable[Dict[str, Any]]]) -> None:
     tracer = _active
     if tracer is not None:
         tracer.absorb(records)
+
+
+def instrument(
+    name: str,
+    fn: Callable[..., Any],
+    *,
+    cat: str = "op",
+    key: Optional[str] = None,
+    node_id: Optional[int] = None,
+) -> Callable[..., Any]:
+    """Wrap ``fn`` so each call runs under a span when tracing is active.
+
+    The disabled path costs one global read and a branch per call — safe
+    to leave on hot per-partition code paths permanently.
+    """
+    span_args = {"node_id": node_id} if node_id is not None else None
+
+    def traced(*args: Any, **kwargs: Any) -> Any:
+        tracer = _active
+        if tracer is None:
+            return fn(*args, **kwargs)
+        with tracer.span(name, cat=cat, key=key, args=span_args):
+            return fn(*args, **kwargs)
+
+    return traced
 
 
 # ----------------------------------------------------------------------

@@ -300,6 +300,38 @@ class TestConcurrentTraining:
             reference
 
 
+    def test_shared_cached_featurization_computes_once(self, monkeypatch):
+        """Two solver fits on a thread pool pull the same cold cached
+        featurization: each partition is evaluated once, the other
+        fit waiting for it rather than running the flow again."""
+        from repro.core import interp
+
+        passes = passes_for_level("full", sample_sizes=(20, 40),
+                                  cache_strategy="lru",
+                                  mem_budget_bytes=1e8)
+        plan = Optimizer(passes).optimize(branching_pipeline(Context()))
+        session = TrainingSession(plan, None)
+        selector, *solvers = session.estimator_nodes()
+        session.fit_estimator(selector)
+        transform, gather = interp.CHUNK
+        evaluated = []
+
+        def slow_transform(operator, column):
+            if type(operator).__name__ == "SparseFeatureVectorizer":
+                evaluated.append(len(column[0]))
+                time.sleep(0.02)
+            return transform(operator, column)
+
+        monkeypatch.setattr(interp, "CHUNK",
+                            interp.Grain(slow_transform, gather))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(session.fit_estimator, solvers))
+        monkeypatch.undo()
+        featurized = session.dataset_of(solvers[0].parents[0])
+        assert len(evaluated) == featurized.num_partitions
+        assert featurized.should_cache
+
+
 def _sweep_total(sweep, w):
     return sum(sweep[w].values())
 
@@ -609,17 +641,31 @@ def test_a_finished_session_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_cached_batch_inference_reads_back_the_same_rows():
+    """``apply_dataset`` returns a dataset whose ``cache()`` holds: a
+    second read of a partition is the first read's list, computed once."""
+    fitted = optimize(text_pipeline).execute()
+    ctx = Context()
+    out = fitted.apply_dataset(WORKLOAD.test_data(ctx)).cache()
+    first = out.partition(0)
+    computed = ctx.stats.total_computations()
+    assert out.holds_partition(0)
+    assert out.partition(0) is first
+    assert ctx.stats.total_computations() == computed
+
+
 class TestCollectedRows:
     """Rows an actor collect wave returns obey the plan's
     materialization decision: they enter the parent's budgeted cache
     only for cache-set nodes, and otherwise live for one fit."""
 
     @staticmethod
-    def _fit(monkeypatch, level, budget):
+    def _fit(monkeypatch, level, budget, **kw):
+        from repro.core import interp
         from repro.core.backends import actors
         from repro.dataset.cache import CacheManager
 
-        collected, alive_after_fit, used = [], [], []
+        collected, alive_after_fit, used, evaluated = [], [], [], []
         run_wave, fit_parallel = actors.ActorBackend._run_wave, \
             actors.ActorBackend._fit_parallel
         put = CacheManager.put
@@ -646,10 +692,18 @@ class TestCollectedRows:
 
         monkeypatch.setattr(actors.ActorBackend, "_run_wave", recording_wave)
         monkeypatch.setattr(actors.ActorBackend, "_fit_parallel", checked_fit)
-        monkeypatch.setattr(CacheManager, "put", recording_put)
         passes = passes_for_level(level, sample_sizes=(20, 40),
-                                  mem_budget_bytes=budget)
+                                  mem_budget_bytes=budget, **kw)
         plan = Optimizer(passes).optimize(lbfgs_text_pipeline(Context()))
+        transform, gather = interp.CHUNK
+
+        def recording_transform(operator, column):
+            evaluated.append(type(operator).__name__)
+            return transform(operator, column)
+
+        monkeypatch.setattr(interp, "CHUNK",
+                            interp.Grain(recording_transform, gather))
+        monkeypatch.setattr(CacheManager, "put", recording_put)
         fitted = plan.execute(backend=ActorBackend(
             workers=2, task_timeout=PROCESS_TIMEOUT, reuse_pool=False))
         monkeypatch.undo()
@@ -659,12 +713,13 @@ class TestCollectedRows:
         docs = WORKLOAD.test_items
         assert comparable([fitted.apply(x) for x in docs]) == comparable(
             [expected.apply(x) for x in docs])
-        return fitted.training_report, dict(alive_after_fit), used
+        return fitted.training_report, dict(alive_after_fit), used, evaluated
 
     def test_uncached_rows_die_with_their_fit(self, monkeypatch):
         """At level ``none`` (empty cache set) no collected row outlives
         the fit that collected it."""
-        report, alive, _used = self._fit(monkeypatch, "none", float("inf"))
+        report, alive, _used, _evaluated = self._fit(
+            monkeypatch, "none", float("inf"))
         assert not report.cache_set
         assert alive["LBFGSSolver"] == 0
 
@@ -672,10 +727,22 @@ class TestCollectedRows:
         """With a cache set under a tight budget, the parent's cache
         never holds more than the budget, collected rows included."""
         budget = 2e5
-        report, _alive, used = self._fit(monkeypatch, "full", budget)
+        report, _alive, used, _evaluated = self._fit(
+            monkeypatch, "full", budget)
         assert "apply(CommonSparseFeatures)" in report.cache_set_labels
         assert used and all(u <= b for u, b in used)
         assert max(u for u, _b in used) > 0
+
+    def test_rows_an_lru_cache_does_not_keep_whole_feed_the_fit(
+            self, monkeypatch):
+        """Under LRU a put may evict an earlier partition of the same
+        collected root; the fit then reads the collected rows, so the
+        parent never featurizes again (every L-BFGS pass would)."""
+        report, _alive, used, evaluated = self._fit(
+            monkeypatch, "full", 5e4, cache_strategy="lru")
+        assert "apply(CommonSparseFeatures)" in report.cache_set_labels
+        assert used and all(u <= b for u, b in used)
+        assert evaluated == []
 
 
 class TestShardingPass:
@@ -796,18 +863,20 @@ class TestExclusiveTimerThreadSafety:
         """Nested time on one thread must not leak into another's frame."""
         timer = ExclusiveTimer()
 
+        def inner():
+            time.sleep(0.03)
+
+        wrapped_inner = timer.wrap("inner", inner)
+
         def outer():
-            with timer.time_block("outer"):
-                with timer.time_block("inner"):
-                    time.sleep(0.03)
-                time.sleep(0.03)
+            wrapped_inner()
+            time.sleep(0.03)
 
         def other():
-            with timer.time_block("other"):
-                time.sleep(0.08)
+            time.sleep(0.08)
 
-        threads = [threading.Thread(target=outer),
-                   threading.Thread(target=other)]
+        threads = [threading.Thread(target=timer.wrap("outer", outer)),
+                   threading.Thread(target=timer.wrap("other", other))]
         for t in threads:
             t.start()
         for t in threads:
@@ -822,10 +891,11 @@ class TestExclusiveTimerThreadSafety:
         """4 threads x 20 timed calls must all land in the accumulator."""
         timer = ExclusiveTimer()
         calls_per_thread, sleep = 20, 0.002
+        fn = timer.wrap("x", lambda: time.sleep(sleep))
+
         def hammer():
             for _ in range(calls_per_thread):
-                with timer.time_block("x"):
-                    time.sleep(sleep)
+                fn()
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for t in threads:

@@ -62,6 +62,23 @@ class TestTransformations:
         out = ds.map_partitions(lambda rows: [sum(rows)])
         assert out.collect() == [sum(range(5)), sum(range(5, 10))]
 
+    def test_zip(self, ctx):
+        a = ctx.parallelize(range(6), 3)
+        b = a.map(lambda x: x * 10)
+        assert a.zip(b).collect() == [(x, x * 10) for x in range(6)]
+
+    def test_zip_partition_mismatch(self, ctx):
+        a = ctx.parallelize(range(6), 3)
+        b = ctx.parallelize(range(6), 2)
+        with pytest.raises(ValueError, match="partition counts"):
+            a.zip(b)
+
+    def test_zip_length_mismatch(self, ctx):
+        a = ctx.parallelize(range(6), 2)
+        b = a.map_partitions(lambda rows: rows[1:])
+        with pytest.raises(ValueError, match="length mismatch"):
+            a.zip(b).collect()
+
 
 class TestActions:
     def test_count(self, ctx):

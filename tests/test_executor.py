@@ -142,10 +142,17 @@ class TestExclusiveTimer:
         import time
 
         timer = ExclusiveTimer()
-        with timer.time_block("outer"):
-            with timer.time_block("inner"):
-                time.sleep(0.02)
+
+        def inner():
             time.sleep(0.02)
+
+        def outer():
+            wrapped_inner()
+            time.sleep(0.02)
+
+        wrapped_inner = timer.wrap("inner", inner)
+        wrapped_outer = timer.wrap("outer", outer)
+        wrapped_outer()
         assert timer.times["inner"] == pytest.approx(0.02, abs=0.015)
         assert timer.times["outer"] == pytest.approx(0.02, abs=0.015)
 
@@ -159,9 +166,9 @@ class TestExclusiveTimer:
 
     def test_accumulates_over_calls(self):
         timer = ExclusiveTimer()
-        for _ in range(2):
-            with timer.time_block("x"):
-                pass
+        fn = timer.wrap("x", lambda: None)
+        fn()
+        fn()
         assert timer.times["x"] >= 0
 
     def test_added_seconds_leave_the_open_frame(self):

@@ -220,47 +220,51 @@ def test_evaluate_matches_the_per_row_reference(
 
 class TestPartitionView:
     """The batch caller: partition ``i`` of a view is one ``CHUNK``
-    evaluation over partition ``i`` of its sources."""
+    evaluation over partition ``i`` of its sources; caching is the
+    ``Dataset``'s own."""
 
     @staticmethod
-    def _view(ctx, cached):
+    def _view(ctx, source, first_id=1):
         from repro.core.program import SOURCE, OpProgram
 
-        src = ctx.parallelize([np.full(2, float(x)) for x in range(6)], 3)
         a, b = Scale(2.0, False), Scale(3.0, False)
         ops = [
-            Op(0, 1, SOURCE, None, (), "src", ""),
-            Op(1, 2, TRANSFORM, a, (0,), "a", ""),
-            Op(2, 3, TRANSFORM, b, (1,), "b", ""),
+            Op(0, first_id, SOURCE, None, (), "src", ""),
+            Op(1, first_id + 1, TRANSFORM, a, (0,), "a", ""),
+            Op(2, first_id + 2, TRANSFORM, b, (1,), "b", ""),
         ]
         program = OpProgram(ops, root_slots=(2,))
-        ids = {2: ctx.next_dataset_id(), 3: ctx.next_dataset_id()}
-        view = interp.PartitionView(ctx, program, {1: src}, ids, cached)
-        return view, src, (a, b), ids
+        return interp.PartitionView(ctx, program, {first_id: source}), (a, b)
+
+    @staticmethod
+    def _source(ctx):
+        return ctx.parallelize([np.full(2, float(x)) for x in range(6)], 3)
 
     def test_uncached_ops_recompute_on_every_read(self):
         from repro.dataset import Context
 
         ctx = Context()
-        view, src, (a, b), ids = self._view(ctx, set())
+        src = self._source(ctx)
+        view, (a, b) = self._view(ctx, src)
         first, again = view.partition(1), view.partition(1)
         assert first is not again
         assert [r.tobytes() for r in first] == [r.tobytes() for r in again]
         assert (a.seen, b.seen) == (4, 4)
-        assert ctx.stats.compute_counts[ids[3]] == 2
+        assert ctx.stats.compute_counts[view.id] == 4
         assert not view.holds_partition(1)
         expected = [(x * 2.0 + 1.0) * 3.0 + 1.0 for x in src.collect()]
         assert [r.tobytes() for r in view.collect()] == [
             r.tobytes() for r in expected
         ]
 
-    def test_cached_root_reads_back_the_same_object(self):
+    def test_cached_view_reads_back_the_same_object(self):
         from repro.dataset import Context
         from repro.dataset.cache import PinnedPolicy
 
         ctx = Context()
-        view, _src, (a, b), ids = self._view(ctx, {3})
-        ctx.set_policy(PinnedPolicy({ids[3]}))
+        view, (a, b) = self._view(ctx, self._source(ctx))
+        ctx.set_policy(PinnedPolicy({view.id}))
+        view.cache()
         assert not view.holds_partition(0)
         first = view.partition(0)
         assert view.holds_partition(0) and not view.holds_partition(1)
@@ -270,13 +274,48 @@ class TestPartitionView:
         assert not view.holds_partition(0)
         assert view.partition(0) is not first
 
-    def test_cached_upstream_op_stops_the_walk(self):
+    def test_cached_upstream_view_stops_the_walk(self):
         from repro.dataset import Context
 
         ctx = Context()
-        view, _src, (a, b), ids = self._view(ctx, {2})
-        view.partition(2)
-        view.partition(2)
-        assert (a.seen, b.seen) == (2, 4)
-        assert ctx.cache.contains((ids[2], 2))
-        assert not view.holds_partition(2)
+        inner, (a, b) = self._view(ctx, self._source(ctx))
+        inner.cache()
+        outer, (c, d) = self._view(ctx, inner, first_id=10)
+        outer.partition(2)
+        outer.partition(2)
+        assert (a.seen, b.seen, c.seen, d.seen) == (2, 2, 4, 4)
+        assert ctx.cache.contains((inner.id, 2))
+        assert not outer.holds_partition(2)
+
+    def test_concurrent_reads_compute_a_cold_partition_once(self):
+        """Threads pulling the same cold partition of a cached view wait
+        for one evaluation instead of each running the whole flow."""
+        import threading
+        import time
+
+        from repro.dataset import Context
+
+        ctx = Context()
+        view, (a, b) = self._view(ctx, self._source(ctx))
+        apply = a.apply
+
+        def slow(row):
+            time.sleep(0.01)
+            return apply(row)
+
+        a.apply = slow
+        view.cache()
+        barrier = threading.Barrier(4)
+        got = []
+
+        def pull():
+            barrier.wait()
+            got.append(view.partition(0))
+
+        threads = [threading.Thread(target=pull) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert (a.seen, b.seen) == (2, 2)
+        assert all(part is got[0] for part in got)

@@ -123,6 +123,18 @@ class TestModuleLevelFastPath:
         assert not obs_trace.enabled()
         assert len(tracer) == 1
 
+    def test_instrument_checks_per_call(self):
+        calls = []
+        fn = obs_trace.instrument("wrapped", lambda v: calls.append(v), node_id=1)
+        fn(1)  # disabled: plain call
+        tracer = obs_trace.enable()
+        fn(2)
+        obs_trace.disable()
+        fn(3)
+        assert calls == [1, 2, 3]
+        assert len(tracer) == 1
+        assert tracer.spans[0]["args"] == {"node_id": 1}
+
 
 class TestMetricsRegistry:
     def test_counter_gauge_histogram(self):
