@@ -299,7 +299,6 @@ class TestConcurrentTraining:
         assert comparable([row for part in parts for row in part]) == \
             reference
 
-
     def test_shared_cached_featurization_computes_once(self, monkeypatch):
         """Two solver fits on a thread pool pull the same cold cached
         featurization: each partition is evaluated once, the other
