@@ -15,13 +15,12 @@ The workers *keep* what they compute:
   estimator and fit sharing the flow prefix; the parent's mirror of each
   worker's cache (the keys it reported holding after its last run) lets
   it skip shipping data the worker already holds;
-- :class:`~repro.core.operators.IterativeShardableEstimator` fits
-  (k-means, GMM, L-BFGS logistic) run their per-pass reductions
-  in-worker: only broadcast payloads and per-partition statistics cross
-  the process boundary, never the data;
-- one-shot :class:`~repro.core.operators.ShardableEstimator` fits merge
-  per-partition statistics in the estimator's serial reduction order;
-  everything else collects featurized rows and fits in the parent
+- shardable estimators fit by :func:`~repro.core.operators.fit_by_rounds`
+  with a wave as its round: a one-shot fit is one wave of per-partition
+  statistics, and iterative fits (k-means, GMM, L-BFGS logistic) stage
+  their shards in-worker, so a pass ships only the broadcast payload
+  and the statistics, never the data;
+- everything else collects featurized rows and fits in the parent
   (:meth:`TrainingSession.collected_inputs`: rows of a cache-set node
   enter the parent's budgeted cache, other rows live for that fit only);
 - partitions ship zero-copy (:mod:`repro.runtime.transport`); worker
@@ -29,11 +28,10 @@ The workers *keep* what they compute:
   vs. mapped land in the :class:`~repro.core.executor.TrainingReport`.
 
 Byte identity holds by construction: workers evaluate the same ops over
-the same partition boundaries as the parent's views, merges replay the
-serial reduction, and iterative fits drive the exact
-:meth:`~repro.core.operators.IterativeShardableEstimator.fit_via_passes`
-state machine.  A flow that cannot be pickled fits in the parent instead
-(recorded in ``TrainingReport.process_fallback``), never failing the run.
+the same partition boundaries as the parent's views, and every
+statistics fit runs the same driver as the serial one.  A flow that
+cannot be pickled fits in the parent instead (recorded in
+``TrainingReport.process_fallback``), never failing the run.
 """
 
 from __future__ import annotations
@@ -41,13 +39,14 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core import graph as g
 from repro.core import interp
 from repro.core import program as prog
 from repro.core.backends.base import ExecutionBackend, TrainingSession, resident
-from repro.core.operators import IterativeShardableEstimator
+from repro.core.operators import IterativeShardableEstimator, ShardableEstimator
 from repro.core.program import UnshippableFlow
 from repro.dataset.context import Context
 from repro.obs import trace as obs_trace
@@ -112,16 +111,6 @@ def _lower_shard_program(
         compute_keys=True,
         source_key_of=source_key_of,
     )
-
-
-def _make_pass_builder(task_id: int, payload):
-    def builder(actor) -> _Msg:
-        msg = ("pass", task_id, payload)
-        if obs_trace.enabled():
-            msg += (True,)
-        return _Msg(msg)
-
-    return builder
 
 
 class ActorBackend(ExecutionBackend):
@@ -224,14 +213,13 @@ class ActorBackend(ExecutionBackend):
         node: g.OpNode,
         dataset_memo: Dict[int, str],
     ) -> None:
-        """Fit one estimator by in-worker passes, a stats merge or a
-        parent fit over collected rows; else by the session's own fit."""
+        """Fit one estimator by the statistics driver over actor rounds or
+        by a parent fit over collected rows; else by the session's own fit."""
         report = session.report
         if node.id in session.fitted:
             # Spliced from the session's FitStore by training key (warm
             # retrain): nothing to ship, no wave to run.
             return
-        op = node.op
         roots = list(node.parents)
         try:
             program, sources = _lower_shard_program(roots, session, dataset_memo)
@@ -245,28 +233,18 @@ class ActorBackend(ExecutionBackend):
             session.fit_estimator(node)
             return
 
-        iterative_ok = isinstance(op, IterativeShardableEstimator)
-        stats_ok = hasattr(op, "partition_stats") and hasattr(op, "fit_from_stats")
+        by_rounds = isinstance(
+            node.op, (ShardableEstimator, IterativeShardableEstimator)
+        )
+        rows: Dict[int, list] = {}
         # Only shipping work may fall back: an error raised by the
         # estimator's own math must surface as-is (ship-shaped errors
         # from in-worker fits re-raise identically from the serial
         # fallback).
-        model = None
-        fallback = None
-        rows: Dict[int, list] = {}
         try:
-            if iterative_ok:
-                with obs_trace.span(
-                    f"fit:{node.label}",
-                    cat="fit",
-                    args={"node_id": node.id},
-                ):
-                    model = self._fit_iterative(
-                        session, pool, node, program, sources, roots
-                    )
-            elif stats_ok:
-                spec = (node.id, op, tuple(program.slot_of(r.id) for r in roots))
-                result = self._run_wave(session, pool, program, sources, [], spec)
+            if by_rounds:
+                with self._stats_round(session, pool, node, program, sources) as run:
+                    session.fit_estimator(node, run_round=run)
             else:
                 # Collect the roots the parent's cache does not hold whole.
                 out_slots = [
@@ -275,123 +253,96 @@ class ActorBackend(ExecutionBackend):
                     if r.kind != g.SOURCE and not resident(session.dataset_of(r))
                 ]
                 if out_slots:
-                    result = self._run_wave(
-                        session, pool, program, sources, out_slots, None
+                    rows = {name: [] for name, _slot in out_slots}
+                    _task, builders, key = self._run_builders(
+                        pool, program, sources, out_slots, None
                     )
-                    rows = result["rows"]
+                    replies = self._wave(session, pool, builders, "collect", key)
+                    for result, _meta in replies:
+                        for name, parts in result["rows"].items():
+                            rows[name].extend(parts)
         except (UnshippableFlow,) + _SHIP_ERRORS as exc:
-            fallback = type(exc).__name__
-        if fallback is not None:
             session.fit_estimator(node)
-            report.process_fallback.append(f"{node.label}: {fallback}")
+            report.process_fallback.append(f"{node.label}: {type(exc).__name__}")
             return
 
-        if iterative_ok or stats_ok:
-            if not iterative_ok:
-                with obs_trace.span(
-                    f"fit:{node.label}", cat="fit", args={"node_id": node.id}
-                ):
-                    with session.timer.time_block(node.id):
-                        model = op.fit_from_stats(result["stats"])
-            session.store_fit(node, model)
-            if iterative_ok:
-                report.actor_iterative.append(node.label)
-            else:
-                report.process_stat_merged.append(node.label)
-            return
-        session.fit_estimator(node, session.collected_inputs(rows))
-        report.process_gathered.append(node.label)
+        if not by_rounds:
+            session.fit_estimator(node, session.collected_inputs(rows))
+            report.process_gathered.append(node.label)
+        elif isinstance(node.op, IterativeShardableEstimator):
+            report.actor_iterative.append(node.label)
+        else:
+            report.process_stat_merged.append(node.label)
 
-    # ------------------------------------------------------------------
-    # Iterative fits: passes in-worker, state in the driver
-    # ------------------------------------------------------------------
-    def _fit_iterative(
+    @contextmanager
+    def _stats_round(
         self,
         session: TrainingSession,
         pool: ActorPool,
         node: g.OpNode,
         program: prog.OpProgram,
         sources,
-        roots: List[g.OpNode],
     ):
-        """Drive ``fit_via_passes``'s state machine over staged workers.
+        """The actor round of :func:`~repro.core.operators.fit_by_rounds`.
 
-        The featurized shard is staged in-worker by the "init" wave and
-        never moves again: every pass broadcasts
-        ``pass_payload(state)`` and reduces the per-partition
-        statistics, flattened in chunk order — which *is* partition
-        order, chunks being contiguous and ascending — through
-        ``update_from_stats`` exactly as the serial driver does.
+        The first round is one "run" wave over the chunks of the smallest
+        partition range holding the partitions asked for; the workers of
+        an iterative fit stage their featurized partitions, so every pass
+        broadcasts only the payload.  Statistics come back flattened in
+        chunk order, which *is* partition order (chunks are contiguous and
+        ascending).  Staged partitions are dropped on exit.
         """
-        op = node.op
-        spec = (node.id, op, tuple(program.slot_of(r.id) for r in roots))
-        task_id, builders, wave_key = self._run_builders(
-            pool, program, sources, [], spec, "init"
-        )
-        indices = [index for index, _builder in builders]
-        state = None
-        timer = session.timer
-        try:
-            with obs_trace.span(
-                "actors.wave[init]",
-                cat="wave",
-                key=wave_key,
-                args={"shards": len(builders), "node_id": node.id},
-            ):
-                replies = pool.wave(builders, setup=True)
-            self._absorb_times(session, replies)
+        slots = tuple(program.slot_of(r.id) for r in node.parents)
+        spec = (node.id, node.op, slots)
+        staging = isinstance(node.op, IterativeShardableEstimator)
+        task_id, staged, key = None, [], None
+
+        def run_round(indices, payload):
+            nonlocal task_id, key
+            if indices is None:
+                msg = ("pass", task_id, payload)
+                if obs_trace.enabled():
+                    msg += (True,)
+                builders = [(i, lambda _actor: _Msg(msg)) for i in staged]
+                replies = self._wave(session, pool, builders, "pass", key)
+                return [s for result, _meta in replies for s in result["stats"]]
+            lo = indices[0]
+            task_id, builders, key = self._run_builders(
+                pool, program, sources, [], spec, (lo, indices[-1] + 1)
+            )
+            if staging:
+                staged.extend(i for i, _builder in builders)
+            replies = self._wave(session, pool, builders, "stats", key, staging)
             partials = [s for result, _meta in replies for s in result["stats"]]
-            with timer.time_block(node.id):
-                state = op.init_state(partials)
-                done = op.converged(state)
-                payload = None if done else op.pass_payload(state)
-            pass_no = 0
-            while not done:
-                pass_no += 1
-                pass_builders = [
-                    (i, _make_pass_builder(task_id, payload)) for i in indices
-                ]
-                with obs_trace.span(
-                    "actors.wave[pass]",
-                    cat="wave",
-                    key=wave_key,
-                    args={"node_id": node.id, "pass": pass_no},
-                ):
-                    replies = pool.wave(pass_builders)
-                self._absorb_times(session, replies)
-                partials = [s for result, _meta in replies for s in result]
-                with timer.time_block(node.id):
-                    state = op.update_from_stats(state, partials)
-                    done = op.converged(state)
-                    payload = None if done else op.pass_payload(state)
-            with timer.time_block(node.id):
-                model = op.finalize(state)
-            state = None
-            return model
-        except BaseException:
-            if state is not None:
-                try:
-                    op.abort_state(state)
-                except Exception:
-                    pass
-            raise
+            return [partials[i - lo] for i in indices]
+
+        try:
+            yield run_round
         finally:
-            pool.end_task(task_id, indices)
+            if staged:
+                pool.end_task(task_id, staged)
 
     # ------------------------------------------------------------------
-    # Waves: "run" message builders, one-shot stats / collect
+    # Waves: "run" message builders, one wave
     # ------------------------------------------------------------------
     def _run_builders(
-        self, pool: ActorPool, program: prog.OpProgram, sources, out_slots, spec, mode
+        self,
+        pool: ActorPool,
+        program: prog.OpProgram,
+        sources,
+        out_slots,
+        spec,
+        span=None,
     ):
         """One "run" message builder per chunk, builder ``i`` for actor ``i``.
 
         Returns ``(task_id, builders, wave_key)``; ``spec`` is the
         ``(estimator node id, estimator, stat slots)`` triple of a
-        "stats"/"init" wave, ``None`` for a "collect" wave.  Builders
-        are evaluated against the actor's mirror at send time and ship
-        only the source partitions the worker will actually read: the
-        same backward liveness walk the worker runs
+        statistics wave, ``None`` for a collect wave, and ``span`` the
+        ``(start, stop)`` partition range to cover (default: all).
+        Builders are evaluated against the actor's mirror at send time
+        and ship only the source partitions the worker will actually
+        read: the same backward liveness walk the worker runs
         (:func:`repro.core.interp.liveness`), with the parent-side
         mirror standing in for the cache — a source whose downstream
         transform is already held ships nothing at all.
@@ -423,7 +374,7 @@ class ActorBackend(ExecutionBackend):
                 # is active (builders re-evaluate at send time, so a
                 # retry after a respawn stays consistent); untraced runs
                 # keep the original wire format.
-                payload = ("run", task_id, blob, chunk, packed.payload, mode)
+                payload = ("run", task_id, blob, chunk, packed.payload)
                 if obs_trace.enabled():
                     payload += (True,)
                 return _Msg(
@@ -435,46 +386,33 @@ class ActorBackend(ExecutionBackend):
 
             return builder
 
-        chunks, _ = _plan_chunks(sources, pool.workers)
+        chunks, _ = _plan_chunks(sources, pool.workers, span)
         builders = [(i, make_builder(*chunk)) for i, chunk in enumerate(chunks)]
         wave_key = ops[targets[-1]].key if targets else None
         return task_id, builders, wave_key or None
 
-    def _run_wave(
+    def _wave(
         self,
         session: TrainingSession,
         pool: ActorPool,
-        program: prog.OpProgram,
-        sources,
-        out_slots,
-        stats_spec,
+        builders,
+        kind: str,
+        key,
+        setup: bool = False,
     ):
-        mode = "collect" if stats_spec is None else "stats"
-        _task_id, builders, wave_key = self._run_builders(
-            pool, program, sources, out_slots, stats_spec, mode
-        )
+        """Run one wave (``kind`` names its trace span) and credit the
+        workers' reported seconds and spans to the session."""
         with obs_trace.span(
-            f"actors.wave[{mode}]",
-            cat="wave",
-            key=wave_key,
-            args={"shards": len(builders)},
+            f"actors.wave[{kind}]", cat="wave", key=key, args={"shards": len(builders)}
         ):
-            replies = pool.wave(builders)
-        self._absorb_times(session, replies)
-        merged = {"rows": {name: [] for name, _ in out_slots}, "stats": []}
-        for result, _meta in replies:
-            for name, parts in result.get("rows", {}).items():
-                merged["rows"][name].extend(parts)
-            merged["stats"].extend(result.get("stats", []))
-        return merged
-
-    def _absorb_times(self, session: TrainingSession, replies) -> None:
+            replies = pool.wave(builders, setup=setup)
         for _result, meta in replies:
             for node_id, seconds in meta.get("times", {}).items():
                 session.timer.add(node_id, seconds)
             # Worker span buffers piggyback on reply meta; the recording
             # process name ("repro-actor-N") is the worker attribution.
             obs_trace.absorb(meta.get("spans"))
+        return replies
 
     def __repr__(self) -> str:
         return (
@@ -491,13 +429,15 @@ class ProcessPoolBackend(ActorBackend):
     name = "process"
 
 
-def _plan_chunks(sources, workers: int):
-    """Contiguous partition chunks, one per worker, in partition order."""
+def _plan_chunks(sources, workers: int, span=None):
+    """Contiguous chunks of the partitions in ``span`` (``(start, stop)``,
+    default all), one per worker, in partition order."""
     counts = {ds.num_partitions for ds in sources.values()}
     if len(counts) != 1:
         raise UnshippableFlow(f"sources disagree on partitioning: {sorted(counts)}")
     num_partitions = counts.pop()
-    shards = min(workers, num_partitions)
-    bounds = [round(j * num_partitions / shards) for j in range(shards + 1)]
+    lo, hi = span or (0, num_partitions)
+    shards = min(workers, hi - lo)
+    bounds = [lo + round(j * (hi - lo) / shards) for j in range(shards + 1)]
     chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     return chunks, num_partitions

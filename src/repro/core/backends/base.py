@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core import graph as g
@@ -31,7 +32,13 @@ from repro.core import program as prog
 from repro.core.executor import ExclusiveTimer, TrainingReport
 from repro.core.interp import PartitionView
 from repro.obs import trace as obs_trace
-from repro.core.operators import Transformer
+from repro.core.operators import (
+    Round,
+    ShardableEstimator,
+    Transformer,
+    fit_by_rounds,
+    serial_round,
+)
 from repro.dataset.cache import AdmissionControlledLRUPolicy, PinnedPolicy
 from repro.dataset.context import Context
 from repro.dataset.dataset import Dataset, _StoredPartitions
@@ -251,17 +258,24 @@ class TrainingSession:
                     self.ctx.cache.put((ds.id, i), part, estimate_size(part))
             # Checked after every put: one may have evicted an earlier one.
             if not resident(ds):
-                inputs[node_id] = Dataset(self.ctx, len(parts), _StoredPartitions(parts))
+                inputs[node_id] = Dataset(
+                    self.ctx, len(parts), _StoredPartitions(parts)
+                )
         return inputs
 
     # ------------------------------------------------------------------
     # Estimator fitting
     # ------------------------------------------------------------------
     def fit_estimator(
-        self, node: g.OpNode, inputs: Optional[Dict[int, Dataset]] = None
+        self,
+        node: g.OpNode,
+        inputs: Optional[Dict[int, Dataset]] = None,
+        run_round: Optional[Round] = None,
     ) -> Transformer:
         """Fit one estimator node (memoized); the pipeline-breaker step.
-        ``inputs`` stand in for some parents' datasets in this fit only."""
+        ``inputs`` stand in for some parents' datasets in this fit only;
+        ``run_round`` replaces the in-process round of a statistics fit
+        (:func:`~repro.core.operators.fit_by_rounds`)."""
         inputs = inputs or {}
         with self._lock:
             if node.id in self.fitted:
@@ -273,85 +287,80 @@ class TrainingSession:
         # Heavy work outside the lock: op.fit pulls its training flow
         # through the partition views (possibly concurrently with other
         # estimators on other threads).
+        op = node.op
+        timed = partial(self.timer.time_block, node.id)
         with obs_trace.span(
             f"fit:{node.label}",
             cat="fit",
             key=self.training_key.get(node.id),
             args={"node_id": node.id},
         ):
-            model = self._fit_streaming(node, args)
-            if model is None:
-                with self.timer.time_block(node.id):
-                    model = node.op.fit(*args)
-        self.store_fit(node, model)
-        return model
-
-    def store_fit(self, node: g.OpNode, model: Transformer) -> None:
-        """Record a model fitted this run, by any path: the session's
-        memo, its estimator seconds, ``refit_ops`` and the FitStore."""
+            run_round = self._stats_memo(node, args, run_round, timed)
+            if run_round is None:
+                with timed():
+                    model = op.fit(*args)
+            else:
+                model = fit_by_rounds(op, run_round, args[0].num_partitions, timed)
         with self._lock:
             self.fitted[node.id] = model
             self.report.estimator_seconds[node.id] = self.timer.times[node.id]
             self.report.refit_ops.append(node.label)
             if self.fit_store is not None and node.id in self.training_key:
                 self.fit_store.put_fit(self.training_key[node.id], model)
+        return model
 
-    def _fit_streaming(self, node: g.OpNode, args: List[Dataset]):
-        """Fit a shardable estimator through stored per-partition stats.
+    def _stats_memo(
+        self,
+        node: g.OpNode,
+        args: List[Dataset],
+        run_round: Optional[Round],
+        timed: Callable,
+    ) -> Optional[Round]:
+        """The round of a one-shot fit (``run_round``, else the in-process
+        one over ``args``) with its statistics read from and written to the
+        FitStore, one entry per partition.
 
-        Returns the fitted model, or ``None`` to fall through to the
-        plain ``op.fit`` path (no store attached, the estimator is not
-        shardable, or the flow cannot be keyed partition-wise).  Each
-        partition's sufficient statistic is keyed by the partition's
-        content flow (:func:`repro.core.program.partition_flow_keys`):
-        stats hit in the store skip pulling and featurizing that
-        partition entirely — a refit with appended partitions computes
-        only the new ones — and the final merge runs the estimator's own
-        ``fit_from_stats`` (the serial reduction order), so the model is
-        byte-identical to a cold fit by the
-        :class:`~repro.core.operators.ShardableEstimator` contract.
+        Each partition's statistic is keyed by the partition's content
+        flow (:func:`repro.core.program.partition_flow_keys`): a stored
+        one skips pulling and featurizing that partition, so a refit
+        after appending partitions computes only the new ones, and the
+        merge is the estimator's own, byte-identical to a cold fit.
+        Without a store, for any other estimator or for a flow that cannot
+        be keyed partition-wise, ``run_round`` is returned as is (``None``:
+        ``op.fit`` runs the fit).
         """
-        store, op = self.fit_store, node.op
-        if (
-            store is None
-            or not hasattr(op, "partition_stats")
-            or not hasattr(op, "fit_from_stats")
-        ):
-            return None
-        counts = {ds.num_partitions for ds in args}
-        if len(counts) != 1:
-            return None
-        roots = list(node.parents)
-        pkeys = []
+        store, op, roots = self.fit_store, node.op, list(node.parents)
+        if store is None or not isinstance(op, ShardableEstimator):
+            return run_round
         try:
-            for i in range(counts.pop()):
+            keys = []
+            for i in range(args[0].num_partitions):
                 flow_keys = prog.partition_flow_keys(
                     roots, i, model_of=lambda n: self.fitted.get(n.id)
                 )
                 root_keys = tuple(flow_keys[r.id] for r in roots)
-                pkeys.append(prog.op_key("pstats", op, root_keys))
+                keys.append(prog.op_key("pstats", op, root_keys))
         except Exception:
             # Unkeyable flow (unbound input, partition-count mismatch
             # between raw sources and the featurized view, unfitted
             # upstream): cold fit, never a crash.
-            return None
-        reused = computed = 0
-        with self.timer.time_block(node.id):
-            partials = []
-            for i, pkey in enumerate(pkeys):
-                stat = store.get_stats(pkey)
-                if stat is None:
-                    stat = op.partition_stats(*[ds.partition(i) for ds in args])
-                    store.put_stats(pkey, stat)
-                    computed += 1
-                else:
-                    reused += 1
-                partials.append(stat)
-            model = op.fit_from_stats(partials)
-        with self._lock:
-            self.report.stat_partitions_reused += reused
-            self.report.stat_partitions_computed += computed
-        return model
+            return run_round
+        inner = run_round or serial_round(op, args, timed)
+
+        def memo_round(indices, payload):
+            stats = [store.get_stats(keys[i]) for i in indices]
+            missed = [i for i, stat in zip(indices, stats) if stat is None]
+            if missed:
+                fresh = dict(zip(missed, inner(missed, payload)))
+                for i, stat in fresh.items():
+                    store.put_stats(keys[i], stat)
+                stats = [fresh.get(i, stat) for i, stat in zip(indices, stats)]
+            with self._lock:
+                self.report.stat_partitions_reused += len(indices) - len(missed)
+                self.report.stat_partitions_computed += len(missed)
+            return stats
+
+        return memo_round
 
     def estimator_nodes(self) -> list:
         """Estimators reachable from the sink, dependency order first."""

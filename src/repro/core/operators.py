@@ -10,11 +10,16 @@ These mirror the paper's Figure 3 API:
   implementations, each priced by a :class:`~repro.cost.CostModel`.
 - :class:`Iterative` — marker carrying ``weight``, the number of passes the
   operator makes over its input (drives the materialization cost model).
+- :class:`ShardableEstimator` / :class:`IterativeShardableEstimator` —
+  fits that reduce per-partition statistics, all driven by
+  :func:`fit_by_rounds` over a round the backend supplies.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from contextlib import nullcontext, suppress
+from typing import (TYPE_CHECKING, Any, Callable, ContextManager, List,
+                    Optional, Sequence, Tuple)
 
 from repro.cost.model import CostModel, estimate_cost
 
@@ -140,28 +145,37 @@ class Iterative:
     weight: int = 1
 
 
-class ShardableEstimator:
-    """Protocol marker: fit decomposes into per-partition statistics.
+class _FitByRounds:
+    """``fit`` of both statistics protocols: :func:`fit_by_rounds` over
+    in-process rounds.  List the protocol before ``Estimator`` /
+    ``LabelEstimator`` among the bases so this ``fit`` is the one found."""
+
+    def fit(self, data: "Dataset", labels: Optional["Dataset"] = None) -> Transformer:
+        inputs = [data] if labels is None else [data, labels]
+        return fit_by_rounds(self, serial_round(self, inputs), data.num_partitions)
+
+
+class ShardableEstimator(_FitByRounds):
+    """Protocol: fit decomposes into per-partition statistics.
 
     Estimators whose training reduces partition-wise sufficient
     statistics (frequency counters, moment sums, Gram matrices, local QR
-    factors) implement two methods, and
-    :class:`~repro.core.backends.actors.ActorBackend` then computes
-    the statistics inside worker processes and merges them in the parent
-    instead of gathering the featurized rows:
+    factors) implement two methods and inherit ``fit``:
 
     - ``partition_stats(rows)`` (estimators) or
       ``partition_stats(rows, label_rows)`` (label estimators) — the
       statistic of one partition's rows, or ``None`` for partitions the
-      serial fit would skip (e.g. empty ones).  Must be picklable.
+      fit skips (e.g. empty ones).  Must be picklable.
     - ``fit_from_stats(partials)`` — one partial per partition, in
       partition order, merged into the fitted :class:`Transformer`.
 
-    Byte-identity contract: ``fit(data)`` must itself route through the
-    same two methods, so the merged result is bit-for-bit the serial one
-    by construction — implementations must preserve the serial reduction
-    order (use :func:`repro.dataset.dataset.tree_combine` for
-    tree-aggregated statistics, left-to-right accumulation otherwise).
+    It is the zero-pass case of :func:`fit_by_rounds`, which every
+    backend runs (statistics computed in-process or in actor workers, or
+    read from a :class:`~repro.incremental.FitStore`), so the merged
+    result is bit-for-bit the serial one by construction —
+    implementations must preserve the serial reduction order (use
+    :func:`repro.dataset.dataset.tree_combine` for tree-aggregated
+    statistics, left-to-right accumulation otherwise).
     """
 
     def partition_stats(self, rows, label_rows=None):
@@ -171,20 +185,19 @@ class ShardableEstimator:
         raise NotImplementedError
 
 
-class IterativeShardableEstimator:
+class IterativeShardableEstimator(_FitByRounds):
     """Protocol: an iterative fit decomposes into per-pass partition stats.
 
-    The iterative analogue of :class:`ShardableEstimator`.  One-shot
-    shardable estimators reduce each partition once; iterative solvers
-    (k-means, EM, gradient methods) make many passes, each reducing a
-    small sufficient statistic against the current solver state.  The
-    actor runtime (:mod:`repro.runtime`) keeps the featurized shard
-    resident in long-lived workers and runs
+    The iterative analogue of :class:`ShardableEstimator`: iterative
+    solvers (k-means, EM, gradient methods) make many passes, each
+    reducing a small sufficient statistic against the current solver
+    state.  The actor runtime (:mod:`repro.runtime`) keeps the
+    featurized shard resident in long-lived workers and runs
     :meth:`partition_pass_stats` in-worker every pass, so only the
     broadcast payload and the per-partition statistics cross the process
     boundary — never the data.
 
-    The driver-side state machine:
+    The state machine :func:`fit_by_rounds` drives:
 
     - ``init_stats(rows[, label_rows])`` — per-partition statistic for
       initialization (``None`` for partitions initialization ignores).
@@ -205,11 +218,9 @@ class IterativeShardableEstimator:
     - ``abort_state(state)`` — release driver-side resources when a fit
       dies between passes (default: nothing).
 
-    Byte-identity contract: ``fit`` must itself route through
-    :meth:`fit_via_passes`, so every backend — serial or actor —
-    replays the identical per-partition statistics and the identical
-    left-to-right merge, making the fitted state bit-for-bit equal by
-    construction.
+    Every backend replays the identical per-partition statistics and
+    the identical left-to-right merge, so the fitted state is
+    bit-for-bit equal by construction.
     """
 
     def init_stats(self, rows, label_rows=None):
@@ -236,39 +247,96 @@ class IterativeShardableEstimator:
     def abort_state(self, state) -> None:
         """Release driver-side state after a failed fit (best effort)."""
 
-    def fit_via_passes(self, data: "Dataset",
-                       labels: Optional["Dataset"] = None) -> Transformer:
-        """The serial reference driver every ``fit`` routes through."""
-        if labels is not None and labels.num_partitions != data.num_partitions:
-            raise ValueError(
-                "features and labels must be identically partitioned: "
-                f"{data.num_partitions} vs {labels.num_partitions}")
 
-        def partition(i: int):
-            rows = data.partition(i)
-            if labels is None:
-                return (rows,)
-            label_rows = labels.partition(i)
-            if len(rows) != len(label_rows):
-                raise ValueError(
-                    f"partition {i}: {len(rows)} feature rows vs "
-                    f"{len(label_rows)} label rows")
-            return (rows, label_rows)
+#: a round of :func:`fit_by_rounds`: ``run_round(indices, None)`` returns
+#: the first-round statistics of those partitions, ``run_round(None,
+#: payload)`` one pass's statistics of every partition; both in
+#: partition order
+Round = Callable[[Optional[Sequence[int]], Any], List[Any]]
 
-        indices = range(data.num_partitions)
-        state = self.init_state(
-            [self.init_stats(*partition(i)) for i in indices])
-        try:
-            while not self.converged(state):
-                payload = self.pass_payload(state)
-                state = self.update_from_stats(
-                    state,
-                    [self.partition_pass_stats(payload, *partition(i))
-                     for i in indices])
-        except BaseException:
-            self.abort_state(state)
-            raise
-        return self.finalize(state)
+
+def fit_by_rounds(
+    op: _FitByRounds,
+    run_round: Round,
+    num_partitions: int,
+    timed: Callable[[], ContextManager] = nullcontext,
+) -> Transformer:
+    """The one driver of :class:`ShardableEstimator` and
+    :class:`IterativeShardableEstimator` fits, on every backend.
+
+    The backend supplies ``run_round`` (in-process reads, or an actor
+    wave); ``timed`` wraps every step the driver itself computes.  A
+    one-shot estimator merges its single round; an iterative one runs
+    passes until ``converged``, and a failure after ``init_state``
+    releases the state through ``abort_state`` before re-raising.
+    """
+    partials = run_round(range(num_partitions), None)
+    if not isinstance(op, IterativeShardableEstimator):
+        with timed():
+            return op.fit_from_stats(partials)
+    with timed():
+        state = op.init_state(partials)
+    try:
+        while True:
+            with timed():
+                if op.converged(state):
+                    return op.finalize(state)
+                payload = op.pass_payload(state)
+            partials = run_round(None, payload)
+            with timed():
+                state = op.update_from_stats(state, partials)
+    except BaseException:
+        with suppress(Exception):
+            op.abort_state(state)
+        raise
+
+
+def first_round_stats(op: _FitByRounds, args: Sequence[list]) -> Any:
+    """One partition's statistic in the first round of a fit."""
+    if isinstance(op, IterativeShardableEstimator):
+        return op.init_stats(*args)
+    return op.partition_stats(*args)
+
+
+def check_aligned(index: int, args: Sequence[list]) -> None:
+    """Raise when partition ``index``'s feature and label rows differ in
+    number (``args`` is ``(rows,)`` or ``(rows, label_rows)``)."""
+    if len(args) == 2 and len(args[0]) != len(args[1]):
+        raise ValueError(
+            f"partition {index}: {len(args[0])} feature rows vs "
+            f"{len(args[1])} label rows"
+        )
+
+
+def serial_round(
+    op: _FitByRounds,
+    inputs: Sequence["Dataset"],
+    timed: Callable[[], ContextManager] = nullcontext,
+) -> Round:
+    """The in-process round over ``inputs`` (features, then labels for a
+    label estimator): it reads each partition it needs anew."""
+    counts = [ds.num_partitions for ds in inputs]
+    if len(set(counts)) != 1:
+        raise ValueError(
+            "features and labels must be identically partitioned: "
+            + " vs ".join(map(str, counts))
+        )
+
+    def partition(i: int) -> List[list]:
+        args = [ds.partition(i) for ds in inputs]
+        check_aligned(i, args)
+        return args
+
+    def run_round(indices, payload):
+        with timed():
+            if indices is not None:
+                return [first_round_stats(op, partition(i)) for i in indices]
+            return [
+                op.partition_pass_stats(payload, *partition(i))
+                for i in range(counts[0])
+            ]
+
+    return run_round
 
 
 class IdentityTransformer(Transformer):

@@ -4,7 +4,8 @@ A :class:`Dataset` never holds data directly (unless it is a source): it
 records how each partition is computed from its parents.  Actions
 (``collect``, ``count``, ``aggregate`` ...) trigger partition computation,
 which consults the context's :class:`~repro.dataset.cache.CacheManager`
-when the dataset is marked cached.  Every partition computation is recorded in
+when the dataset is marked cached.  Every partition computation (of a
+dataset with parents; a source only reads) is recorded in
 :class:`~repro.dataset.context.ExecutionStats`, so recomputation caused by
 cache misses is directly observable — this is the mechanism behind the
 automatic-materialization experiments (paper Section 5.4).
@@ -110,7 +111,8 @@ class Dataset:
             raise IndexError(f"partition {i} out of range [0, {self.num_partitions})")
         if not self.should_cache:
             rows = self._compute(i)
-            self.ctx.stats.record_compute(self.id, len(rows))
+            if self.parents:  # a parent-less dataset only reads its rows
+                self.ctx.stats.record_compute(self.id, len(rows))
             return rows
         key = (self.id, i)
         hit = self.ctx.cache.get(key)
@@ -126,7 +128,8 @@ class Dataset:
             if hit is not None:
                 return hit
             rows = self._compute(i)
-            self.ctx.stats.record_compute(self.id, len(rows))
+            if self.parents:
+                self.ctx.stats.record_compute(self.id, len(rows))
             self.ctx.cache.put(key, rows, estimate_size(rows))
             return rows
 

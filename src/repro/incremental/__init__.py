@@ -14,10 +14,10 @@ three consumers:
   candidate DAGs into one union program by key, execute each shared op
   once (:class:`~repro.core.tuning.GridSearch` scores the trials it
   slices out).
-- streaming refit rides inside :func:`refit`: shardable estimators merge
-  stored per-partition statistics with statistics of appended partitions
-  instead of replaying old data (see
-  :meth:`repro.core.backends.base.TrainingSession._fit_streaming`).
+- streaming refit rides inside :func:`refit` on every backend:
+  shardable estimators merge stored per-partition statistics with
+  statistics of appended partitions instead of replaying old data (see
+  :meth:`repro.core.backends.base.TrainingSession._stats_memo`).
 
 Byte-identity to a cold :class:`~repro.core.backends.local.LocalBackend`
 fit is the acceptance bar throughout: keys hash content, stored state

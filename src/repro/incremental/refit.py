@@ -13,12 +13,13 @@ pipeline's :class:`~repro.core.executor.TrainingReport` records the split
 in ``reused_ops`` / ``refit_ops``.
 
 Shardable estimators (:class:`~repro.core.operators.ShardableEstimator`)
-additionally refit *streaming*: per-partition sufficient statistics are
-keyed by partition content (:func:`~repro.core.program.partition_flow_keys`),
-so a refit after appending partitions to a source merges stored
-statistics for the old partitions with freshly computed ones for the new
-— the estimator's own ``fit_from_stats`` reduction order — without
-replaying old data.
+additionally refit *streaming*, on every backend: per-partition
+sufficient statistics are keyed by partition content
+(:func:`~repro.core.program.partition_flow_keys`), so a refit after
+appending partitions to a source merges stored statistics for the old
+partitions with freshly computed ones for the new — the estimator's own
+``fit_from_stats`` reduction order — without replaying old data (an
+actor fit's wave covers just the new tail).
 
 Everything spliced is byte-identical to a cold fit: training keys hash
 content (not identity), stored state round-trips through pickle exactly,

@@ -18,7 +18,6 @@ from repro.core.operators import (
     IterativeShardableEstimator,
     Transformer,
 )
-from repro.dataset.dataset import Dataset
 from repro.nodes.learning._util import rows_to_block
 from repro.nodes.learning.kmeans import kmeans_fit_array
 
@@ -85,7 +84,7 @@ class _GMMState:
     iteration: int
 
 
-class GMMEstimator(Estimator, Iterative, IterativeShardableEstimator):
+class GMMEstimator(IterativeShardableEstimator, Estimator, Iterative):
     """Fit a diagonal GMM with EM; K-Means initialization.
 
     Rows may be vectors or per-item descriptor matrices.  ``min_variance``
@@ -188,6 +187,3 @@ class GMMEstimator(Estimator, Iterative, IterativeShardableEstimator):
 
     def finalize(self, state: _GMMState) -> GaussianMixtureModel:
         return state.model
-
-    def fit(self, data: Dataset) -> GaussianMixtureModel:
-        return self.fit_via_passes(data)

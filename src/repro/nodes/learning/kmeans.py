@@ -19,7 +19,6 @@ from repro.core.operators import (
     IterativeShardableEstimator,
     Transformer,
 )
-from repro.dataset.dataset import Dataset
 from repro.nodes.learning._util import rows_to_block
 
 
@@ -78,7 +77,7 @@ class _KMeansState:
     shift: Optional[float]
 
 
-class KMeansEstimator(Estimator, Iterative, IterativeShardableEstimator):
+class KMeansEstimator(IterativeShardableEstimator, Estimator, Iterative):
     """Distributed-style Lloyd's: per-partition sufficient statistics.
 
     Rows may be vectors or descriptor matrices (stacked).  The fitted
@@ -180,6 +179,3 @@ class KMeansEstimator(Estimator, Iterative, IterativeShardableEstimator):
     def finalize(self, state: _KMeansState) -> ClusterAssigner:
         self.centroids_ = state.centroids
         return ClusterAssigner(state.centroids)
-
-    def fit(self, data: Dataset) -> ClusterAssigner:
-        return self.fit_via_passes(data)

@@ -121,7 +121,7 @@ class LocalQRSolver(LabelEstimator):
         return LinearMapper(x)
 
 
-class DistributedQRSolver(LabelEstimator, ShardableEstimator):
+class DistributedQRSolver(ShardableEstimator, LabelEstimator):
     """Exact least-squares via TSQR over partition blocks.
 
     The local QR of each augmented ``[A_i | B_i]`` block is a sufficient
@@ -133,20 +133,13 @@ class DistributedQRSolver(LabelEstimator, ShardableEstimator):
     def __init__(self, l2_reg: float = 1e-8):
         self.l2_reg = l2_reg
 
-    def _block_stats(self, a, b):
-        a = np.asarray(a.todense()) if sp.issparse(a) else a
-        return (np.linalg.qr(np.hstack([a, b]), mode="r"),
-                a.shape[1], b.shape[1])
-
     def partition_stats(self, rows, label_rows=None):
         if not rows:
             return None
-        if label_rows is None or len(rows) != len(label_rows):
-            raise ValueError(
-                f"{len(rows)} feature rows vs "
-                f"{0 if label_rows is None else len(label_rows)} label rows")
-        return self._block_stats(rows_to_block(rows),
-                                 np.asarray(rows_to_block(label_rows)))
+        a, b = rows_to_block(rows), np.asarray(rows_to_block(label_rows))
+        a = np.asarray(a.todense()) if sp.issparse(a) else a
+        return (np.linalg.qr(np.hstack([a, b]), mode="r"),
+                a.shape[1], b.shape[1])
 
     def fit_from_stats(self, partials) -> LinearMapper:
         present = [p for p in partials if p is not None]
@@ -156,11 +149,6 @@ class DistributedQRSolver(LabelEstimator, ShardableEstimator):
         x = tsqr_solve_from_factors([f for f, _d, _k in present], d, k,
                                     self.l2_reg)
         return LinearMapper(x)
-
-    def fit(self, data: Dataset, labels: Dataset) -> LinearMapper:
-        return self.fit_from_stats(
-            [self._block_stats(a, b)
-             for a, b in iter_xy_blocks(data, labels)])
 
 
 class LBFGSSolver(LabelEstimator, Iterative):

@@ -22,7 +22,6 @@ from repro.core.operators import (
     LabelEstimator,
     Transformer,
 )
-from repro.dataset.dataset import Dataset
 from repro.nodes.learning._util import rows_to_block
 
 
@@ -154,8 +153,8 @@ class _LogisticState:
     n: int
 
 
-class LogisticRegressionEstimator(LabelEstimator, Iterative,
-                                  IterativeShardableEstimator):
+class LogisticRegressionEstimator(IterativeShardableEstimator,
+                                  LabelEstimator, Iterative):
     """Multinomial logistic regression fit by L-BFGS.
 
     Labels must be indicator rows (see
@@ -250,6 +249,3 @@ class LogisticRegressionEstimator(LabelEstimator, Iterative,
 
     def abort_state(self, state: _LogisticState) -> None:
         state.driver.abort()
-
-    def fit(self, data: Dataset, labels: Dataset) -> LogisticModel:
-        return self.fit_via_passes(data, labels)

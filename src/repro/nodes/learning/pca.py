@@ -122,7 +122,7 @@ class LocalTSVD(Estimator):
         return PCATransformer(vt[:self.k].T, mean)
 
 
-class DistributedSVD(Estimator, ShardableEstimator):
+class DistributedSVD(ShardableEstimator, Estimator):
     """Exact PCA from the Gram matrix computed with an aggregation tree.
 
     Per-partition (column sum, Gram matrix, row count) triples are the
@@ -159,10 +159,6 @@ class DistributedSVD(Estimator, ShardableEstimator):
         mean = total / count
         cov = gram / count - np.outer(mean, mean)
         return PCATransformer(_components_from_cov(cov, self.k), mean)
-
-    def fit(self, data: Dataset) -> PCATransformer:
-        return self.fit_from_stats(
-            [self.partition_stats(part) for part in data.iter_partitions()])
 
 
 class DistributedTSVD(Estimator):

@@ -82,7 +82,7 @@ def _add_moments(a, b):
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
-class StandardScaler(Estimator, ShardableEstimator):
+class StandardScaler(ShardableEstimator, Estimator):
     """Fit per-column mean/std; transformer standardizes rows.
 
     The per-partition (count, sum, sum-of-squares) triples are exposed as
@@ -116,10 +116,6 @@ class StandardScaler(Estimator, ShardableEstimator):
         var = np.maximum(sq / count - mean * mean, 0.0)
         std = np.sqrt(var) if self.with_std else np.ones_like(mean)
         return StandardScalerTransformer(mean, std + self.eps)
-
-    def fit(self, data: Dataset) -> "StandardScalerTransformer":
-        return self.fit_from_stats(
-            [self.partition_stats(part) for part in data.iter_partitions()])
 
 
 class StandardScalerTransformer(Transformer):

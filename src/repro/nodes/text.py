@@ -22,7 +22,7 @@ from repro.core.kernels import (
     term_rows,
 )
 from repro.core.operators import Estimator, ShardableEstimator, Transformer
-from repro.dataset.dataset import Dataset, tree_combine
+from repro.dataset.dataset import tree_combine
 
 
 def _update_counter(a: Counter, b: Counter) -> Counter:
@@ -147,7 +147,7 @@ class SparseFeatureVectorizer(Transformer):
         return SparseVectorizeKernel(self.vocabulary, self.dim)
 
 
-class CommonSparseFeatures(Estimator, ShardableEstimator):
+class CommonSparseFeatures(ShardableEstimator, Estimator):
     """Select the ``num_features`` most frequent terms across the corpus.
 
     Fitting aggregates document frequencies with a combining tree (the
@@ -182,10 +182,6 @@ class CommonSparseFeatures(Estimator, ShardableEstimator):
         top = counts.most_common(self.num_features)
         vocabulary = {term: i for i, (term, _count) in enumerate(top)}
         return SparseFeatureVectorizer(vocabulary)
-
-    def fit(self, data: Dataset) -> SparseFeatureVectorizer:
-        return self.fit_from_stats(
-            [self.partition_stats(part) for part in data.iter_partitions()])
 
 
 class HashingTF(Transformer):
@@ -255,7 +251,7 @@ class SuffixStemmer(Transformer):
         return out
 
 
-class IDFEstimator(Estimator, ShardableEstimator):
+class IDFEstimator(ShardableEstimator, Estimator):
     """Fit inverse document frequencies over ``{term: weight}`` rows.
 
     The fitted transformer rescales term weights by
@@ -282,10 +278,6 @@ class IDFEstimator(Estimator, ShardableEstimator):
         idf = {term: _math.log((1 + num_docs) / (1 + df)) + 1.0
                for term, df in doc_freq.items()}
         return IDFTransformer(idf, default=_math.log(1 + num_docs) + 1.0)
-
-    def fit(self, data: Dataset) -> "IDFTransformer":
-        return self.fit_from_stats(
-            [self.partition_stats(part) for part in data.iter_partitions()])
 
 
 class IDFTransformer(Transformer):

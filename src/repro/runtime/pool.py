@@ -170,7 +170,7 @@ class ActorPool:
         Returns ``(result, meta)`` pairs in task order.  ``setup=True``
         registers each builder on its actor for replay after a respawn —
         use it for messages that create staged state later messages
-        depend on (the "init" of an iterative fit).  Worker-side task
+        depend on (the first "run" wave of an iterative fit).  Worker-side task
         errors re-raise in the parent; worker death and timeouts recover
         through bounded respawn, surfacing ``RuntimeError`` only once an
         actor exhausts ``max_restarts``.

@@ -14,13 +14,14 @@ lifetime (:mod:`repro.runtime.transport`), so the budget bounds heap.
 
 The message protocol (one pipe per actor, strictly request/reply):
 
-- ``("run", task_id, blob, chunk, packed_sources, mode)`` — execute a
-  pickled shard program over ``chunk``, serving ops from the cache where
-  keys hit.  ``mode`` is ``"collect"`` (return featurized rows),
-  ``"stats"`` (one-shot ``partition_stats`` per partition) or ``"init"``
-  (stage the featurized partitions for iterative passes and return
-  ``init_stats`` partials).
-- ``("pass", task_id, payload)`` — one iterative pass: run
+- ``("run", task_id, blob, chunk, packed_sources)`` — execute a pickled
+  shard program over ``chunk``, serving ops from the cache where keys
+  hit.  Without an estimator in the blob it returns featurized
+  ``rows``; with one it returns each partition's first-round ``stats``
+  of :func:`repro.core.operators.fit_by_rounds`, and for an
+  :class:`~repro.core.operators.IterativeShardableEstimator` also
+  stages the featurized partitions for the passes that follow.
+- ``("pass", task_id, payload)`` — one iterative pass: ``stats`` of
   ``partition_pass_stats(payload, ...)`` over the staged partitions.
 - ``("end", task_id)`` — drop the staging area for a finished fit.
 - ``("shutdown",)`` — exit the loop.
@@ -39,6 +40,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import interp
 from repro.core import program as prog
+from repro.core.operators import (
+    IterativeShardableEstimator,
+    check_aligned,
+    first_round_stats,
+)
 from repro.dataset.cache import CacheManager, LRUPolicy
 from repro.dataset.sizing import estimate_size
 from repro.obs import trace as obs_trace
@@ -76,7 +82,6 @@ def _run_task(
     blob: bytes,
     chunk: Tuple[int, int],
     sources: Dict[int, List[list]],
-    mode: str,
     cache: CacheManager,
     staging: Dict[int, Tuple[Any, int, List[tuple]]],
     task_id: int,
@@ -145,27 +150,17 @@ def _run_task(
     if est_spec is not None:
         est_id, est_op, stat_slots = est_spec
         parts = [tuple(env[s][i] for s in stat_slots) for i in range(count)]
-        if len(stat_slots) == 2:
-            # The serial driver (fit_via_passes) validates feature/label
-            # partition alignment row by row; raise its exact error here
-            # so a misaligned flow fails identically on every backend.
-            for offset, args in enumerate(parts):
-                if len(args[0]) != len(args[1]):
-                    raise ValueError(
-                        f"partition {start + offset}: {len(args[0])} "
-                        f"feature rows vs {len(args[1])} label rows"
-                    )
-        t0 = time.perf_counter()
-        if mode == "init":
+        for offset, args in enumerate(parts):
+            check_aligned(start + offset, args)
+        if isinstance(est_op, IterativeShardableEstimator):
             staging[task_id] = (est_op, est_id, parts)
-            result["stats"] = [est_op.init_stats(*args) for args in parts]
-        else:
-            result["stats"] = [est_op.partition_stats(*args) for args in parts]
+        t0 = time.perf_counter()
+        result["stats"] = [first_round_stats(est_op, args) for args in parts]
         elapsed = time.perf_counter() - t0
         times[est_id] = times.get(est_id, 0.0) + elapsed
         if tracer is not None:
             tracer.record(
-                f"{mode}:{type(est_op).__name__}",
+                f"stats:{type(est_op).__name__}",
                 seconds=elapsed,
                 args={"node_id": est_id},
             )
@@ -205,15 +200,15 @@ def _serve(conn, cache: CacheManager, segments: List[Any]) -> None:
         task_id = msg[1]
         try:
             if msg[0] == "run":
-                blob, chunk, packed_sources, mode = msg[2:6]
+                blob, chunk, packed_sources = msg[2:5]
                 # Optional trailing trace flag: parents only append it
                 # when tracing is active, so the wire format is
                 # unchanged for untraced runs.
-                tracer = obs_trace.Tracer() if len(msg) > 6 and msg[6] else None
+                tracer = obs_trace.Tracer() if len(msg) > 5 and msg[5] else None
                 sources, segs = transport.unpack(packed_sources)
                 segments.extend(segs)
                 result, times = _run_task(
-                    blob, tuple(chunk), sources, mode, cache, staging, task_id, tracer
+                    blob, tuple(chunk), sources, cache, staging, task_id, tracer
                 )
                 meta = {
                     "times": times,
@@ -240,7 +235,7 @@ def _serve(conn, cache: CacheManager, segments: List[Any]) -> None:
                         args={"node_id": est_id},
                     )
                     meta["spans"] = tracer.drain()
-                conn.send(("ok", task_id, stats, meta))
+                conn.send(("ok", task_id, {"stats": stats}, meta))
             elif msg[0] == "end":
                 staging.pop(task_id, None)
                 conn.send(("ok", task_id, None, {}))

@@ -665,18 +665,16 @@ class TestCollectedRows:
         from repro.dataset.cache import CacheManager
 
         collected, alive_after_fit, used, evaluated = [], [], [], []
-        run_wave, fit_parallel = actors.ActorBackend._run_wave, \
+        run_wave, fit_parallel = actors.ActorBackend._wave, \
             actors.ActorBackend._fit_parallel
         put = CacheManager.put
 
-        def recording_wave(self, session, pool, program, sources, out_slots,
-                           spec):
-            result = run_wave(self, session, pool, program, sources,
-                              out_slots, spec)
-            collected.extend(weakref.ref(row) for parts in
-                             result["rows"].values() for part in parts
-                             for row in part)
-            return result
+        def recording_wave(self, *args, **kwargs):
+            replies = run_wave(self, *args, **kwargs)
+            collected.extend(weakref.ref(row) for result, _meta in replies
+                             for parts in result.get("rows", {}).values()
+                             for part in parts for row in part)
+            return replies
 
         def checked_fit(self, session, pool, node, *rest):
             fit_parallel(self, session, pool, node, *rest)
@@ -689,7 +687,7 @@ class TestCollectedRows:
             used.append((self.used, self.budget))
             return admitted
 
-        monkeypatch.setattr(actors.ActorBackend, "_run_wave", recording_wave)
+        monkeypatch.setattr(actors.ActorBackend, "_wave", recording_wave)
         monkeypatch.setattr(actors.ActorBackend, "_fit_parallel", checked_fit)
         passes = passes_for_level(level, sample_sizes=(20, 40),
                                   mem_budget_bytes=budget, **kw)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dataset import Context, Dataset
 from repro.dataset.cache import LRUPolicy, PinnedPolicy
-from repro.dataset.dataset import tree_combine
+from repro.dataset.dataset import _StoredPartitions, tree_combine
 
 
 @pytest.fixture
@@ -129,6 +129,18 @@ class TestCachingSemantics:
         ds.collect()
         ds.collect()
         assert ctx.stats.compute_counts[ds.id] == 4  # 2 partitions x 2 scans
+
+    def test_reading_a_parentless_dataset_is_no_computation(self, ctx):
+        """Sources and stored rows only hand back what they hold: reading
+        them, cached or not, records nothing; the map over them does."""
+        source = ctx.parallelize(range(10), 2)
+        stored = Dataset(ctx, 2, _StoredPartitions([[1, 2], [3]]))
+        cached = ctx.parallelize(range(4), 2).cache()
+        derived = source.map(lambda x: x + 1)
+        for ds in (source, stored, cached, derived):
+            ds.collect()
+            ds.collect()
+        assert dict(ctx.stats.compute_counts) == {derived.id: 4}
 
     def test_cached_dataset_computes_once(self, ctx):
         ds = ctx.parallelize(range(10), 2).map(lambda x: x + 1).cache()

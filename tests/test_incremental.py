@@ -17,6 +17,7 @@ import pytest
 
 from repro import io as rio
 from repro.core.backends import BACKENDS
+from repro.core.backends.actors import ActorBackend
 from repro.core.backends.local import LocalBackend
 from repro.core.pipeline import Pipeline
 from repro.core.tuning import GridSearch
@@ -24,6 +25,7 @@ from repro.dataset.context import Context
 from repro.incremental import FitStore, SweepPlanner, diff_pipelines, refit
 from repro.nodes.learning.random_features import CosineRandomFeatures
 from repro.nodes.numeric import StandardScaler
+from repro.nodes.text import CommonSparseFeatures, LowerCase, TermFrequency, Tokenizer
 from repro.pipelines.amazon import amazon_pipeline
 from repro.workloads import amazon_reviews
 
@@ -372,6 +374,74 @@ class TestStreamingRefit:
         # LinearSolver resolves to LocalQRSolver at this scale (not
         # shardable): it must fit cold without stats, not crash.
         assert "LinearSolver" in fitted.training_report.refit_ops
+
+
+def text_features(ctx, n_docs, partitions):
+    """A text flow into ``CommonSparseFeatures``; 20 documents a
+    partition, so appending a partition keeps the old bounds."""
+    data = ctx.parallelize(WORKLOAD.train_items[:n_docs], partitions)
+    return (
+        Pipeline.identity()
+        .and_then(LowerCase())
+        .and_then(Tokenizer())
+        .and_then(TermFrequency())
+        .and_then(CommonSparseFeatures(50), data)
+    )
+
+
+def feature_bytes(fitted, ctx):
+    rows = fitted.apply_dataset(WORKLOAD.test_data(ctx)).collect()
+    return b"".join(row.toarray().tobytes() for row in rows)
+
+
+class TestStreamingRefitOnActors:
+    """The FitStore's per-partition statistics serve a one-shot fit on
+    the actor backend as on the local one: the wave covers only the
+    partitions the store misses, and either backend reads what the
+    other wrote."""
+
+    @pytest.fixture(scope="class")
+    def actors(self):
+        with ActorBackend(workers=2, task_timeout=300.0, reuse_pool=False) as backend:
+            yield backend
+
+    @staticmethod
+    def counts(fitted):
+        report = fitted.training_report
+        return report.stat_partitions_computed, report.stat_partitions_reused
+
+    def test_appended_partition_is_the_only_wave(self, actors, monkeypatch):
+        from repro.core.backends import actors as actor_module
+
+        chunks = []
+        plan_chunks = actor_module._plan_chunks
+
+        def recording(*args):
+            planned = plan_chunks(*args)
+            chunks.append(planned[0])
+            return planned
+
+        monkeypatch.setattr(actor_module, "_plan_chunks", recording)
+        ctx = Context()
+        store = FitStore()
+        cold = text_features(ctx, 60, 3).fit(fit_store=store, backend=actors)
+        assert self.counts(cold) == (3, 0)
+        assert cold.training_report.process_stat_merged == ["CommonSparseFeatures"]
+        grown = text_features(ctx, 80, 4).fit(fit_store=store, backend=actors)
+        assert self.counts(grown) == (1, 3)
+        assert chunks == [[(0, 2), (2, 3)], [(3, 4)]]
+        for n_docs, partitions, fitted in ((60, 3, cold), (80, 4, grown)):
+            local = text_features(ctx, n_docs, partitions).fit(backend=LocalBackend())
+            assert feature_bytes(fitted, ctx) == feature_bytes(local, ctx)
+
+    def test_local_refit_reads_the_stats_actors_wrote(self, actors):
+        ctx = Context()
+        store = FitStore()
+        text_features(ctx, 60, 3).fit(fit_store=store, backend=actors)
+        grown = text_features(ctx, 80, 4).fit(fit_store=store, backend=LocalBackend())
+        assert self.counts(grown) == (1, 3)
+        cold = text_features(ctx, 80, 4).fit(backend=LocalBackend())
+        assert feature_bytes(grown, ctx) == feature_bytes(cold, ctx)
 
 
 class TestPersistedPipelineStore:

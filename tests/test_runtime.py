@@ -143,7 +143,7 @@ class TestWorkerCache:
         blob = pickle.dumps((ops, [("out", last)], None))
         parts = [rows[:20], rows[20:]]
         cache = CacheManager(DEFAULT_STATE_BUDGET, LRUPolicy())
-        result, _ = worker._run_task(blob, (0, 2), {0: parts}, "collect", cache, {}, 1)
+        result, _ = worker._run_task(blob, (0, 2), {0: parts}, cache, {}, 1)
         assert set(cache.entries) == {(op.key, 0, 2) for op in ops}
         for entry in cache.entries.values():
             assert entry.size == estimate_size(entry.value)
@@ -157,7 +157,7 @@ class TestWorkerCache:
         blob = pickle.dumps((ops, [("out", 1)], None))
         parts = [_token_rows(10, 1)]
         cache = CacheManager(64, LRUPolicy())
-        result, _ = worker._run_task(blob, (0, 1), {0: parts}, "collect", cache, {}, 1)
+        result, _ = worker._run_task(blob, (0, 1), {0: parts}, cache, {}, 1)
         assert result["rows"]["out"] == [[TermFrequency().apply(r) for r in parts[0]]]
         assert list(cache.entries) == []
 
@@ -173,10 +173,10 @@ class TestShardStateCache:
         cache = CacheManager(DEFAULT_STATE_BUDGET, LRUPolicy())
         key = ("k-1", 0, 1)
         assert not cache.contains(key)
-        first, _ = worker._run_task(blob, (0, 1), {0: parts}, "collect", cache, {}, 1)
+        first, _ = worker._run_task(blob, (0, 1), {0: parts}, cache, {}, 1)
         assert cache.contains(key)
         assert (cache.misses, cache.hits) == (2, 0)  # the op and its source
-        second, _ = worker._run_task(blob, (0, 1), {}, "collect", cache, {}, 2)
+        second, _ = worker._run_task(blob, (0, 1), {}, cache, {}, 2)
         assert second == first
         assert (cache.misses, cache.hits) == (2, 1)
 
@@ -186,7 +186,7 @@ class TestShardStateCache:
 
         def run(name, sources):
             blob = pickle.dumps((_flow(name), [("out", 0)], None))
-            worker._run_task(blob, (0, 1), sources, "collect", cache, {}, 1)
+            worker._run_task(blob, (0, 1), sources, cache, {}, 1)
 
         for name in ("a", "b", "c"):
             run(name, {0: parts})
@@ -235,7 +235,7 @@ class TestReportedMirror:
         def run(prefix):
             program = prog.OpProgram(_flow(prefix, TermFrequency()))
             _task, builders, _key = ActorBackend()._run_builders(
-                pool, program, {0: data}, [("out", 1)], None, "collect"
+                pool, program, {0: data}, [("out", 1)], None
             )
             msg = builders[0][1](actor)
             shipped, _segments = transport.unpack(msg.payload[4])
@@ -527,3 +527,95 @@ class TestOneCache:
             for lineno in _byte_estimators(tree)
         ]
         assert offenders == []
+
+
+#: the state-machine steps of a statistics fit
+_DRIVER_STEPS = {
+    "init_state",
+    "update_from_stats",
+    "converged",
+    "finalize",
+    "fit_from_stats",
+}
+
+
+def _driver_step_calls(tree: ast.AST):
+    """``(function name, line)`` of every call to a state-machine step,
+    named by the innermost enclosing function."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", ""))
+                if name in _DRIVER_STEPS:
+                    yield inner, child.lineno
+            yield from walk(child, inner)
+
+    yield from walk(tree, "")
+
+
+class TestOneStatsDriver:
+    def test_only_the_driver_steps_a_statistics_fit(self):
+        """``core.operators.fit_by_rounds`` is the one state machine of
+        shardable fits: no backend, worker or estimator under ``src/repro``
+        calls ``init_state``, ``update_from_stats``, ``converged``,
+        ``finalize`` or ``fit_from_stats`` itself."""
+        root = pathlib.Path(repro.__file__).parent
+        offenders, driver = [], []
+        for path in sorted(root.rglob("*.py")):
+            rel = str(path.relative_to(root))
+            tree = ast.parse(path.read_text(), filename=rel)
+            for scope, lineno in _driver_step_calls(tree):
+                if (rel, scope) == ("core/operators.py", "fit_by_rounds"):
+                    driver.append(lineno)
+                else:
+                    offenders.append(f"{rel}:{lineno} in {scope or '<module>'}")
+        assert offenders == []
+        assert len(driver) == 5  # the guard sees the driver's own calls
+
+
+class TestRecomputations:
+    def test_an_actor_fit_that_evaluates_nothing_in_the_parent_recomputes_nothing(
+        self, monkeypatch
+    ):
+        """Text features collected from the workers into L-BFGS under a
+        tight LRU budget: the fit re-reads the collected rows every pass,
+        the parent evaluates no op, and the report's recomputations are 0
+        (reads of sources and of stored rows are no computation)."""
+        from repro.core.optimizer import Optimizer, passes_for_level
+        from repro.nodes.learning.linear import LBFGSSolver
+        from repro.nodes.text import CommonSparseFeatures, LowerCase, Tokenizer
+        from repro.workloads import amazon_reviews
+
+        wl = amazon_reviews(200, 20, vocab_size=300, seed=0)
+        ctx = Context()
+        data = wl.train_data(ctx)
+        pipe = (
+            Pipeline.identity()
+            .and_then(LowerCase())
+            .and_then(Tokenizer())
+            .and_then(TermFrequency(lambda c: 1.0))
+            .and_then(CommonSparseFeatures(100), data)
+            .and_then(LBFGSSolver(max_iter=10), data, wl.train_label_vectors(ctx))
+        )
+        passes = passes_for_level(
+            "full", sample_sizes=(20, 40), mem_budget_bytes=5e4, cache_strategy="lru"
+        )
+        plan = Optimizer(passes).optimize(pipe)
+        evaluated = []
+        transform, gather = interp.CHUNK
+
+        def recording(operator, column):
+            evaluated.append(type(operator).__name__)
+            return transform(operator, column)
+
+        monkeypatch.setattr(interp, "CHUNK", interp.Grain(recording, gather))
+        with ActorBackend(workers=2, task_timeout=300.0, reuse_pool=False) as backend:
+            report = plan.execute(backend=backend).training_report
+        assert "LBFGSSolver" in report.process_gathered
+        assert evaluated == []
+        assert report.recomputations == 0

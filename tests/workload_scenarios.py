@@ -129,7 +129,7 @@ SCENARIOS = {
         ctx, youtube8m(100, 16, dim=32, num_classes=5, seed=0), 24),
         youtube8m(100, 16, dim=32, num_classes=5, seed=0).test_items),
     # Iterative-solver heads: the pass-based estimators every backend
-    # must drive through the identical fit_via_passes state machine
+    # must drive through the identical fit_by_rounds state machine
     # (the actor backend runs the passes in-worker).
     "timit_kmeans": lambda ctx: (_kmeans_pipeline(
         ctx, timit_frames(100, 16, dim=24, num_classes=4, seed=0)),
