@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from repro.core import graph as g
 from repro.core.program import GATHER, TRANSFORM, Op, OpProgram
 from repro.dataset.dataset import Dataset
+from repro.dataset.rows import copy_rows
 
 Probe = Callable[[Op, int], Tuple[bool, Any]]
 Store = Callable[[Op, Sequence[int], list], None]
@@ -51,8 +52,9 @@ def _apply_each(operator: Any, column: list) -> list:
 
 def _apply_batch(operator: Any, column: list) -> list:
     # Copy the column: apply_partition may consume or mutate it, and a
-    # CSE-shared slot can have more readers.
-    return operator.apply_partition(list(column))
+    # CSE-shared slot can have more readers.  A read-only SparseRows
+    # column passes as it is.
+    return operator.apply_partition(copy_rows(column))
 
 
 def _apply_chunks(operator: Any, column: list) -> list:

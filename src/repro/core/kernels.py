@@ -15,7 +15,8 @@ batched :class:`SparseVectorizeKernel` both build canonical CSR straight
 from ``(data, indices, indptr)``, never through COO.  Inside a stage,
 ``TermFrequency`` counting fuses into the vectorizer
 (:class:`TermCountKernel` → :data:`COUNTS`), so weights are computed only
-for in-vocabulary terms and no per-document dict is built.
+for in-vocabulary terms and no per-document dict is built; binary
+presence counts nothing (:data:`PRESENCE`, built by :func:`presence_rows`).
 
 **Every value a stage emits is byte-identical to the per-item
 ``fitted.apply``** — not just ulp-close.  A stage gets there one of two
@@ -86,6 +87,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.operators import Transformer
+from repro.dataset.rows import SparseRows, csr_rows, rows_to_block
 from repro.obs import trace as obs_trace
 
 #: columnar block forms flowing between kernels inside one stage
@@ -93,6 +95,8 @@ ROWS = "rows"  #: plain per-item list (dicts, ints, unliftable rows)
 #: ``(counters, weighting)``: per-row term ``Counter``s whose weights
 #: ``TermFrequency`` has not applied yet
 COUNTS = "counts"
+#: per-row term lists under binary presence: each distinct term weighs 1.0
+PRESENCE = "presence"
 DENSE = "dense"  #: one C-contiguous float64 (B, d) block
 SPARSE = "sparse"  #: one (B, d) CSR block
 GATHERED = "gathered"  #: one block per folded gather branch
@@ -252,12 +256,15 @@ def _project(value, err, weights, col_norms, shift=None):
 
 
 def _lift_rows(rows: Sequence[Any]) -> Optional[Block]:
-    """Promote a homogeneous list of rows to one columnar block.
+    """Promote a homogeneous list of rows to one columnar block (a
+    :class:`~repro.dataset.rows.SparseRows` partition already is one).
 
     Returns ``None`` when the rows are not uniformly liftable (mixed
     types, per-item descriptor matrices, non-float dtypes) — the stage
     then offers the kernels the raw ``ROWS`` form instead.
     """
+    if isinstance(rows, SparseRows):
+        return (SPARSE, rows.matrix)
     first = rows[0]
     if sp.issparse(first):
         if first.shape[0] != 1:
@@ -265,7 +272,7 @@ def _lift_rows(rows: Sequence[Any]) -> Optional[Block]:
         for r in rows:
             if not sp.issparse(r) or r.shape != first.shape:
                 return None
-        return (SPARSE, sp.vstack(rows).tocsr())
+        return (SPARSE, rows_to_block(rows, prefer_sparse=True))
     if (
         isinstance(first, np.ndarray)
         and first.ndim == 1
@@ -299,30 +306,9 @@ def _block_rows(form: str, value: Any) -> List[Any]:
     if form == COUNTS:
         counters, weighting = value
         return [{t: weighting(c) for t, c in counts.items()} for counts in counters]
+    if form == PRESENCE:
+        return [dict.fromkeys(terms, 1.0) for terms in value]
     return list(value)
-
-
-def csr_rows(
-    data: List[float], indices: List[int], indptr: List[int], dim: int
-) -> sp.csr_matrix:
-    """One canonical ``(len(indptr) - 1, dim)`` CSR matrix, without COO.
-
-    Each row's columns must be unique.  The result equals the COO build
-    ``csr_matrix((data, (rows, indices)))`` byte for byte in ``data``,
-    ``indices`` and ``indptr`` (float64 / int32 / int32) with sorted
-    indices, at a fraction of its cost: no COO validation, duplicate
-    summing or pruning.
-    """
-    block = sp.csr_matrix(
-        (
-            np.asarray(data, dtype=np.float64),
-            np.asarray(indices, dtype=np.int32),
-            np.asarray(indptr, dtype=np.int32),
-        ),
-        shape=(len(indptr) - 1, dim),
-    )
-    block.sort_indices()
-    return block
 
 
 def term_rows(
@@ -345,6 +331,20 @@ def term_rows(
                 vals.append(value if weighting is None else weighting(value))
         indptr.append(len(cols))
     return csr_rows(vals, cols, indptr, dim)
+
+
+def presence_rows(vocabulary, docs: Sequence[Any], dim: int) -> sp.csr_matrix:
+    """Term lists -> one binary-presence CSR block, byte-equal to
+    :func:`term_rows` over ``dict.fromkeys(terms, 1.0)`` docs, built
+    without the dicts."""
+    get = vocabulary.get
+    indptr, cols = [0], []
+    for terms in docs:
+        kept = set(map(get, terms))
+        kept.discard(None)
+        cols.extend(kept)
+        indptr.append(len(cols))
+    return csr_rows(np.ones(len(cols)), cols, indptr, dim)
 
 
 def _batch_matmul(form: str, value: Any, weights: np.ndarray) -> Optional[np.ndarray]:
@@ -572,23 +572,29 @@ class TermCountKernel(Kernel):
     itself, and the weighting travels in the :data:`COUNTS` form so the
     next kernel (:class:`SparseVectorizeKernel`) weights only the terms it
     keeps.  A stage that ends here splits into the reference's dicts.
+    Binary ``presence`` counts nothing: the term lists travel as
+    :data:`PRESENCE` and the vectorizer keeps each distinct term once.
     """
 
-    def __init__(self, weighting: Callable[[int], Any]):
+    def __init__(self, weighting: Callable[[int], Any], presence: bool = False):
         self.weighting = weighting
+        self.presence = presence
 
     def run(self, form: str, value: Any) -> Optional[Block]:
         if form != ROWS:
             return None
+        if self.presence:
+            return (PRESENCE, value)
         return (COUNTS, ([Counter(terms) for terms in value], self.weighting))
 
 
 class SparseVectorizeKernel(Kernel):
-    """``{term: weight}`` rows (or pending counts) -> one (B, dim) CSR block.
+    """``{term: weight}`` rows (or pending counts, or presence term lists)
+    -> one (B, dim) CSR block.
 
-    One :func:`term_rows` build for the whole batch; its rows are
-    byte-identical to the per-item matrices, which come from the same
-    builder one document at a time.
+    One :func:`term_rows` (or :func:`presence_rows`) build for the whole
+    batch; its rows are byte-identical to the per-item matrices, which
+    come from the same builder one document at a time.
     """
 
     def __init__(self, vocabulary, dim: int):
@@ -599,6 +605,8 @@ class SparseVectorizeKernel(Kernel):
         if form == COUNTS:
             counters, weighting = value
             return (SPARSE, term_rows(self.vocabulary, counters, self.dim, weighting))
+        if form == PRESENCE:
+            return (SPARSE, presence_rows(self.vocabulary, value, self.dim))
         if form != ROWS or not all(isinstance(row, dict) for row in value):
             return None
         return (SPARSE, term_rows(self.vocabulary, value, self.dim))

@@ -56,6 +56,7 @@ from repro.core.operators import Optimizable
 from repro.core.stats import DataStats, num_label_dims, stats_from_rows
 from repro.cost.model import CostModel, estimate_cost
 from repro.dataset.context import Context
+from repro.dataset.rows import SparseRows, copy_rows
 from repro.dataset.sizing import estimate_size
 from repro.obs import trace as obs_trace
 
@@ -181,7 +182,7 @@ class _ProfilePass:
     # -- helpers --------------------------------------------------------
     def _rows_of(self, node: g.OpNode) -> List[Any]:
         out = self._outputs[node.id]
-        if not isinstance(out, list):
+        if not isinstance(out, (list, SparseRows)):
             raise TypeError(f"node {node} does not produce rows")
         return out
 
@@ -254,7 +255,7 @@ class _ProfilePass:
             self._maybe_select(node)
             parent_rows = self._rows_of(node.parents[0])
             start = time.perf_counter()
-            rows = node.op.apply_partition(list(parent_rows))
+            rows = node.op.apply_partition(copy_rows(parent_rows))
             seconds = time.perf_counter() - start
             ratio = len(rows) / max(len(parent_rows), 1)
             self.full_counts[node.id] = self._full_count(node.parents[0]) * ratio
@@ -286,7 +287,7 @@ class _ProfilePass:
             fitted = self._outputs[est_node.id]
             parent_rows = self._rows_of(data_node)
             start = time.perf_counter()
-            rows = fitted.apply_partition(list(parent_rows))
+            rows = fitted.apply_partition(copy_rows(parent_rows))
             seconds = time.perf_counter() - start
             ratio = len(rows) / max(len(parent_rows), 1)
             self.full_counts[node.id] = self._full_count(data_node) * ratio

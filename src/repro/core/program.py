@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import graph as g
+from repro.dataset.rows import SparseRows, copy_rows
 
 try:
     import scipy.sparse as sp
@@ -123,6 +124,8 @@ def feed_basic(h, value: Any, memo, recurse) -> bool:
         h.update(np.ascontiguousarray(csr.indptr).tobytes())
         h.update(np.ascontiguousarray(csr.indices).tobytes())
         h.update(np.ascontiguousarray(csr.data).tobytes())
+    elif isinstance(value, SparseRows):
+        _feed_sparse_rows(h, value)
     elif isinstance(value, (list, tuple)):
         h.update(b"l" if isinstance(value, list) else b"t")
         h.update(str(len(value)).encode())
@@ -144,6 +147,20 @@ def feed_basic(h, value: Any, memo, recurse) -> bool:
     else:
         return False
     return True
+
+
+def _feed_sparse_rows(h, rows: SparseRows) -> None:
+    """Feed ``rows`` as the list of its rows: a key never depends on
+    whether a partition is held as one matrix or as per-row matrices."""
+    m = rows.matrix
+    head = b"\x00p" + repr((1, m.shape[1])).encode()
+    data, indices, bounds = m.data, m.indices, m.indptr.tolist()
+    h.update(b"l" + str(len(rows)).encode())
+    for start, stop in zip(bounds, bounds[1:]):
+        h.update(head)
+        h.update(np.array([0, stop - start], dtype=np.int32).tobytes())
+        h.update(indices[start:stop].tobytes())
+        h.update(data[start:stop].tobytes())
 
 
 def _feed(h, value: Any, memo: set) -> None:
@@ -391,7 +408,7 @@ def partition_fingerprint(rows: Sequence[Any]) -> str:
     """Content digest of one partition's rows (streaming-refit keying)."""
     h = hashlib.blake2b(digest_size=16)
     h.update(b"partition")
-    _feed_rows(h, list(rows))
+    _feed_rows(h, copy_rows(rows))
     return h.hexdigest()
 
 

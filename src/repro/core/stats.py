@@ -15,6 +15,8 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro.dataset.rows import SparseRows
+
 
 @dataclass(frozen=True)
 class DataStats:
@@ -61,23 +63,27 @@ def stats_from_rows(rows: List, full_n: Optional[int] = None) -> DataStats:
     """Measure statistics from sample rows, extrapolating the count.
 
     Works for numeric vector rows (dense or sparse); non-numeric rows (raw
-    text, images as objects) get ``d=1, sparsity=1``.
+    text, images as objects) get ``d=1, sparsity=1``.  A
+    :class:`~repro.dataset.rows.SparseRows` partition is measured on its
+    matrix, with the row walk's result.
     """
     if not rows:
         return DataStats(n=full_n or 0, d=0, sparsity=0.0)
     n = full_n if full_n is not None else len(rows)
 
-    dims = 0
-    nnz = 0
-    numeric_rows = 0
-    for row in rows:
-        measured = _row_dim_and_nnz(row)
-        if measured is None:
-            continue
-        d_i, nnz_i = measured
-        dims = max(dims, d_i)
-        nnz += nnz_i
-        numeric_rows += 1
+    if isinstance(rows, SparseRows):
+        dims, nnz = rows.matrix.shape[1], rows.matrix.nnz
+        numeric_rows = len(rows)
+    else:
+        dims = nnz = numeric_rows = 0
+        for row in rows:
+            measured = _row_dim_and_nnz(row)
+            if measured is None:
+                continue
+            d_i, nnz_i = measured
+            dims = max(dims, d_i)
+            nnz += nnz_i
+            numeric_rows += 1
     if numeric_rows == 0 or dims == 0:
         return DataStats(n=n, d=1, sparsity=1.0)
     return DataStats(n=n, d=dims, sparsity=nnz / (numeric_rows * dims))

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.dataset.cache import CacheManager, CachePolicy
+from repro.dataset.rows import copy_rows
 
 
 @dataclass
@@ -67,10 +68,11 @@ class Context:
             return self._next_dataset_id
 
     def parallelize(self, items, num_partitions: Optional[int] = None) -> "Dataset":
-        """Create a source :class:`Dataset` from an in-memory sequence."""
+        """Create a source :class:`Dataset` from an in-memory sequence (a
+        :class:`~repro.dataset.rows.SparseRows` is split by slicing)."""
         from repro.dataset.dataset import Dataset
 
-        return Dataset.from_items(self, list(items),
+        return Dataset.from_items(self, copy_rows(items),
                                   num_partitions or self.default_partitions)
 
     def set_policy(self, policy: CachePolicy,

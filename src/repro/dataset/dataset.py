@@ -17,6 +17,7 @@ import threading
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.dataset.context import Context
+from repro.dataset.rows import copy_rows
 from repro.dataset.sizing import estimate_size
 
 
@@ -49,14 +50,15 @@ class _StoredPartitions:
     computed elsewhere (worker processes) — both hand over exclusively
     owned row lists, so only the outer list is copied here.  Each pull
     returns a shallow copy, matching ``from_items`` — consumers may
-    mutate the returned row lists.
+    mutate the returned row lists (a read-only ``SparseRows`` partition
+    is returned as it is).
     """
 
     def __init__(self, partitions: List[List[Any]]):
         self.partitions = list(partitions)
 
     def __call__(self, i: int) -> List[Any]:
-        return list(self.partitions[i])
+        return copy_rows(self.partitions[i])
 
 
 class Dataset:
@@ -91,6 +93,8 @@ class Dataset:
     @classmethod
     def from_items(cls, ctx: Context, items: List[Any],
                    num_partitions: int) -> "Dataset":
+        """A source of ``num_partitions`` contiguous slices of ``items``
+        (a list, or a :class:`~repro.dataset.rows.SparseRows`)."""
         if num_partitions < 1:
             raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
         n = len(items)
@@ -98,7 +102,7 @@ class Dataset:
         slices = [items[bounds[i]:bounds[i + 1]] for i in range(num_partitions)]
 
         def compute(i: int) -> List[Any]:
-            return list(slices[i])
+            return copy_rows(slices[i])
 
         return cls(ctx, num_partitions, compute, name="source")
 
@@ -193,7 +197,7 @@ class Dataset:
     def map_partitions(self, f: Callable[[List[Any]], List[Any]],
                        name: str = "") -> "Dataset":
         def compute(i: int) -> List[Any]:
-            return list(f(self.partition(i)))
+            return copy_rows(f(self.partition(i)))
 
         return Dataset(self.ctx, self.num_partitions, compute, (self,),
                        name or f"map_partitions({self.name})")

@@ -22,8 +22,10 @@ _SAMPLE = 16
 def estimate_size(obj: Any) -> int:
     """Estimate the memory footprint of ``obj`` in bytes.
 
-    Arrays and sparse matrices are exact buffer bytes; strings, scalars,
-    dicts and short lists are walked.  A list or tuple of ``n > 16``
+    Arrays and sparse matrices are exact buffer bytes, and so is a
+    :class:`~repro.dataset.rows.SparseRows` partition (its ``nbytes``:
+    the one matrix's buffers); strings, scalars, dicts and short lists
+    are walked.  A list or tuple of ``n > 16``
     elements is sized from the elements at ``round(j * (n - 1) / 15)``,
     ``j < 16``, times ``n``: deterministic, and a partition of any length
     costs at most 16 row walks.

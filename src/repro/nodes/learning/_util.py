@@ -2,34 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.dataset.dataset import Dataset
+from repro.dataset.rows import Block, SparseRows, row_width, rows_to_block
 
-Block = Union[np.ndarray, sp.csr_matrix]
 #: partition index -> (feature rows, label rows, stacked (A, B) block)
 BlockMemo = Dict[int, Tuple[List, List, Tuple[Block, np.ndarray]]]
-
-
-def rows_to_block(rows: List, prefer_sparse: bool = False) -> Block:
-    """Stack rows (dense vectors, sparse rows, or descriptor matrices)."""
-    if not rows:
-        return np.zeros((0, 0))
-    first = rows[0]
-    if sp.issparse(first):
-        stacked = sp.vstack(rows).tocsr()
-        return stacked if prefer_sparse or _keep_sparse(stacked) else \
-            stacked.toarray()
-    arrs = [np.atleast_2d(np.asarray(r, dtype=np.float64)) for r in rows]
-    return np.vstack(arrs)
-
-
-def _keep_sparse(m: sp.csr_matrix) -> bool:
-    total = m.shape[0] * m.shape[1]
-    return total > 0 and m.nnz / total < 0.5
 
 
 def iter_blocks(data: Dataset, prefer_sparse: bool = False) -> Iterator[Block]:
@@ -51,8 +33,11 @@ def _both_hold(data: Dataset, labels: Dataset, i: int) -> bool:
 
 
 def _same_rows(kept: List, rows: List) -> bool:
-    return kept is rows or (
-        len(kept) == len(rows) and all(a is b for a, b in zip(kept, rows)))
+    if kept is rows:
+        return True
+    if isinstance(kept, SparseRows) or isinstance(rows, SparseRows):
+        return False  # a block is read back as the same object or not at all
+    return len(kept) == len(rows) and all(a is b for a, b in zip(kept, rows))
 
 
 def iter_xy_blocks(data: Dataset, labels: Dataset,
@@ -61,12 +46,15 @@ def iter_xy_blocks(data: Dataset, labels: Dataset,
                    ) -> Iterator[Tuple[Block, np.ndarray]]:
     """Yield aligned (features, labels) blocks partition by partition.
 
-    Every call re-reads each partition (``partition(i)``), so an uncached
-    input is recomputed on every pass, exactly as the materialization
-    model assumes.  With a ``memo`` (one dict per fit), the stacked block
-    of a *sparse* partition is kept and reused on a later pass when the
-    feature and label rows read are the same objects, in the same order,
-    as when the block was built.  Only partitions whose rows are held
+    Blocks come from :func:`~repro.dataset.rows.rows_to_block`, so a
+    :class:`~repro.dataset.rows.SparseRows` partition yields its own
+    matrix and is never stacked.  Every call re-reads each partition
+    (``partition(i)``), so an uncached input is recomputed on every
+    pass, exactly as the materialization model assumes.  With a ``memo``
+    (one dict per fit), the stacked block of a *sparse* partition is
+    kept and reused on a later pass when the feature and label rows read
+    are the same objects, in the same order, as when the block was
+    built.  Only partitions whose rows are held
     anyway (:meth:`Dataset.holds_partition`) are kept, and before each
     block is yielded every entry whose partition is no longer held is
     dropped — including ones this pass's own reads just evicted — so the
@@ -103,10 +91,11 @@ def iter_xy_blocks(data: Dataset, labels: Dataset,
 
 
 def feature_dim(data: Dataset) -> int:
-    first = data.first()
-    if sp.issparse(first):
-        return int(first.shape[-1])
-    return int(np.asarray(first).shape[-1])
+    """Width of the rows of the first non-empty partition."""
+    for part in data.iter_partitions():
+        if part:
+            return row_width(part)
+    raise ValueError(f"dataset {data.name} is empty")
 
 
 def label_dim(labels: Dataset) -> int:

@@ -19,7 +19,7 @@ from repro.core.operators import (
     IterativeShardableEstimator,
     Transformer,
 )
-from repro.nodes.learning._util import rows_to_block
+from repro.dataset.rows import rows_to_block
 
 
 def _dense(block) -> np.ndarray:

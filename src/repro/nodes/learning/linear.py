@@ -43,6 +43,7 @@ from repro.core.operators import (
     Transformer,
 )
 from repro.dataset.dataset import Dataset
+from repro.dataset.rows import is_sparse, rows_to_block
 from repro.linalg.tsqr import tsqr_solve_from_factors
 from repro.nodes.learning._util import (
     BlockMemo,
@@ -50,7 +51,6 @@ from repro.nodes.learning._util import (
     feature_dim,
     iter_xy_blocks,
     label_dim,
-    rows_to_block,
 )
 
 DOUBLE = 8.0  # bytes per float64
@@ -73,8 +73,8 @@ class LinearMapper(Transformer):
     def apply_partition(self, items: List) -> List[np.ndarray]:
         if not items:
             return []
-        if sp.issparse(items[0]):
-            block = sp.vstack(items) @ self.weights
+        if is_sparse(items):
+            block = rows_to_block(items, prefer_sparse=True) @ self.weights
         else:
             block = np.vstack([np.asarray(r).reshape(1, -1)
                                for r in items]) @ self.weights

@@ -22,7 +22,7 @@ from repro.core.operators import (
     LabelEstimator,
     Transformer,
 )
-from repro.nodes.learning._util import rows_to_block
+from repro.dataset.rows import is_sparse, row_width, rows_to_block
 
 
 class LogisticModel(Transformer):
@@ -45,8 +45,9 @@ class LogisticModel(Transformer):
     def apply_partition(self, items: List) -> List[np.ndarray]:
         if not items:
             return []
-        if sp.issparse(items[0]):
-            logits = np.asarray((sp.vstack(items) @ self.weights))
+        if is_sparse(items):
+            logits = np.asarray(rows_to_block(items, prefer_sparse=True)
+                                @ self.weights)
         else:
             logits = np.vstack([np.asarray(r).reshape(1, -1)
                                 for r in items]) @ self.weights
@@ -182,9 +183,7 @@ class LogisticRegressionEstimator(IterativeShardableEstimator,
     def init_stats(self, rows: List, label_rows=None):
         if not rows:
             return None
-        first = rows[0]
-        d = (int(first.shape[-1]) if sp.issparse(first)
-             else int(np.asarray(first).shape[-1]))
+        d = row_width(rows)
         label_arr = np.asarray(label_rows[0])
         k = int(label_arr.size) if label_arr.ndim else 1
         return (len(rows), d, k)

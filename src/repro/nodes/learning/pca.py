@@ -33,10 +33,8 @@ from repro.core.operators import (
     Transformer,
 )
 from repro.dataset.dataset import Dataset
-from repro.nodes.learning._util import (
-    iter_blocks,
-    rows_to_block,
-)
+from repro.dataset.rows import rows_to_block
+from repro.nodes.learning._util import iter_blocks
 
 DOUBLE = 8.0
 

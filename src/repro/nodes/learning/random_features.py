@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from repro.core.operators import Estimator, Transformer
 from repro.dataset.dataset import Dataset
+from repro.dataset.rows import is_sparse, rows_to_block
 from repro.nodes.learning._util import feature_dim
 
 
@@ -54,9 +55,10 @@ class RandomFeaturesTransformer(Transformer):
     def apply_partition(self, items: List) -> List[np.ndarray]:
         if not items:
             return []
-        if sp.issparse(items[0]):
-            block = np.asarray((sp.vstack(items) @ self.w).todense()) \
-                if sp.issparse(self.w) else np.asarray(sp.vstack(items) @ self.w)
+        if is_sparse(items):
+            stacked = rows_to_block(items, prefer_sparse=True)
+            block = np.asarray((stacked @ self.w).todense()) \
+                if sp.issparse(self.w) else np.asarray(stacked @ self.w)
         else:
             block = np.vstack([np.asarray(r).reshape(1, -1)
                                for r in items]) @ self.w

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from repro.core.operators import Estimator, ShardableEstimator, Transformer
 from repro.dataset.dataset import Dataset, tree_combine
+from repro.dataset.rows import SparseRows
 
 
 def as_dense_row(row) -> np.ndarray:
@@ -19,10 +20,20 @@ def as_dense_row(row) -> np.ndarray:
 
 
 class Densify(Transformer):
-    """Sparse row -> dense 1-D vector."""
+    """Sparse row -> dense 1-D vector.
+
+    A :class:`~repro.dataset.rows.SparseRows` partition densifies with
+    one ``toarray``; its rows are byte-equal to per-row ``apply``, and
+    copied out so that no row pins the block (a cached row would).
+    """
 
     def apply(self, row) -> np.ndarray:
         return as_dense_row(row)
+
+    def apply_partition(self, items: List) -> List[np.ndarray]:
+        if isinstance(items, SparseRows):
+            return [row.copy() for row in items.matrix.toarray()]
+        return super().apply_partition(items)
 
     def columnar_kernel(self):
         from repro.core.kernels import DensifyKernel

@@ -15,14 +15,10 @@ from typing import Callable, Dict, List, Optional
 
 import scipy.sparse as sp
 
-from repro.core.kernels import (
-    SparseVectorizeKernel,
-    TermCountKernel,
-    csr_rows,
-    term_rows,
-)
+from repro.core.kernels import SparseVectorizeKernel, TermCountKernel, term_rows
 from repro.core.operators import Estimator, ShardableEstimator, Transformer
 from repro.dataset.dataset import tree_combine
+from repro.dataset.rows import SparseRows, csr_rows
 
 
 def _update_counter(a: Counter, b: Counter) -> Counter:
@@ -111,11 +107,14 @@ class TermFrequency(Transformer):
         self.weighting = weighting or float
 
     def apply(self, terms: List[str]) -> Dict[str, float]:
+        if self.weighting is _unit_weight:
+            # Binary presence: the Counter path's keys, order and values.
+            return dict.fromkeys(terms, 1.0)
         counts = Counter(terms)
         return {term: self.weighting(c) for term, c in counts.items()}
 
     def columnar_kernel(self):
-        return TermCountKernel(self.weighting)
+        return TermCountKernel(self.weighting, self.weighting is _unit_weight)
 
     def __getstate__(self):
         # The paper's canonical weighting is a lambda (``x => 1``); pack
@@ -134,7 +133,12 @@ class TermFrequency(Transformer):
 
 
 class SparseFeatureVectorizer(Transformer):
-    """Map ``{term: weight}`` to a 1 x d sparse row given a vocabulary."""
+    """Map ``{term: weight}`` to a 1 x d sparse row given a vocabulary.
+
+    A partition becomes one :class:`~repro.dataset.rows.SparseRows`: a
+    single :func:`term_rows` build over all its documents, whose row
+    ``i`` is byte-equal to ``apply`` of document ``i``.
+    """
 
     def __init__(self, vocabulary: Dict[str, int]):
         self.vocabulary = vocabulary
@@ -142,6 +146,9 @@ class SparseFeatureVectorizer(Transformer):
 
     def apply(self, term_weights: Dict[str, float]) -> sp.csr_matrix:
         return term_rows(self.vocabulary, [term_weights], self.dim)
+
+    def apply_partition(self, docs: List[Dict[str, float]]) -> SparseRows:
+        return SparseRows(term_rows(self.vocabulary, docs, self.dim))
 
     def columnar_kernel(self):
         return SparseVectorizeKernel(self.vocabulary, self.dim)

@@ -21,6 +21,7 @@ from repro.core.kernels import (
     KernelStage,
     SparseVectorizeKernel,
     TermCountKernel,
+    presence_rows,
     term_rows,
 )
 from repro.core.pipeline import Pipeline
@@ -111,6 +112,19 @@ def test_term_rows_matches_the_coo_build(b, weighting, data):
     assert _layout(got) == _layout(_reference(VOCAB, docs, DIM, weighting))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    docs=st.lists(
+        st.lists(st.sampled_from(TERMS + OOV), max_size=2 * len(TERMS)), max_size=7
+    )
+)
+def test_presence_rows_match_the_coo_build_of_presence_dicts(docs):
+    # The Counter path's binary-presence dicts, then the COO build.
+    dicts = [TermFrequency(lambda c: 1.0).apply(terms) for terms in docs]
+    got = presence_rows(VOCAB, docs, DIM)
+    assert _layout(got) == _layout(_reference(VOCAB, dicts, DIM, None))
+
+
 EDGE_DOCS = {
     "empty": [{}],
     "all-oov": [{t: 1.0 for t in OOV}],
@@ -156,8 +170,9 @@ class TestTermCountKernel:
             assert kernel.run(form, [["a"]]) is None
 
     @pytest.mark.parametrize(
-        "weighting", [float, lambda c: c, lambda c: 1.0, _shifted_weight],
-        ids=["float", "int", "unit", "function"],
+        "weighting",
+        [float, lambda c: c, lambda c: 1.0, _shifted_weight, unit_weighting()],
+        ids=["float", "int", "unit", "function", "presence"],
     )
     def test_stage_ending_at_term_frequency_returns_the_reference_dicts(
         self, weighting

@@ -1,6 +1,7 @@
 """Tests for the text featurization operators."""
 
 import os
+import pickle
 import subprocess
 import sys
 import zlib
@@ -8,10 +9,13 @@ import zlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 
 from repro.dataset import Context
+from repro.nodes import text
 from repro.nodes.text import (
     CommonSparseFeatures,
     HashingTF,
@@ -21,6 +25,7 @@ from repro.nodes.text import (
     TermFrequency,
     Tokenizer,
     Trim,
+    unit_weighting,
 )
 
 
@@ -85,6 +90,30 @@ class TestTermFrequency:
     def test_binary_weighting(self):
         tf = TermFrequency(lambda c: 1.0)
         assert tf.apply(["a", "a", "a"]) == {"a": 1.0}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(terms=st.lists(st.sampled_from(["a", "b", "a b", "", "é", "1"]),
+                          max_size=12))
+    def test_unit_weighting_equals_the_counter_path(self, terms):
+        # unit_weighting() takes the dict.fromkeys path; an equal lambda
+        # takes the Counter path.  Same keys, order, values and types.
+        fast = TermFrequency(unit_weighting()).apply(terms)
+        slow = TermFrequency(lambda c: 1.0).apply(terms)
+        assert list(fast.items()) == list(slow.items())
+        assert [type(v) for v in fast.values()] == \
+            [type(v) for v in slow.values()]
+
+    def test_unit_weighting_survives_a_pickle_round_trip(self, monkeypatch):
+        tf = pickle.loads(pickle.dumps(TermFrequency(unit_weighting())))
+        assert tf.weighting is unit_weighting()
+
+        def no_counter(*_args):
+            raise AssertionError("Counter path taken")
+
+        monkeypatch.setattr(text, "Counter", no_counter)
+        assert tf.apply(["b", "a", "b"]) == {"b": 1.0, "a": 1.0}
+        with pytest.raises(AssertionError, match="Counter path"):
+            TermFrequency(lambda c: 1.0).apply(["a"])
 
 
 class TestCommonSparseFeatures:
