@@ -138,14 +138,14 @@ def rows_to_block(rows, prefer_sparse: bool = False) -> Block:
     """
     if not rows:
         return np.zeros((0, 0))
-    if is_sparse(rows):
-        if isinstance(rows, SparseRows):
-            stacked = rows.matrix
-        else:
-            stacked = sp.vstack(rows).tocsr()
-        return stacked if prefer_sparse or _keep_sparse(stacked) else stacked.toarray()
-    arrs = [np.atleast_2d(np.asarray(r, dtype=np.float64)) for r in rows]
-    return np.vstack(arrs)
+    if isinstance(rows, SparseRows):
+        stacked = rows.matrix
+    elif sp.issparse(rows[0]):
+        stacked = sp.vstack(rows).tocsr()
+    else:
+        arrs = [np.atleast_2d(np.asarray(r, dtype=np.float64)) for r in rows]
+        return np.vstack(arrs)
+    return stacked if prefer_sparse or _keep_sparse(stacked) else stacked.toarray()
 
 
 def _keep_sparse(m: sp.csr_matrix) -> bool:
